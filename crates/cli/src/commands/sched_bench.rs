@@ -9,25 +9,27 @@
 //! * **parity** (always on): re-serves every query of the mix on both
 //!   services and fails unless every answer is `Ratio`-equal — the
 //!   scheduler seam must never change what is computed;
-//! * **p99 gate** (always on): fails when the work-stealing demand p99
-//!   exceeds the thread-per-worker p99 by more than `--p99-margin`
-//!   (default 1.25×);
+//! * **p99 gate** (always on): fails when the work-stealing demand-**miss**
+//!   p99 exceeds the thread-per-worker one by more than `--p99-margin`
+//!   (default 1.25×).  Cache hits are answered on the caller's thread and
+//!   never see a scheduler, so the gate reads the end-to-end latency of the
+//!   queries that did: solved warm, solved cold, or coalesced onto a solve;
 //! * **qps gate** (`--baseline <file>`): fails when work-stealing
 //!   queries/sec regressed more than 20% against a committed
 //!   `BENCH_sched.json`.
 //!
 //! With `--out <file>` the run writes `BENCH_sched.json` (`schema_version`
 //! 1): a flat JSON object with per-scheduler throughput, end-to-end
-//! percentiles, per-lane wait breakdowns, and the scheduler's own steal /
-//! timeout / cancellation counters.
+//! percentiles (all queries, and misses alone), per-lane wait breakdowns,
+//! and the scheduler's own steal / timeout / cancellation counters.
 
 use std::fmt::Write as _;
 use std::io::Write;
 use std::time::Duration;
 
 use steady_service::{
-    query_mix, run_load, LoadConfig, LoadReport, MetricsSnapshot, PrefetchJob, SchedulerKind,
-    Service, ServiceConfig, ServiceStats,
+    query_mix, run_load, HistogramSnapshot, LoadConfig, LoadReport, MetricsSnapshot, PrefetchJob,
+    SchedulerKind, Service, ServiceConfig, ServiceStats,
 };
 
 use super::serve_bench::json_number;
@@ -62,6 +64,25 @@ struct SchedRun {
     /// Exact served values (rendered rationals), in replay order — the
     /// parity fingerprint.
     answers: Vec<String>,
+}
+
+impl SchedRun {
+    /// End-to-end latency of the run's demand queries that needed a worker
+    /// (solved warm, solved cold or coalesced) — the only ones the scheduler
+    /// under test ever touched.
+    fn miss_latency(&self) -> HistogramSnapshot {
+        let mut misses = HistogramSnapshot::empty();
+        for name in ["e2e_solve_warm_nanos", "e2e_solve_cold_nanos", "e2e_coalesced_nanos"] {
+            if let Some(h) = self.report.metrics.histogram(name) {
+                misses.merge(h);
+            }
+        }
+        misses
+    }
+
+    fn miss_p99_micros(&self) -> f64 {
+        self.miss_latency().quantile(0.99) as f64 / 1_000.0
+    }
 }
 
 /// Replays the mixed demand+prefetch load on one scheduler.
@@ -101,12 +122,15 @@ fn run_one(
 
 /// Appends one scheduler's flat JSON fields under a `tpw_`/`ws_` prefix.
 fn push_json(json: &mut String, prefix: &str, run: &SchedRun) {
+    let misses = run.miss_latency();
     let _ = write!(
         json,
         "\"{prefix}_queries_per_second\":{:.3},\
          \"{prefix}_p50_micros\":{:.3},\
          \"{prefix}_p95_micros\":{:.3},\
          \"{prefix}_p99_micros\":{:.3},\
+         \"{prefix}_misses\":{},\
+         \"{prefix}_miss_p99_micros\":{:.3},\
          \"{prefix}_steals\":{},\
          \"{prefix}_demand_timeouts\":{},\
          \"{prefix}_prefetch_cancelled\":{},\
@@ -115,6 +139,8 @@ fn push_json(json: &mut String, prefix: &str, run: &SchedRun) {
         run.report.p50_micros,
         run.report.p95_micros,
         run.report.p99_micros,
+        misses.count(),
+        misses.quantile(0.99) as f64 / 1_000.0,
         run.stats.steals,
         run.stats.demand_timeouts,
         run.stats.prefetch_cancelled,
@@ -216,15 +242,17 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         tpw.answers.len()
     })?;
 
-    // Demand p99 gate: work-stealing must not trade demand latency away.
-    let (tpw_p99, ws_p99) = (tpw.report.p99_micros, ws.report.p99_micros);
+    // Demand-miss p99 gate: work-stealing must not trade the latency of the
+    // queries it actually schedules away (hits never reach a scheduler, and
+    // at a ~99% hit ratio the all-queries p99 sits on the hit/miss cliff).
+    let (tpw_p99, ws_p99) = (tpw.miss_p99_micros(), ws.miss_p99_micros());
     writeln!(
         out,
-        "demand p99         : {tpw_p99:.1} µs (tpw) vs {ws_p99:.1} µs (ws), margin {p99_margin}x",
+        "demand-miss p99    : {tpw_p99:.1} µs (tpw) vs {ws_p99:.1} µs (ws), margin {p99_margin}x",
     )?;
     if tpw_p99 > 0.0 && ws_p99 > tpw_p99 * p99_margin {
         return Err(CliError::Failed(format!(
-            "work-stealing demand p99 {ws_p99:.1} µs exceeds thread-per-worker \
+            "work-stealing demand-miss p99 {ws_p99:.1} µs exceeds thread-per-worker \
              {tpw_p99:.1} µs by more than {p99_margin}x"
         )));
     }

@@ -653,11 +653,11 @@ impl MulAssign<&BigInt> for BigInt {
     }
 }
 
-impl fmt::Display for BigInt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_zero() {
-            return write!(f, "0");
-        }
+impl BigInt {
+    /// The general decimal rendering: peel 19-digit chunks off the magnitude
+    /// by repeated short division.  Correct for any non-zero value;
+    /// [`fmt::Display`] only reaches it for multi-limb ones.
+    fn fmt_chunked(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut digits = Vec::new();
         let mut cur = self.limbs.clone();
         while !cur.is_empty() {
@@ -674,6 +674,24 @@ impl fmt::Display for BigInt {
             s.push_str(&format!("{:019}", d));
         }
         write!(f, "{}", s)
+    }
+}
+
+impl fmt::Display for BigInt {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.limbs[..] {
+            [] => f.write_str("0"),
+            // One limb is the `u64` itself: format it in place, with no limb
+            // clone, digit vector or string (the service fingerprints every
+            // edge cost through this).  `fmt_chunked` emits the same digits.
+            [limb] => {
+                if self.sign {
+                    f.write_str("-")?;
+                }
+                write!(f, "{limb}")
+            }
+            _ => self.fmt_chunked(f),
+        }
     }
 }
 
@@ -840,6 +858,33 @@ mod tests {
         assert!("".parse::<BigInt>().is_err());
         assert_eq!("+42".parse::<BigInt>().unwrap(), b(42));
         assert_eq!("-0".parse::<BigInt>().unwrap(), b(0));
+    }
+
+    #[test]
+    fn one_limb_display_matches_the_chunked_algorithm() {
+        struct Chunked<'a>(&'a BigInt);
+        impl fmt::Display for Chunked<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                self.0.fmt_chunked(f)
+            }
+        }
+        let max = u64::MAX as i128;
+        // 10^19 is the chunk size: the widest one-limb values straddle it.
+        let chunk = 10_000_000_000_000_000_000i128;
+        for v in [1, -1, 7, i64::MAX as i128, i64::MIN as i128, chunk - 1, chunk, max, -max] {
+            let big = b(v);
+            assert_eq!(big.limbs.len(), 1, "{v} must be a one-limb value");
+            assert_eq!(big.to_string(), v.to_string());
+            assert_eq!(big.to_string(), Chunked(&big).to_string(), "fast path diverged on {v}");
+            assert_eq!(big.to_string().parse::<BigInt>().unwrap(), big);
+        }
+        assert_eq!(b(0).to_string(), "0");
+        assert_eq!("0".parse::<BigInt>().unwrap(), b(0));
+        // The limb boundary: one past `u64::MAX` takes the chunked path.
+        let two_limbs = b(max + 1);
+        assert_eq!(two_limbs.limbs.len(), 2);
+        assert_eq!(two_limbs.to_string(), (max + 1).to_string());
+        assert_eq!(two_limbs.to_string().parse::<BigInt>().unwrap(), two_limbs);
     }
 
     #[test]

@@ -2,27 +2,35 @@
 //! deduplication, drift-triaged solves, TTL revalidation and requeue-based
 //! admission control.
 //!
-//! Work dispatch is delegated to the `steady-sched` subsystem: queries are
+//! A query's **front half** runs on the thread that asks
+//! ([`Service::query`] / [`Service::submit`]): validate, fingerprint, and
+//! consult the [`SolutionCache`] at the current **epoch**.  A fresh entry —
+//! the dominant outcome, since one solved LP answers a long series of
+//! repeats — is returned right there: no channel, no task, no worker wake.
+//! An entry older than [`ServiceConfig::ttl`] epochs is kept as a *stale*
+//! fallback and, like a miss, handed to the workers together with what the
+//! front half computed.
+//!
+//! Work dispatch is delegated to the `steady-sched` subsystem: misses are
 //! admitted onto three strict priority lanes (demand > revalidation >
 //! prefetch) and drained by the scheduler named in
 //! [`ServiceConfig::scheduler`] — the classic thread-per-worker pool by
 //! default, or the executor-backed work-stealing pool.  Both produce
 //! identical answers; only *which thread runs which task when* differs.
-//! Whatever the scheduler, a worker that picks up a query:
+//! Whatever the scheduler, a worker that picks up a missed query:
 //!
-//! 1. fingerprints the query and consults the [`SolutionCache`] at the
-//!    current **epoch**: a fresh entry is served directly, an entry older
-//!    than [`ServiceConfig::ttl`] epochs is kept as a *stale* fallback and
-//!    routed to revalidation instead of being dropped;
-//! 2. on a miss (or stale hit), checks the **in-flight table**: if an
-//!    identical (isomorphic) query is already being solved, the reply
-//!    channel is parked on that solve instead of stampeding the LP —
-//!    *single-flight* deduplication;
+//! 1. (revalidation lane only — proactive refreshes have no caller thread)
+//!    runs the same front half itself;
+//! 2. checks the **in-flight table**: if an identical (isomorphic) query is
+//!    already being solved, the reply channel is parked on that solve
+//!    instead of stampeding the LP — *single-flight* deduplication — and a
+//!    solve that finished while the query sat in the lane is served from
+//!    the cache by the re-check under the table's lock;
 //! 3. passes the **admission gate**: at most
 //!    [`ServiceConfig::max_inflight_cold`] solves run concurrently; up to
 //!    [`ServiceConfig::cold_queue`] more are **requeued** into the gate's
-//!    pending queue — the worker returns to serving hit traffic immediately,
-//!    and a slot-holder picks the job up when it releases its slot — and the
+//!    pending queue — the worker returns to the lanes immediately, and a
+//!    slot-holder picks the job up when it releases its slot — and the
 //!    excess is *shed* with [`ServeError::Shed`] (a shed *revalidation*
 //!    falls back to its stale answer instead of an error);
 //! 4. solves through the **drift triage ladder**
@@ -65,7 +73,7 @@ use crate::flight::{Flight, SingleFlight};
 use crate::gate::{Admission, ColdGate};
 use crate::ledger::PrefetchLedger;
 use crate::metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
-use crate::obs::{Clock, QueryTrace, TraceSink, WallClock};
+use crate::obs::{caller_ring, Clock, QueryTrace, Ring, TraceSink, WallClock, INLINE_LANE};
 use crate::persist;
 use crate::query::{solve_prepared, Answer, Query};
 use crate::recorder::{SolveFlightRecorder, SolveRecord};
@@ -298,7 +306,8 @@ pub type ServeResult = Result<Served, ServeError>;
 /// queries count as misses — they reached the in-flight table).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceStats {
-    /// Queries accepted by workers.
+    /// Queries whose front half ran (on their caller's thread, or on a
+    /// worker for revalidation-lane refreshes).
     pub queries: u64,
     /// Responses served straight from the cache.
     pub hits: u64,
@@ -482,31 +491,40 @@ fn mean(total: u64, count: u64) -> f64 {
     }
 }
 
+/// What the front half ([`look_up`]) learned about a query it could not
+/// answer, carried to the worker so nothing is computed or counted twice.
+struct Missed {
+    fingerprint: Fingerprint,
+    /// The epoch the lookup judged freshness at; the re-check under the
+    /// single-flight lock judges at the same one.
+    epoch: u64,
+    /// The expired answer this query revalidates, if any — served as the
+    /// fallback when the solve is shed, and the reason the leader's response
+    /// is labelled [`ServedVia::Revalidated`].
+    stale: Option<Arc<Answer>>,
+    /// When the lookup finished ([`Clock`] nanoseconds): the start of the
+    /// queue wait.
+    lookup_done_nanos: u64,
+}
+
+/// A validated, fingerprinted query that missed the cache (or found an
+/// expired entry) and needs the workers.  This is also the unit the
+/// admission gate queues on requeue: parking it costs a queue slot, not a
+/// worker thread.
 struct Job {
     query: Query,
     reply: Sender<ServeResult>,
-    /// When the query entered the submit channel ([`Clock`] nanoseconds);
-    /// always stamped, because the queue-wait and end-to-end histograms are
-    /// on whether or not per-query tracing is.
+    /// When the query reached the service ([`Clock`] nanoseconds); always
+    /// stamped, because the end-to-end histograms are on whether or not
+    /// per-query tracing is.
     submitted_nanos: u64,
     /// The query's lifecycle trace — `None` when tracing is off, so the
     /// disabled path allocates nothing and costs one branch.
     trace: Option<QueryTrace>,
-}
-
-/// A validated, fingerprinted query that needs a solve (cache miss or TTL
-/// revalidation), holding leadership of its in-flight entry.  This is the
-/// unit the admission gate queues on requeue: parking it costs a queue slot,
-/// not a worker thread.
-struct SolveJob {
-    job: Job,
-    fingerprint: Fingerprint,
-    /// The expired answer this solve revalidates, if any — served as the
-    /// fallback when the solve is shed, and the reason the leader's response
-    /// is labelled [`ServedVia::Revalidated`].
-    stale: Option<Arc<Answer>>,
-    /// When the job reached the admission gate; the gate-wait histogram is
-    /// the difference to the solve start, zero-ish unless the gate queued.
+    missed: Missed,
+    /// When the job reached the admission gate (stamped on the way in); the
+    /// gate-wait histogram is the difference to the solve start, zero-ish
+    /// unless the gate queued.
     gate_enter_nanos: u64,
 }
 
@@ -516,8 +534,8 @@ struct SolveJob {
 struct Waiter {
     platform: Platform,
     reply: Sender<ServeResult>,
-    /// See [`Job::submitted_nanos`]; feeds the coalesced end-to-end
-    /// histogram at fan-out.
+    /// As `Job::submitted_nanos`; feeds the coalesced end-to-end histogram
+    /// at fan-out.
     submitted_nanos: u64,
     /// The parked query's trace, completed by the solving worker.
     trace: Option<QueryTrace>,
@@ -545,34 +563,41 @@ fn tailor(answer: &Arc<Answer>, platform: &Platform) -> Arc<Answer> {
 /// used to live here — `PrefetchIdle` and the idle-poll loop — moved into
 /// `steady-sched`'s reusable `lane` module, shared by both schedulers.)
 enum WorkItem {
-    /// An interactive query (demand lane).
-    Demand(Job),
-    /// A proactive TTL refresh (revalidation lane): an ordinary serve whose
-    /// reply nobody listens to, scheduled by
-    /// [`Service::schedule_revalidation`].
-    Revalidate(Job),
+    /// An interactive query the caller's thread could not answer from the
+    /// cache (demand lane).  Boxed: a job carries its query and trace by
+    /// value, and lane tasks are moved between queues and deques.
+    Demand(Box<Job>),
+    /// A proactive TTL refresh (revalidation lane), scheduled by
+    /// [`Service::schedule_revalidation`]: nobody waits on it, so its whole
+    /// lifecycle — front half included — starts when a worker picks it up.
+    Revalidate(Query),
     /// A speculative pre-solve (prefetch lane).
     Prefetch(PrefetchJob),
 }
 
 /// The per-stage latency histograms, always on (recording is one relaxed
 /// atomic add; see [`crate::metrics`]).  All samples are [`Clock`]
-/// nanoseconds.  Stage spans are adjacent — queue → lookup → (gate) →
-/// solve → publish — so a query's stage samples sum to its end-to-end
-/// latency within clock resolution.
+/// nanoseconds.  Stage spans are adjacent — lookup → queue → flight →
+/// (gate) → solve → publish — so a query's stage samples sum to its
+/// end-to-end latency within clock resolution.  A cache hit is answered on
+/// its caller's thread and stops after the lookup: it samples `lookup`,
+/// `publish` and `e2e_hit`, and no queue or lane wait.
 struct StageMetrics {
-    /// Submit-to-pickup wait: submit → worker pickup (every query).
+    /// Fingerprint + cache lookup: submit → lookup done (every well-formed
+    /// query; on the caller's thread for demand traffic).
+    lookup: Arc<Histogram>,
+    /// Hand-off to a worker: lookup done → worker pickup.  Demand queries
+    /// the lookup could not answer only, so for demand-only traffic its
+    /// count is `queries - hits`.
     queue_wait: Arc<Histogram>,
     /// Demand-lane wait: enqueue → scheduler pickup, per lane.  Same span
-    /// as `queue_wait` for demand traffic, but split by lane so priority
-    /// inversion (prefetch delaying demand) is directly visible.
+    /// as `queue_wait`, but split by lane so priority inversion (prefetch
+    /// delaying demand) is directly visible.
     lane_demand_wait: Arc<Histogram>,
     /// Revalidation-lane wait (see `lane_demand_wait`).
     lane_revalidation_wait: Arc<Histogram>,
     /// Prefetch-lane wait (see `lane_demand_wait`).
     lane_prefetch_wait: Arc<Histogram>,
-    /// Fingerprint + cache lookup (every well-formed query).
-    lookup: Arc<Histogram>,
     /// Admission-gate wait: gate entry → solve start (solved queries; near
     /// zero unless the gate queued the job).
     gate_wait: Arc<Histogram>,
@@ -580,7 +605,8 @@ struct StageMetrics {
     solve_warm: Arc<Histogram>,
     /// From-scratch solves.
     solve_cold: Arc<Histogram>,
-    /// Basis/cache publication and reply fan-out.
+    /// Basis/cache publication and reply fan-out after a solve; for a hit,
+    /// prefetch attribution and tailoring after the lookup.
     publish: Arc<Histogram>,
     /// End-to-end latency of cache hits (fresh or flight-ready).
     e2e_hit: Arc<Histogram>,
@@ -607,11 +633,11 @@ struct StageMetrics {
 impl StageMetrics {
     fn new(registry: &MetricsRegistry) -> StageMetrics {
         StageMetrics {
+            lookup: registry.histogram("stage_lookup_nanos"),
             queue_wait: registry.histogram("stage_queue_wait_nanos"),
             lane_demand_wait: registry.histogram("lane_demand_wait_nanos"),
             lane_revalidation_wait: registry.histogram("lane_revalidation_wait_nanos"),
             lane_prefetch_wait: registry.histogram("lane_prefetch_wait_nanos"),
-            lookup: registry.histogram("stage_lookup_nanos"),
             gate_wait: registry.histogram("stage_gate_wait_nanos"),
             solve_warm: registry.histogram("stage_solve_warm_nanos"),
             solve_cold: registry.histogram("stage_solve_cold_nanos"),
@@ -658,7 +684,7 @@ struct Shared {
     /// triage every solve of a platform that differs only in edge costs.
     bases: Mutex<HashMap<u64, SolvedBasis>>,
     /// Cold-solve admission control (see [`crate::gate`]).
-    gate: ColdGate<SolveJob>,
+    gate: ColdGate<Job>,
     build_schedules: bool,
     /// Current cache epoch; advanced by [`Service::advance_epoch`].
     epoch: AtomicU64,
@@ -668,7 +694,8 @@ struct Shared {
     /// the seam where a simulated clock plugs in
     /// ([`Service::start_with_clock`]).
     clock: Arc<dyn Clock>,
-    /// Per-worker rings of completed query traces (see [`crate::obs`]).
+    /// Per-worker and caller-side rings of completed query traces (see
+    /// [`crate::obs`]).
     sink: TraceSink,
     /// The solver flight recorder: pivot timelines of the most anomalous
     /// solves (see [`crate::recorder`]); disabled unless
@@ -709,7 +736,7 @@ struct Shared {
 impl Shared {
     /// The current cache epoch.
     fn now(&self) -> u64 {
-        // relaxed: the epoch is a monotonically advanced stamp and workers
+        // relaxed: the epoch is a monotonically advanced stamp and readers
         // only need *some* recent value — a lagging read makes an entry look
         // at most one advance older, which TTL semantics tolerate by design.
         self.epoch.load(Ordering::Relaxed)
@@ -744,13 +771,14 @@ struct EngineWorker {
 }
 
 impl EngineWorker {
-    /// Replies to a demand/revalidation job whose task never ran (deadline
-    /// passed or lane cancelled) with [`ServeError::Shed`] — the same
-    /// contract as admission-control shedding: nothing is wrong with the
-    /// query, the service chose not to run it.
+    /// Replies to a demand job whose task never ran (deadline passed or lane
+    /// cancelled) with [`ServeError::Shed`] — the same contract as
+    /// admission-control shedding: nothing is wrong with the query, the
+    /// service chose not to run it.
     fn shed_unrun(&self, worker: usize, job: Job, outcome: &'static str) {
         let shared = &self.shared;
-        finish_trace_at(shared, worker as u32, job.trace, outcome, shared.clock.now_nanos());
+        let end = shared.clock.now_nanos();
+        finish_trace_at(shared, Ring::Worker(worker), job.trace, outcome, end);
         let _ = job.reply.send(Err(ServeError::Shed));
     }
 }
@@ -760,20 +788,30 @@ impl WorkerHooks<WorkItem> for EngineWorker {
         let shared = &self.shared;
         let picked_up = shared.clock.now_nanos();
         shared.stage.record_lane_wait(task.lane, picked_up.saturating_sub(task.enqueued_nanos));
-        let lane = task.lane;
+        // A panicking solve must not shrink the pool: contain it here (the
+        // scheduler contains it too, but the engine owns the reply
+        // contract).  The panicking job's reply sender is dropped during
+        // unwinding, so its caller sees a disconnect rather than a hang;
+        // parked waiters are released by the in-flight drop guard.
         match task.payload {
-            WorkItem::Demand(mut job) | WorkItem::Revalidate(mut job) => {
+            WorkItem::Demand(mut job) => {
+                let queued = picked_up.saturating_sub(job.missed.lookup_done_nanos);
+                shared.stage.queue_wait.record(queued);
                 if let Some(t) = job.trace.as_mut() {
-                    t.lane = lane.name();
+                    t.worker = worker as u32;
+                    t.solver = worker as u32;
+                    t.lane = Lane::Demand.name();
+                    t.admitted_nanos = picked_up;
                 }
-                // A panicking solve must not shrink the pool: contain it
-                // here (the scheduler contains it too, but the engine owns
-                // the reply contract).  The panicking job's reply sender is
-                // dropped during unwinding, so its caller sees a disconnect
-                // rather than a hang; parked waiters are released by the
-                // in-flight drop guard inside `serve`.
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    serve(shared, worker as u32, job)
+                    serve_miss(shared, worker as u32, *job)
+                }));
+            }
+            WorkItem::Revalidate(query) => {
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    if let Some(job) = look_up_refresh(shared, worker as u32, query, picked_up) {
+                        serve_miss(shared, worker as u32, job);
+                    }
                 }));
             }
             WorkItem::Prefetch(job) => {
@@ -786,23 +824,28 @@ impl WorkerHooks<WorkItem> for EngineWorker {
 
     fn timed_out(&self, worker: usize, task: LaneTask<WorkItem>) {
         match task.payload {
-            WorkItem::Demand(job) | WorkItem::Revalidate(job) => {
-                self.shed_unrun(worker, job, "deadline");
-            }
-            // An expired speculation is just dropped; the scheduler already
-            // counted it.
-            WorkItem::Prefetch(_) => {}
+            WorkItem::Demand(job) => self.shed_unrun(worker, *job, "deadline"),
+            // An expired refresh or speculation is just dropped; the
+            // scheduler already counted it.
+            WorkItem::Revalidate(_) | WorkItem::Prefetch(_) => {}
         }
     }
 
     fn cancelled(&self, worker: usize, task: LaneTask<WorkItem>) {
         match task.payload {
-            WorkItem::Demand(job) | WorkItem::Revalidate(job) => {
-                self.shed_unrun(worker, job, "cancelled");
-            }
-            WorkItem::Prefetch(_) => {}
+            WorkItem::Demand(job) => self.shed_unrun(worker, *job, "cancelled"),
+            WorkItem::Revalidate(_) | WorkItem::Prefetch(_) => {}
         }
     }
+}
+
+/// How [`Service::serve_inline`] left a demand query.
+enum Inline {
+    /// Answered on the caller's thread: a fresh hit, or an invalid query's
+    /// error.
+    Served(ServeResult),
+    /// Handed to the demand lane; the response arrives on this channel.
+    Queued(Receiver<ServeResult>),
 }
 
 /// A running query-serving engine.  Dropping the service closes the lanes
@@ -901,33 +944,64 @@ impl Service {
         service
     }
 
-    /// Enqueues `query` on the demand lane and returns the channel its
-    /// response will arrive on.  If the service is shutting down, the
-    /// returned channel reports a disconnect instead of a response (mapped
-    /// to an error by [`Service::query`]).
-    pub fn submit(&self, query: Query) -> Receiver<ServeResult> {
+    /// Runs `query`'s front half on this thread ([`look_up`]) and, unless
+    /// that answered it, hands it to the demand lane with what the front
+    /// half computed.
+    fn serve_inline(&self, query: Query) -> Inline {
+        let shared = &self.shared;
+        let submitted_nanos = shared.clock.now_nanos();
+        let ring = caller_ring();
+        let mut trace = shared.sink.begin(submitted_nanos);
+        if let Some(t) = trace.as_mut() {
+            t.worker = ring as u32;
+            t.solver = ring as u32;
+            t.lane = INLINE_LANE;
+        }
+        let front = look_up(shared, Ring::Caller(ring), &query, submitted_nanos, &mut trace);
+        let missed = match front {
+            Front::Done(result) => return Inline::Served(result),
+            Front::Missed(missed) => missed,
+        };
         let (reply, response) = unbounded();
-        let submitted_nanos = self.shared.clock.now_nanos();
-        let trace = self.shared.sink.begin(submitted_nanos);
-        let mut task = LaneTask::new(
-            WorkItem::Demand(Job { query, reply, submitted_nanos, trace }),
-            Lane::Demand,
-            submitted_nanos,
-        );
+        // The lane wait starts where the lookup ended: no second clock read,
+        // and `lane_demand_wait` is the same span as the queue stage.
+        let enqueued_nanos = missed.lookup_done_nanos;
+        let job = Job { query, reply, submitted_nanos, trace, missed, gate_enter_nanos: 0 };
+        let mut task = LaneTask::new(WorkItem::Demand(Box::new(job)), Lane::Demand, enqueued_nanos);
         if let Some(deadline) = self.demand_deadline {
             task = task.with_deadline(submitted_nanos.saturating_add(deadline.as_nanos() as u64));
         }
         // A rejected submit means the lanes are closed (shutdown); the
         // caller then observes the reply channel disconnect.
         let _ = self.running.submit(task);
-        response
+        Inline::Queued(response)
     }
 
-    /// Submits `query` and blocks until its response arrives.
+    /// Serves `query` and returns the channel its response arrives on.  A
+    /// cache hit is already in the channel when this returns (it was served
+    /// on this thread); anything else goes to the demand lane.  If the
+    /// service is shutting down, the returned channel reports a disconnect
+    /// instead of a response (mapped to an error by [`Service::query`]).
+    pub fn submit(&self, query: Query) -> Receiver<ServeResult> {
+        match self.serve_inline(query) {
+            Inline::Served(result) => {
+                let (reply, response) = unbounded();
+                let _ = reply.send(result);
+                response
+            }
+            Inline::Queued(response) => response,
+        }
+    }
+
+    /// Serves `query`, blocking until its response arrives.  A cache hit
+    /// returns without leaving this thread: no channel, no task, no worker.
     pub fn query(&self, query: Query) -> ServeResult {
-        self.submit(query).recv().map_err(|_| {
-            ServeError::Failed(ServiceError("the service shut down before responding".into()))
-        })?
+        match self.serve_inline(query) {
+            Inline::Served(result) => result,
+            Inline::Queued(response) => response.recv().map_err(|_| {
+                ServeError::Failed(ServiceError("the service shut down before responding".into()))
+            })?,
+        }
     }
 
     /// Schedules speculative work: each job's query is pre-solved by an
@@ -960,21 +1034,16 @@ impl Service {
     }
 
     /// Schedules proactive TTL refreshes on the **revalidation lane**: each
-    /// query is served exactly like a demand query — expired entries
-    /// revalidate through drift triage, misses solve — but nobody waits on
-    /// the reply, and the work runs only when the demand lane is empty.
-    /// Returns how many refreshes were queued.
+    /// query is served exactly like a demand query — fresh entries are left
+    /// alone, expired ones revalidate through drift triage, misses solve —
+    /// but nobody waits on the reply, and the work (front half included)
+    /// runs on a worker, only when the demand lane is empty.  Returns how
+    /// many refreshes were queued.
     pub fn schedule_revalidation(&self, queries: impl IntoIterator<Item = Query>) -> usize {
         let mut queued = 0usize;
         for query in queries {
-            let (reply, _discard) = unbounded();
-            let submitted_nanos = self.shared.clock.now_nanos();
-            let trace = self.shared.sink.begin(submitted_nanos);
-            let task = LaneTask::new(
-                WorkItem::Revalidate(Job { query, reply, submitted_nanos, trace }),
-                Lane::Revalidation,
-                submitted_nanos,
-            );
+            let enqueued = self.shared.clock.now_nanos();
+            let task = LaneTask::new(WorkItem::Revalidate(query), Lane::Revalidation, enqueued);
             if self.running.submit(task) {
                 queued += 1;
             }
@@ -1242,17 +1311,17 @@ impl Drop for Service {
 }
 
 /// Seals `trace` (if tracing is on) with `outcome` at `end` and offers it
-/// to `worker`'s ring.
+/// to `ring`.
 fn finish_trace_at(
     shared: &Shared,
-    worker: u32,
+    ring: Ring,
     trace: Option<QueryTrace>,
     outcome: &'static str,
     end: u64,
 ) {
     if let Some(mut t) = trace {
         t.finish(outcome, end);
-        shared.sink.push(worker as usize, t);
+        shared.sink.push(ring, t);
     }
 }
 
@@ -1340,7 +1409,7 @@ fn prefetch_one(shared: &Shared, worker: u32, job: PrefetchJob) {
                     let _ = reply.send(Ok(Served { answer: tailored, via: ServedVia::Coalesced }));
                 }
             }
-            finish_trace_at(shared, worker, trace, "prefetch", end);
+            finish_trace_at(shared, Ring::Worker(worker as usize), trace, "prefetch", end);
         }
         Err(e) => {
             // The speculative solve itself failed (e.g. the predicted
@@ -1355,7 +1424,7 @@ fn prefetch_one(shared: &Shared, worker: u32, job: PrefetchJob) {
                 finish_coalesced_trace(shared, worker, trace, "error", end);
                 let _ = reply.send(Err(ServeError::Failed(e.clone())));
             }
-            finish_trace_at(shared, worker, trace, "error", end);
+            finish_trace_at(shared, Ring::Worker(worker as usize), trace, "error", end);
         }
     }
 }
@@ -1372,7 +1441,7 @@ fn finish_coalesced_trace(
     if let Some(mut t) = trace {
         t.solver = worker;
         t.finish(outcome, end);
-        shared.sink.push(worker as usize, t);
+        shared.sink.push(Ring::Worker(worker as usize), t);
     }
 }
 
@@ -1454,7 +1523,7 @@ fn publish_basis(shared: &Shared, class: u64, basis: SolvedBasis) {
 
 /// Removes an in-flight entry when dropped, failing any parked waiters.
 ///
-/// `serve` disarms the guard on the normal path (after fanning the real
+/// `solve_one` disarms the guard on the normal path (after fanning the real
 /// outcome out); if the solve panics, the guard runs during unwinding so the
 /// key does not stay in the table forever — without it, every waiter would
 /// block indefinitely and all future queries for the fingerprint would park
@@ -1488,34 +1557,46 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
-// lint: worker-entry
-fn serve(shared: &Shared, worker: u32, mut job: Job) {
+/// Outcome of a query's front half ([`look_up`]).
+enum Front {
+    /// Answered without the workers: a fresh hit, or an invalid query's
+    /// error.  The trace, if any, is sealed.
+    Done(ServeResult),
+    /// A miss or an expired entry: flight → gate → solve are still to come.
+    Missed(Missed),
+}
+
+/// The front half of every demand and revalidation query, on whichever
+/// thread holds it — the caller's for demand traffic
+/// ([`Service::serve_inline`]), a worker's for revalidation-lane refreshes
+/// ([`look_up_refresh`]): count the query, validate, fingerprint, and do its
+/// one counted cache lookup at the current epoch.  A fresh hit is finished
+/// right here with all its bookkeeping ([`serve_hit`]); `trace` is taken
+/// when the query is done and left for the back half otherwise.
+fn look_up(
+    shared: &Shared,
+    ring: Ring,
+    query: &Query,
+    submitted_nanos: u64,
+    trace: &mut Option<QueryTrace>,
+) -> Front {
     bump(&shared.queries);
-    let admitted = shared.clock.now_nanos();
-    shared.stage.queue_wait.record(admitted.saturating_sub(job.submitted_nanos));
-    if let Some(t) = job.trace.as_mut() {
-        t.worker = worker;
-        t.solver = worker;
-        t.admitted_nanos = admitted;
-    }
-    if let Err(e) = job.query.validate() {
+    if let Err(e) = query.validate() {
         bump(&shared.errors);
         // Traces are sealed *before* the reply goes out, here and on every
         // path below: once a caller observes its answer, its trace is
         // drainable — no race between a reply and its own record.
-        finish_trace_at(shared, worker, job.trace, "error", shared.clock.now_nanos());
-        let _ = job.reply.send(Err(ServeError::Failed(e)));
-        return;
+        finish_trace_at(shared, ring, trace.take(), "error", shared.clock.now_nanos());
+        return Front::Done(Err(ServeError::Failed(e)));
     }
-    let fingerprint = job.query.fingerprint();
-    let key = fingerprint.0;
-    let now = shared.now();
+    let fingerprint = query.fingerprint();
+    let epoch = shared.now();
 
-    let lookup = shared.cache.lookup(key, now, shared.ttl);
-    let lookup_done = shared.clock.now_nanos();
-    shared.stage.lookup.record(lookup_done.saturating_sub(admitted));
-    if let Some(t) = job.trace.as_mut() {
-        t.lookup_done_nanos = lookup_done;
+    let lookup = shared.cache.lookup(fingerprint.0, epoch, shared.ttl);
+    let lookup_done_nanos = shared.clock.now_nanos();
+    shared.stage.lookup.record(lookup_done_nanos.saturating_sub(submitted_nanos));
+    if let Some(t) = trace.as_mut() {
+        t.lookup_done_nanos = lookup_done_nanos;
         t.lookup = match &lookup {
             Lookup::Hit(_) => "hit",
             Lookup::Stale(_) => "stale",
@@ -1524,31 +1605,87 @@ fn serve(shared: &Shared, worker: u32, mut job: Job) {
     }
     let stale = match lookup {
         Lookup::Hit(answer) => {
-            if shared.ledger.claim(key) {
-                bump(&shared.prefetch_hits);
-            }
-            let answer = tailor(&answer, &job.query.platform);
-            let end = shared.clock.now_nanos();
-            shared.stage.publish.record(end.saturating_sub(lookup_done));
-            shared.stage.e2e_hit.record(end.saturating_sub(job.submitted_nanos));
-            finish_trace_at(shared, worker, job.trace, "cache", end);
-            let _ = job.reply.send(Ok(Served { answer, via: ServedVia::Cache }));
-            return;
+            let served = serve_hit(
+                shared,
+                ring,
+                &query.platform,
+                &answer,
+                submitted_nanos,
+                lookup_done_nanos,
+                trace.take(),
+            );
+            return Front::Done(Ok(served));
         }
         // Expired: keep the old answer as the shed fallback and revalidate.
         Lookup::Stale(answer) => Some(answer),
         Lookup::Miss => None,
     };
+    Front::Missed(Missed { fingerprint, epoch, stale, lookup_done_nanos })
+}
 
+/// Finishes a query the cache answered fresh — at the lookup, or at the
+/// single-flight re-check when the solve it would have joined had just
+/// published: prefetch attribution, tailoring to the caller's numbering, the
+/// `publish` and `e2e_hit` samples, and the sealed trace.
+fn serve_hit(
+    shared: &Shared,
+    ring: Ring,
+    platform: &Platform,
+    answer: &Arc<Answer>,
+    submitted_nanos: u64,
+    lookup_done_nanos: u64,
+    trace: Option<QueryTrace>,
+) -> Served {
+    // An answer is cached under its own fingerprint.
+    if shared.ledger.claim(answer.fingerprint.0) {
+        bump(&shared.prefetch_hits);
+    }
+    let answer = tailor(answer, platform);
+    let end = shared.clock.now_nanos();
+    shared.stage.publish.record(end.saturating_sub(lookup_done_nanos));
+    shared.stage.e2e_hit.record(end.saturating_sub(submitted_nanos));
+    finish_trace_at(shared, ring, trace, "cache", end);
+    Served { answer, via: ServedVia::Cache }
+}
+
+/// The front half of one proactive TTL refresh, on the worker that picked
+/// it up.  Unless the entry turned out fresh, returns the job for the same
+/// back half as a demand miss ([`serve_miss`]) — replying to nobody.
+// lint: worker-entry
+fn look_up_refresh(shared: &Shared, worker: u32, query: Query, picked_up: u64) -> Option<Job> {
+    let mut trace = shared.sink.begin(picked_up);
+    if let Some(t) = trace.as_mut() {
+        t.worker = worker;
+        t.solver = worker;
+        t.lane = Lane::Revalidation.name();
+    }
+    let ring = Ring::Worker(worker as usize);
+    match look_up(shared, ring, &query, picked_up, &mut trace) {
+        Front::Done(_) => None,
+        Front::Missed(missed) => {
+            let (reply, _nobody) = unbounded();
+            let submitted_nanos = picked_up;
+            Some(Job { query, reply, submitted_nanos, trace, missed, gate_enter_nanos: 0 })
+        }
+    }
+}
+
+/// The back half of a query its front half could not answer: single-flight,
+/// then the admission gate, then (inline or after a requeue) the solve.
+// lint: worker-entry
+fn serve_miss(shared: &Shared, worker: u32, job: Job) {
+    let key = job.missed.fingerprint.0;
+    let epoch = job.missed.epoch;
     // Single-flight admission: park on an identical in-flight solve, or
     // become the leader (solver) for this key.  The re-check runs under the
-    // admission lock — the solve may have completed between the lookup
-    // above and the lock; a still-stale entry reads as absent there
-    // (peek_fresh), because it must be revalidated.
+    // admission lock — a solve may have published between the front half's
+    // lookup and the lock (the whole lane wait lies in between); a
+    // still-stale entry reads as absent there (peek_fresh), because it must
+    // be revalidated.
     let mut job = match shared.flight.join_or_lead(
         key,
         job,
-        || shared.cache.peek_fresh(key, now, shared.ttl),
+        || shared.cache.peek_fresh(key, epoch, shared.ttl),
         |job| {
             let mut trace = job.trace;
             if let Some(t) = trace.as_mut() {
@@ -1563,15 +1700,16 @@ fn serve(shared: &Shared, worker: u32, mut job: Job) {
         },
     ) {
         Flight::Ready(answer, job) => {
-            if shared.ledger.claim(key) {
-                bump(&shared.prefetch_hits);
-            }
-            let answer = tailor(&answer, &job.query.platform);
-            let end = shared.clock.now_nanos();
-            shared.stage.publish.record(end.saturating_sub(lookup_done));
-            shared.stage.e2e_hit.record(end.saturating_sub(job.submitted_nanos));
-            finish_trace_at(shared, worker, job.trace, "cache", end);
-            let _ = job.reply.send(Ok(Served { answer, via: ServedVia::Cache }));
+            let served = serve_hit(
+                shared,
+                Ring::Worker(worker as usize),
+                &job.query.platform,
+                &answer,
+                job.submitted_nanos,
+                job.missed.lookup_done_nanos,
+                job.trace,
+            );
+            let _ = job.reply.send(Ok(served));
             return;
         }
         Flight::Parked => {
@@ -1585,16 +1723,17 @@ fn serve(shared: &Shared, worker: u32, mut job: Job) {
     if let Some(t) = job.trace.as_mut() {
         t.flight_done_nanos = flight_done;
     }
+    job.gate_enter_nanos = flight_done;
 
     // Admission control: this query needs a solve.  Take a slot, park the
     // job in the gate's pending queue (the worker is immediately free for
-    // hit traffic — requeue-based admission), or shed.
-    match shared.gate.admit(SolveJob { job, fingerprint, stale, gate_enter_nanos: flight_done }) {
-        Admission::Admitted(solve) => run_solve_chain(shared, worker, solve),
+    // the lanes — requeue-based admission), or shed.
+    match shared.gate.admit(job) {
+        Admission::Admitted(job) => run_solve_chain(shared, worker, job),
         Admission::Queued => {
             bump(&shared.requeued);
         }
-        Admission::Shed(solve) => shed(shared, worker, solve),
+        Admission::Shed(job) => shed(shared, worker, job),
     }
 }
 
@@ -1602,18 +1741,17 @@ fn serve(shared: &Shared, worker: u32, mut job: Job) {
 /// onto it — no solve for this key is going to happen.  A *revalidation*
 /// degrades gracefully: its expired answer is served as-is
 /// ([`ServedVia::StaleFallback`]) instead of failing the callers.
-fn shed(shared: &Shared, worker: u32, solve: SolveJob) {
-    let SolveJob { job, fingerprint, stale, .. } = solve;
-    let key = fingerprint.0;
-    let waiters = shared.flight.complete(key);
+fn shed(shared: &Shared, worker: u32, job: Job) {
+    let waiters = shared.flight.complete(job.missed.fingerprint.0);
     let end = shared.clock.now_nanos();
-    match &stale {
+    let ring = Ring::Worker(worker as usize);
+    match &job.missed.stale {
         Some(answer) => {
             bump_by(&shared.stale_served, 1 + waiters.len() as u64);
             let serve_stale = |platform: &Platform| {
                 Ok(Served { answer: tailor(answer, platform), via: ServedVia::StaleFallback })
             };
-            finish_trace_at(shared, worker, job.trace, "stale-fallback", end);
+            finish_trace_at(shared, ring, job.trace, "stale-fallback", end);
             let _ = job.reply.send(serve_stale(&job.query.platform));
             for waiter in waiters {
                 let Waiter { platform, reply, trace, .. } = waiter;
@@ -1623,7 +1761,7 @@ fn shed(shared: &Shared, worker: u32, solve: SolveJob) {
         }
         None => {
             bump_by(&shared.shed, 1 + waiters.len() as u64);
-            finish_trace_at(shared, worker, job.trace, "shed", end);
+            finish_trace_at(shared, ring, job.trace, "shed", end);
             let _ = job.reply.send(Err(ServeError::Shed));
             for waiter in waiters {
                 let Waiter { reply, trace, .. } = waiter;
@@ -1640,19 +1778,19 @@ fn shed(shared: &Shared, worker: u32, solve: SolveJob) {
 /// stranded.  Each job is individually contained: a panicking solve fails
 /// its own callers (via the in-flight guard) but the chain, and with it the
 /// slot, carries on.
-fn run_solve_chain(shared: &Shared, worker: u32, first: SolveJob) {
+fn run_solve_chain(shared: &Shared, worker: u32, first: Job) {
     let mut next = Some(first);
     // The first job was admitted inline; everything taken over afterwards
     // sat in the gate's pending queue, which its trace records.
     let mut queued = false;
-    while let Some(mut solve) = next.take() {
+    while let Some(mut job) = next.take() {
         if queued {
-            if let Some(t) = solve.job.trace.as_mut() {
+            if let Some(t) = job.trace.as_mut() {
                 t.gate_queued = true;
             }
         }
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            solve_one(shared, worker, solve)
+            solve_one(shared, worker, job)
         }));
         queued = true;
         next = shared.gate.release_or_takeover();
@@ -1662,8 +1800,8 @@ fn run_solve_chain(shared: &Shared, worker: u32, first: SolveJob) {
 /// Solves one admitted job through the drift-triage ladder, publishes the
 /// answer and its basis, and fans the result out to every parked waiter.
 // lint: worker-entry
-fn solve_one(shared: &Shared, worker: u32, solve: SolveJob) {
-    let SolveJob { mut job, fingerprint, stale, gate_enter_nanos } = solve;
+fn solve_one(shared: &Shared, worker: u32, mut job: Job) {
+    let Missed { fingerprint, ref stale, .. } = job.missed;
     let key = fingerprint.0;
     let mut guard = InFlightGuard { shared, key, armed: true };
 
@@ -1682,12 +1820,12 @@ fn solve_one(shared: &Shared, worker: u32, solve: SolveJob) {
     // the ledger/basis bookkeeping above) and the solve span (starting
     // here), so the two stages stay adjacent.
     let solve_begin = shared.clock.now_nanos();
-    shared.stage.gate_wait.record(solve_begin.saturating_sub(gate_enter_nanos));
+    shared.stage.gate_wait.record(solve_begin.saturating_sub(job.gate_enter_nanos));
     if let Some(t) = job.trace.as_mut() {
         t.solver = worker;
         t.solve_start_nanos = solve_begin;
     }
-    // The query was already validated and fingerprinted by `serve`;
+    // The query was already validated and fingerprinted by its front half;
     // solve_prepared skips redoing both on the hot path.
     let mut solve_done = solve_begin;
     let mut solved_warm = None;
@@ -1779,7 +1917,7 @@ fn solve_one(shared: &Shared, worker: u32, solve: SolveJob) {
         (Ok(_), Some(true)) => "solve-warm",
         _ => "solve-cold",
     };
-    finish_trace_at(shared, worker, job.trace.take(), leader_outcome, end);
+    finish_trace_at(shared, Ring::Worker(worker as usize), job.trace.take(), leader_outcome, end);
     let _ = job.reply.send(respond(None, leader_via));
     for waiter in waiters {
         let Waiter { platform, reply, submitted_nanos, trace } = waiter;
@@ -2262,6 +2400,115 @@ mod tests {
     }
 
     #[test]
+    fn hits_are_served_while_the_only_worker_is_solving() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use steady_platform::generators::{random_connected, RandomConfig};
+
+        let service = Service::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+        let warm = figure2_query();
+        assert_eq!(service.query(warm.clone()).unwrap().via, ServedVia::Solve);
+
+        // Pin the lone worker with a reduce LP that runs for orders of
+        // magnitude longer than a hit takes.
+        let slow = {
+            let config = RandomConfig { nodes: 8, ..RandomConfig::default() };
+            let platform = random_connected(&config, &mut StdRng::seed_from_u64(2));
+            let participants: Vec<NodeId> = platform.node_ids().collect();
+            Query {
+                platform,
+                collective: Collective::Reduce {
+                    participants,
+                    target: NodeId(0),
+                    size: rat(1, 1),
+                    task_cost: rat(1, 1),
+                },
+            }
+        };
+        let slow_response = service.submit(slow);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while service.stats().solves < 2 {
+            assert!(Instant::now() < deadline, "slow solve never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // No worker is free, and none is needed: hits are answered here,
+        // through `query` and through `submit` alike.
+        assert_eq!(service.query(warm.clone()).unwrap().via, ServedVia::Cache);
+        let submitted = service.submit(warm).try_recv().expect("a hit is in the channel already");
+        assert_eq!(submitted.unwrap().via, ServedVia::Cache);
+        assert!(slow_response.try_recv().is_err(), "the worker is still busy with the slow solve");
+        assert!(slow_response.recv().unwrap().is_ok());
+        let stats = service.stats();
+        assert_eq!((stats.queries, stats.hits, stats.solves), (4, 2, 2));
+    }
+
+    /// Concurrent callers seal their hits' traces into their own caller-side
+    /// rings, not into one shared ring: everything is accounted for, and the
+    /// callers did not all land in the same place.
+    #[test]
+    fn concurrent_callers_trace_hits_into_their_own_rings() {
+        const CALLERS: usize = 4;
+        const HITS: usize = 500;
+        let service =
+            Service::start(ServiceConfig { workers: 1, ..ServiceConfig::default() }.traced());
+        let _ = service.query(figure2_query()).unwrap();
+        let _ = service.drain_traces();
+        std::thread::scope(|scope| {
+            for _ in 0..CALLERS {
+                scope.spawn(|| {
+                    for _ in 0..HITS {
+                        assert_eq!(service.query(figure2_query()).unwrap().via, ServedVia::Cache);
+                    }
+                });
+            }
+        });
+        let traces = service.drain_traces();
+        assert_eq!(traces.len() as u64 + service.traces_dropped(), (CALLERS * HITS) as u64);
+        assert!(traces.iter().all(|t| t.lane == INLINE_LANE && t.outcome == "cache"));
+        let mut rings: Vec<u32> = traces.iter().map(|t| t.worker).collect();
+        rings.sort_unstable();
+        rings.dedup();
+        assert!(rings.len() > 1, "every caller funnelled into ring {rings:?}");
+    }
+
+    /// A proactive refresh runs start to finish on a worker — front half
+    /// included — and goes through the same lookup as demand traffic: a fresh
+    /// entry is left alone, an expired one is revalidated before anyone asks.
+    #[test]
+    fn scheduled_revalidations_look_up_and_refresh_on_a_worker() {
+        let service = Service::start(
+            ServiceConfig { workers: 1, ttl: Some(0), ..ServiceConfig::default() }.traced(),
+        );
+        let cold = service.query(figure2_query()).unwrap();
+
+        assert_eq!(service.schedule_revalidation([figure2_query()]), 1);
+        assert!(service.await_prefetch_idle(Duration::from_secs(20)));
+        let stats = service.stats();
+        assert_eq!((stats.queries, stats.hits, stats.solves), (2, 1, 1), "fresh: left alone");
+
+        service.advance_epoch();
+        assert_eq!(service.schedule_revalidation([figure2_query()]), 1);
+        assert!(service.await_prefetch_idle(Duration::from_secs(20)));
+        let stats = service.stats();
+        assert_eq!((stats.expired, stats.revalidations, stats.solves), (1, 1, 2));
+
+        let served = service.query(figure2_query()).unwrap();
+        assert_eq!(served.via, ServedVia::Cache, "refreshed before the demand query arrived");
+        assert_eq!(served.answer.throughput, cold.answer.throughput);
+
+        let traces = service.drain_traces();
+        let refreshes: Vec<_> = traces.iter().filter(|t| t.lane == "revalidation").collect();
+        let outcomes: Vec<_> = refreshes.iter().map(|t| t.outcome).collect();
+        assert_eq!(outcomes, ["cache", "revalidated"]);
+        let metrics = service.metrics();
+        let count = |name: &str| metrics.histogram(name).unwrap().count();
+        assert_eq!(count("lane_revalidation_wait_nanos"), 2);
+        assert_eq!(count("stage_queue_wait_nanos"), 1, "only the cold demand query queued");
+        assert_eq!(count("stage_lookup_nanos"), 4);
+    }
+
+    #[test]
     fn tracing_off_records_no_traces_but_metrics_stay_on() {
         let service = Service::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
         assert!(!service.tracing_enabled());
@@ -2269,11 +2516,18 @@ mod tests {
         let _ = service.query(figure2_query()).unwrap();
         assert!(service.drain_traces().is_empty());
         assert_eq!(service.traces_dropped(), 0);
-        // Metrics are on regardless of tracing.
+        // Metrics are on regardless of tracing.  The hit stopped on this
+        // thread after its lookup: lookup + publish + e2e_hit samples and no
+        // queue or lane wait, so `queue_wait.count == queries - hits`.
         let metrics = service.metrics();
+        let count = |name: &str| metrics.histogram(name).unwrap().count();
         assert_eq!(metrics.counter("queries"), Some(2));
-        assert_eq!(metrics.histogram("stage_queue_wait_nanos").unwrap().count(), 2);
-        assert_eq!(metrics.histogram("e2e_hit_nanos").unwrap().count(), 1);
+        assert_eq!(metrics.counter("hits"), Some(1));
+        assert_eq!(count("stage_lookup_nanos"), 2);
+        assert_eq!(count("stage_queue_wait_nanos"), 1);
+        assert_eq!(count("lane_demand_wait_nanos"), 1);
+        assert_eq!(count("stage_publish_nanos"), 2);
+        assert_eq!(count("e2e_hit_nanos"), 1);
         let solved = metrics.histogram("stage_solve_cold_nanos").unwrap().count()
             + metrics.histogram("stage_solve_warm_nanos").unwrap().count();
         assert_eq!(solved, 1);
@@ -2295,8 +2549,15 @@ mod tests {
         let solve = traces.iter().find(|t| t.outcome.starts_with("solve")).expect("a solve trace");
         assert_eq!(solve.lookup, "miss");
         assert!(solve.solve_done_nanos > solve.solve_start_nanos, "the LP solve takes time");
+        assert_eq!(solve.lane, "demand");
+        assert!(solve.admitted_nanos >= solve.lookup_done_nanos, "queued after its lookup");
         let hit = traces.iter().find(|t| t.outcome == "cache").expect("a cache trace");
         assert_eq!(hit.lookup, "hit");
+        // The hit never left this thread: no lane, no queue span, and its
+        // trace sits in this thread's caller-side ring.
+        assert_eq!(hit.lane, INLINE_LANE);
+        assert_eq!(hit.admitted_nanos, hit.lookup_done_nanos, "a hit has a zero queue span");
+        assert_eq!(hit.worker as usize, caller_ring());
 
         for t in &traces {
             let sum: u64 = t.stages().iter().map(|&(_, s, e)| e - s).sum();

@@ -32,7 +32,7 @@
 //! Hashing uses FNV-1a, hand-rolled so fingerprints are stable across
 //! processes and runs (unlike `std`'s randomly keyed `DefaultHasher`).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use steady_platform::{NodeId, Platform};
 use steady_rational::Ratio;
@@ -73,14 +73,21 @@ impl Fnv {
 
     fn ratio(&mut self, r: &Ratio) {
         // Ratios are kept in lowest terms, so the textual numerator/denominator
-        // pair is a canonical encoding of the value.
-        self.bytes(r.numer().to_string().as_bytes());
-        self.bytes(b"/");
-        self.bytes(r.denom().to_string().as_bytes());
+        // pair is a canonical encoding of the value.  `Display` streams its
+        // digits straight into the hash (see the `fmt::Write` impl below):
+        // the hashed bytes are the `to_string()` bytes with no `String` built.
+        let _ = write!(self, "{}/{}", r.numer(), r.denom());
     }
 
     fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -119,12 +126,14 @@ fn directed_triangle_counts(platform: &Platform) -> Vec<u64> {
         .collect()
 }
 
-/// Number of distinct values in `colors` (the size of the color partition).
-fn distinct_count(colors: &[u64]) -> usize {
-    let mut sorted = colors.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    sorted.len()
+/// Number of distinct values in `colors` (the size of the color partition),
+/// counted in the caller's `scratch` buffer.
+fn distinct_count(colors: &[u64], scratch: &mut Vec<u64>) -> usize {
+    scratch.clear();
+    scratch.extend_from_slice(colors);
+    scratch.sort_unstable();
+    scratch.dedup();
+    scratch.len()
 }
 
 /// Weisfeiler–Leman canonical hash of `platform` with per-node role labels.
@@ -137,8 +146,8 @@ fn distinct_count(colors: &[u64]) -> usize {
 fn canonical_platform_hash(platform: &Platform, roles: &[u64], include_costs: bool) -> u64 {
     let n = platform.num_nodes();
     let triangles = directed_triangle_counts(platform);
-    // Edge-cost hashes are loop-invariant; hashing a `Ratio` allocates
-    // (BigInt-to-string), so pay for each edge once, not once per round.
+    // Edge-cost hashes are loop-invariant; hashing a `Ratio` formats both
+    // its terms, so pay for each edge once, not once per round.
     let edge_cost_hash: Vec<u64> = platform
         .edge_ids()
         .map(|e| {
@@ -169,43 +178,54 @@ fn canonical_platform_hash(platform: &Platform, roles: &[u64], include_costs: bo
     // stops growing the partition is stable and further rounds are no-ops.
     // The class count is an isomorphism invariant, so isomorphic platforms
     // exit after the same number of rounds with matching color multisets.
-    let mut classes = distinct_count(&colors);
+    //
+    // Every buffer of the loop is allocated here once and reused across
+    // nodes and rounds: this runs on the caller's thread for every query.
+    let mut scratch = Vec::with_capacity(n);
+    let mut next = Vec::with_capacity(n);
+    let mut out: Vec<u64> = Vec::new();
+    let mut inc: Vec<u64> = Vec::new();
+    let neighbor_hash = |e: &steady_platform::EdgeId, color: u64| {
+        let mut h = Fnv::new();
+        h.word(edge_cost_hash[e.index()]);
+        h.word(color);
+        h.finish()
+    };
+    let mut classes = distinct_count(&colors, &mut scratch);
     for _round in 0..n {
-        let mut next = Vec::with_capacity(n);
+        next.clear();
         for i in 0..n {
             let node = NodeId(i);
-            let neighbor_hash = |e: &steady_platform::EdgeId, color: u64| {
-                let mut h = Fnv::new();
-                h.word(edge_cost_hash[e.index()]);
-                h.word(color);
-                h.finish()
-            };
-            let mut out: Vec<u64> = platform
-                .out_edges(node)
-                .iter()
-                .map(|e| neighbor_hash(e, colors[platform.edge(*e).to.index()]))
-                .collect();
-            let mut inc: Vec<u64> = platform
-                .in_edges(node)
-                .iter()
-                .map(|e| neighbor_hash(e, colors[platform.edge(*e).from.index()]))
-                .collect();
+            out.clear();
+            out.extend(
+                platform
+                    .out_edges(node)
+                    .iter()
+                    .map(|e| neighbor_hash(e, colors[platform.edge(*e).to.index()])),
+            );
+            inc.clear();
+            inc.extend(
+                platform
+                    .in_edges(node)
+                    .iter()
+                    .map(|e| neighbor_hash(e, colors[platform.edge(*e).from.index()])),
+            );
             out.sort_unstable();
             inc.sort_unstable();
             let mut h = Fnv::new();
             h.word(colors[i]);
             h.bytes(b"out");
-            for w in out {
+            for &w in &out {
                 h.word(w);
             }
             h.bytes(b"in");
-            for w in inc {
+            for &w in &inc {
                 h.word(w);
             }
             next.push(h.finish());
         }
-        colors = next;
-        let refined = distinct_count(&colors);
+        std::mem::swap(&mut colors, &mut next);
+        let refined = distinct_count(&colors, &mut scratch);
         if refined == classes {
             break;
         }

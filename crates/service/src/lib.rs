@@ -15,7 +15,9 @@
 //!   shards, atomic recency, hit/miss/eviction counters) whose entries carry
 //!   an **epoch**: under a TTL they expire into *stale* — kept for
 //!   revalidation, never silently served as fresh;
-//! * [`engine`] — a **worker pool with single-flight deduplication** over
+//! * [`engine`] — cache hits are answered **on the caller's thread**
+//!   (validate, fingerprint, one lookup — no channel, no worker); everything
+//!   else goes to a **worker pool with single-flight deduplication** over
 //!   crossbeam channels: concurrent identical queries coalesce onto one
 //!   in-flight LP solve instead of stampeding the solver; every solve runs
 //!   the **drift triage ladder** (`steady-drift`) seeded with the cached

@@ -325,8 +325,9 @@ impl LoadReport {
 
     /// Human-readable multi-line rendering of the report, ending with the
     /// per-stage latency breakdown table (where a query's time went:
-    /// queue-wait vs lookup vs gate-wait vs solve vs publish, with the
-    /// end-to-end distributions split hit / warm / cold / coalesced).
+    /// lookup vs queue-wait vs gate-wait vs solve vs publish, with the
+    /// end-to-end distributions split hit / warm / cold / coalesced; hits
+    /// stop after the lookup, so the queue and lane rows count misses only).
     pub fn render(&self) -> String {
         let mut out = format!(
             "queries            : {} ({} distinct, {} clients)\n\
@@ -378,15 +379,15 @@ impl LoadReport {
 }
 
 /// Renders the per-stage latency breakdown table from a [`Service::metrics`]
-/// increment: one row per lifecycle stage histogram plus the end-to-end
-/// distributions split by how the query was served.
+/// increment: one row per lifecycle stage histogram, in lifecycle order, plus
+/// the end-to-end distributions split by how the query was served.
 pub fn stage_table(metrics: &MetricsSnapshot) -> String {
     const ROWS: [(&str, &str); 13] = [
+        ("cache lookup", "stage_lookup_nanos"),
+        ("queue wait", "stage_queue_wait_nanos"),
         ("lane demand", "lane_demand_wait_nanos"),
         ("lane revalidate", "lane_revalidation_wait_nanos"),
         ("lane prefetch", "lane_prefetch_wait_nanos"),
-        ("queue wait", "stage_queue_wait_nanos"),
-        ("cache lookup", "stage_lookup_nanos"),
         ("gate wait", "stage_gate_wait_nanos"),
         ("solve (warm)", "stage_solve_warm_nanos"),
         ("solve (cold)", "stage_solve_cold_nanos"),
@@ -1284,9 +1285,18 @@ mod tests {
         assert_eq!(report.p50_micros, report.latency.quantile(0.50) as f64 / 1_000.0);
         assert_eq!(report.p99_micros, report.latency.quantile(0.99) as f64 / 1_000.0);
         assert!(report.p50_micros <= report.p95_micros && report.p95_micros <= report.p99_micros);
-        // The per-stage metrics increment covers exactly this run's queries.
-        let queue = report.metrics.histogram("stage_queue_wait_nanos").unwrap();
-        assert_eq!(queue.count(), 120, "every served query crossed the queue stage");
+        // The per-stage metrics increment covers exactly this run's queries:
+        // every one was looked up, and only those the lookup could not
+        // answer crossed the queue stage — hits stop on their caller's thread.
+        let count = |name: &str| report.metrics.histogram(name).unwrap().count();
+        assert_eq!(report.stats.queries, 120);
+        assert!(report.stats.hits > 0, "120 queries over 8 distinct must repeat");
+        assert_eq!(count("stage_lookup_nanos"), 120);
+        assert_eq!(count("stage_queue_wait_nanos"), report.stats.queries - report.stats.hits);
+        assert_eq!(count("lane_demand_wait_nanos"), report.stats.queries - report.stats.hits);
+        // (A miss whose solve lands while it queues is served at the
+        // single-flight re-check and counts as an `e2e_hit` too.)
+        assert!(count("e2e_hit_nanos") >= report.stats.hits);
         let rendered = report.render();
         assert!(rendered.contains("stage breakdown"), "render has the stage table:\n{rendered}");
         assert!(rendered.contains("queue wait"), "table lists queue wait:\n{rendered}");

@@ -2,14 +2,17 @@
 //!
 //! Every query admitted by [`crate::engine::Service`] can carry a
 //! [`QueryTrace`] — a fixed-size, heap-free record of monotonic timestamps
-//! at each lifecycle edge (admitted → cache lookup → single-flight →
+//! at each lifecycle edge (cache lookup → worker pickup → single-flight →
 //! admission gate → solve → publish), plus the triage rung and per-phase
 //! simplex pivot counts ([`steady_lp::SolveTrace`]) of the solve that
-//! answered it.  Completed traces land in bounded per-worker ring buffers
-//! ([`TraceRing`]) that **never block the hot path**: the push is a
-//! `try_lock` that drops (and counts) the record on contention, and the
-//! buffer overwrites (and counts) its oldest record when full.  A collector
-//! drains the rings off-path and can render the result as Chrome
+//! answered it.  A cache hit is answered on the caller's thread and stops
+//! after the lookup: its trace has a lookup and a publish span and nothing
+//! in between.  Completed traces land in bounded ring buffers
+//! ([`TraceRing`]) — one per worker, plus caller-side rings for the traces
+//! sealed on callers' threads — that **never block the hot path**: the push
+//! is a `try_lock` that drops (and counts) the record on contention, and
+//! the buffer overwrites (and counts) its oldest record when full.  A
+//! collector drains the rings off-path and can render the result as Chrome
 //! trace-event JSON ([`chrome_trace_json`]) loadable in Perfetto.
 //!
 //! Time comes from the [`Clock`] trait.  Production uses [`WallClock`]
@@ -97,29 +100,35 @@ impl Clock for ManualClock {
 /// The lifecycle stages of a traced query, in order.  Each stage's span is
 /// the difference of two adjacent [`QueryTrace`] timestamps, so the stage
 /// durations **sum exactly** to the end-to-end latency.
-pub const STAGES: [&str; 6] = ["queue", "lookup", "flight", "gate", "solve", "publish"];
+pub const STAGES: [&str; 6] = ["lookup", "queue", "flight", "gate", "solve", "publish"];
+
+/// [`QueryTrace::lane`] of a query answered on its caller's thread — it never
+/// rode a scheduler lane.
+pub const INLINE_LANE: &str = "inline";
 
 /// A heap-free record of one query's trip through the serving core.
 ///
 /// All timestamps are [`Clock`] nanoseconds.  Stages a query skips (a cache
-/// hit never reaches the gate) keep their timestamps equal to the previous
-/// edge, so every span is well-defined and non-negative after
-/// [`QueryTrace::finish`] runs its monotone fix-up.
+/// hit never reaches a worker, let alone the gate) keep their timestamps
+/// equal to the previous edge, so every span is well-defined and
+/// non-negative after [`QueryTrace::finish`] runs its monotone fix-up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryTrace {
     /// Unique id (assigned at submit, monotonically increasing).
     pub id: u64,
-    /// Worker that admitted (dequeued) the query.
+    /// Worker that admitted (dequeued) the query — for an [`INLINE_LANE`]
+    /// trace, the caller-side ring of the thread that answered it.
     pub worker: u32,
     /// Worker that solved/published — differs from `worker` when the
     /// admission gate re-queued the solve to another worker.
     pub solver: u32,
-    /// Query entered the submit channel.
+    /// Query reached the service (`Service::submit`).
     pub submitted_nanos: u64,
-    /// A worker dequeued it.
-    pub admitted_nanos: u64,
-    /// Cache lookup finished.
+    /// Validation, fingerprint and cache lookup finished (on the caller's
+    /// thread for demand traffic).
     pub lookup_done_nanos: u64,
+    /// A worker dequeued it (misses and expired entries only).
+    pub admitted_nanos: u64,
     /// Single-flight join-or-lead resolved (parked, fed, or led).
     pub flight_done_nanos: u64,
     /// Solve began (for gate-queued queries this is after the gate wait).
@@ -129,7 +138,8 @@ pub struct QueryTrace {
     /// Answer published and reply sent.
     pub end_nanos: u64,
     /// Scheduler lane the query rode (`"demand"`, `"revalidation"` or
-    /// `"prefetch"`).
+    /// `"prefetch"`), or [`INLINE_LANE`] when it was answered on its
+    /// caller's thread.
     pub lane: &'static str,
     /// Cache lookup outcome: `"hit"`, `"stale"` or `"miss"`.
     pub lookup: &'static str,
@@ -173,8 +183,8 @@ impl QueryTrace {
             worker: 0,
             solver: 0,
             submitted_nanos: now,
-            admitted_nanos: now,
             lookup_done_nanos: now,
+            admitted_nanos: now,
             flight_done_nanos: now,
             solve_start_nanos: now,
             solve_done_nanos: now,
@@ -227,8 +237,8 @@ impl QueryTrace {
         self.end_nanos = end_nanos;
         let mut floor = self.submitted_nanos;
         for stamp in [
-            &mut self.admitted_nanos,
             &mut self.lookup_done_nanos,
+            &mut self.admitted_nanos,
             &mut self.flight_done_nanos,
             &mut self.solve_start_nanos,
             &mut self.solve_done_nanos,
@@ -245,9 +255,9 @@ impl QueryTrace {
     /// gap-free: the spans sum exactly to `end_nanos - submitted_nanos`.
     pub fn stages(&self) -> [(&'static str, u64, u64); 6] {
         [
-            ("queue", self.submitted_nanos, self.admitted_nanos),
-            ("lookup", self.admitted_nanos, self.lookup_done_nanos),
-            ("flight", self.lookup_done_nanos, self.flight_done_nanos),
+            ("lookup", self.submitted_nanos, self.lookup_done_nanos),
+            ("queue", self.lookup_done_nanos, self.admitted_nanos),
+            ("flight", self.admitted_nanos, self.flight_done_nanos),
             ("gate", self.flight_done_nanos, self.solve_start_nanos),
             ("solve", self.solve_start_nanos, self.solve_done_nanos),
             ("publish", self.solve_done_nanos, self.end_nanos),
@@ -332,23 +342,58 @@ impl TraceRing {
     }
 }
 
-/// The per-service trace collector: one [`TraceRing`] per worker plus the
-/// id source.  Workers push only to their own ring, so rings see exactly
-/// one concurrent writer plus the collector.
+/// Caller-side rings per [`TraceSink`].  Callers are not the service's
+/// threads, so their number is unknown: each calling thread keeps one ring
+/// for life ([`caller_ring`]), and up to this many concurrent callers never
+/// share one.
+pub const CALLER_RINGS: usize = 8;
+
+/// Hands each thread that asks the next caller-ring index, once.
+static NEXT_CALLER_RING: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+std::thread_local! {
+    // relaxed: a ticket counter; threads need distinct tickets, not order.
+    static CALLER_RING: usize = NEXT_CALLER_RING.fetch_add(1, Ordering::Relaxed) % CALLER_RINGS;
+}
+
+/// The calling thread's caller-side ring (in `0..CALLER_RINGS`, fixed for
+/// the thread's life): where the traces it seals inline belong.
+pub fn caller_ring() -> usize {
+    CALLER_RING.with(|ring| *ring)
+}
+
+/// Which of a [`TraceSink`]'s rings a completed trace is offered to.
+#[derive(Debug, Clone, Copy)]
+pub enum Ring {
+    /// The ring of the worker that sealed the trace.
+    Worker(usize),
+    /// A caller-side ring (see [`caller_ring`]), for a trace sealed on its
+    /// caller's thread.
+    Caller(usize),
+}
+
+/// The per-service trace collector: one [`TraceRing`] per worker,
+/// [`CALLER_RINGS`] caller-side rings, and the id source.  A worker pushes
+/// only to its own ring and a calling thread only to its own caller-side
+/// ring, so a ring sees one concurrent writer plus the collector (callers
+/// beyond [`CALLER_RINGS`] share, and contention there is a counted drop).
 #[derive(Debug)]
 pub struct TraceSink {
-    rings: Vec<TraceRing>,
+    workers: Vec<TraceRing>,
+    callers: Vec<TraceRing>,
     next_id: AtomicU64,
     enabled: bool,
 }
 
 impl TraceSink {
-    /// A sink with one ring of `capacity` per worker.  When `enabled` is
-    /// false, [`TraceSink::begin`] returns `None` and the whole tracing
-    /// path costs one branch per query.
+    /// A sink whose rings each hold `capacity`.  When `enabled` is false,
+    /// [`TraceSink::begin`] returns `None` and the whole tracing path costs
+    /// one branch per query.
     pub fn new(workers: usize, capacity: usize, enabled: bool) -> TraceSink {
+        let rings = |n: usize| (0..n).map(|_| TraceRing::new(capacity)).collect();
         TraceSink {
-            rings: (0..workers.max(1)).map(|_| TraceRing::new(capacity)).collect(),
+            workers: rings(workers.max(1)),
+            callers: rings(CALLER_RINGS),
             next_id: AtomicU64::new(0),
             enabled,
         }
@@ -370,23 +415,31 @@ impl TraceSink {
         Some(QueryTrace::begin(id, now))
     }
 
-    /// Offers a completed trace to `worker`'s ring (modulo the ring count,
-    /// so callers may pass any index).
-    pub fn push(&self, worker: usize, trace: QueryTrace) {
-        self.rings[worker % self.rings.len()].push(trace);
+    /// Offers a completed trace to `ring` (indices wrap, so callers may
+    /// pass any).
+    pub fn push(&self, ring: Ring, trace: QueryTrace) {
+        let (rings, index) = match ring {
+            Ring::Worker(index) => (&self.workers, index),
+            Ring::Caller(index) => (&self.callers, index),
+        };
+        rings[index % rings.len()].push(trace);
+    }
+
+    fn rings(&self) -> impl Iterator<Item = &TraceRing> {
+        self.workers.iter().chain(&self.callers)
     }
 
     /// Drains every ring, returning all buffered traces ordered by
     /// submission time.
     pub fn drain(&self) -> Vec<QueryTrace> {
-        let mut all: Vec<QueryTrace> = self.rings.iter().flat_map(|r| r.drain()).collect();
+        let mut all: Vec<QueryTrace> = self.rings().flat_map(|r| r.drain()).collect();
         all.sort_by_key(|t| (t.submitted_nanos, t.id));
         all
     }
 
     /// Total traces lost across all rings.
     pub fn dropped(&self) -> u64 {
-        self.rings.iter().map(|r| r.dropped()).sum()
+        self.rings().map(|r| r.dropped()).sum()
     }
 }
 
@@ -410,6 +463,9 @@ const SERVICE_PID: u32 = 1;
 const CLIENT_PID: u32 = 2;
 /// Synthetic thread id for the admission-gate queue track.
 const GATE_TID: u32 = 1000;
+/// Synthetic thread id of caller-side ring 0's track; ring `r` is
+/// `CALLER_TID_BASE + r`.
+const CALLER_TID_BASE: u32 = 2000;
 
 /// Formats `nanos` as fractional microseconds, the unit of the Chrome
 /// trace-event `ts`/`dur` fields.
@@ -465,19 +521,29 @@ fn push_solver_spans(out: &mut String, t: &QueryTrace, tid: u32, start: u64, end
 
 /// Renders completed traces (and optional client spans) as Chrome
 /// trace-event JSON — the format Perfetto and `chrome://tracing` load
-/// directly.  One track per service worker (pid 1), one synthetic track for
-/// gate-queue waits, and one track per load-generator client (pid 2).
+/// directly.  One track per service worker (pid 1), one per caller-side ring
+/// that sealed an [`INLINE_LANE`] trace (hits answered on callers' threads),
+/// one synthetic track for gate-queue waits, and one track per
+/// load-generator client (pid 2).
 /// Solves recorded with solver events additionally carry nested
 /// `solver.phase1` / `solver.dual-repair` / `solver.phase2` child slices on
 /// the owning worker's track (see `push_solver_spans`).
 pub fn chrome_trace_json(traces: &[QueryTrace], clients: &[ClientSpan]) -> String {
     let mut out = String::from("{\n\"traceEvents\": [");
 
-    let mut workers: Vec<u32> = traces.iter().flat_map(|t| [t.worker, t.solver]).collect();
+    let inline = |t: &QueryTrace| t.lane == INLINE_LANE;
+    let mut workers: Vec<u32> =
+        traces.iter().filter(|t| !inline(t)).flat_map(|t| [t.worker, t.solver]).collect();
     workers.sort_unstable();
     workers.dedup();
     for &w in &workers {
         push_thread_name(&mut out, SERVICE_PID, w, &format!("worker-{w}"));
+    }
+    let mut callers: Vec<u32> = traces.iter().filter(|t| inline(t)).map(|t| t.worker).collect();
+    callers.sort_unstable();
+    callers.dedup();
+    for &c in &callers {
+        push_thread_name(&mut out, SERVICE_PID, CALLER_TID_BASE + c, &format!("caller-{c}"));
     }
     // Always named, even when no trace happened to queue at the gate: a
     // consistent track set lets Perfetto diffs and scripted consumers rely
@@ -495,10 +561,13 @@ pub fn chrome_trace_json(traces: &[QueryTrace], clients: &[ClientSpan]) -> Strin
             if end == start {
                 continue;
             }
-            // The queue/lookup/flight stages ran on the admitting worker;
-            // solve/publish on the solver; a real gate wait sits on its own
-            // synthetic track so queue pressure is visible at a glance.
+            // An inline trace ran on its caller's thread from end to end.
+            // Otherwise lookup/queue/flight are drawn on the admitting
+            // worker; solve/publish on the solver; a real gate wait sits on
+            // its own synthetic track so queue pressure is visible at a
+            // glance.
             let tid = match stage {
+                _ if inline(t) => CALLER_TID_BASE + t.worker,
                 "gate" if t.gate_queued => GATE_TID,
                 "solve" | "publish" => t.solver,
                 _ => t.worker,
@@ -517,7 +586,7 @@ pub fn chrome_trace_json(traces: &[QueryTrace], clients: &[ClientSpan]) -> Strin
                     t.solve_refactor_nanos,
                 ),
                 "publish" => format!("\"qid\": {}, \"outcome\": \"{}\"", t.id, t.outcome),
-                "queue" => format!("\"qid\": {}, \"lane\": \"{}\"", t.id, t.lane),
+                "lookup" | "queue" => format!("\"qid\": {}, \"lane\": \"{}\"", t.id, t.lane),
                 _ => format!("\"qid\": {}", t.id),
             };
             push_event(&mut out, stage, SERVICE_PID, tid, start, end, &args);
@@ -568,22 +637,22 @@ mod tests {
     /// to the end-to-end latency, even when stages were skipped.
     #[test]
     fn stage_spans_sum_to_total_even_with_skipped_stages() {
-        // A cache hit: solve edges never written.
+        // A cache hit: no worker ever picked it up, solve edges never written.
         let mut t = QueryTrace::begin(1, 100);
-        t.admitted_nanos = 130;
         t.lookup_done_nanos = 150;
         t.finish("cache", 160);
         let sum: u64 = t.stages().iter().map(|&(_, s, e)| e - s).sum();
         assert_eq!(sum, t.total_nanos());
         assert_eq!(sum, 60);
+        assert_eq!(t.stages()[1], ("queue", 150, 150), "a hit has no queue span");
         for window in t.stages().windows(2) {
             assert_eq!(window[0].2, window[1].1, "stages must be adjacent");
         }
 
         // A full cold solve through the gate.
         let mut t = QueryTrace::begin(2, 0);
-        t.admitted_nanos = 10;
-        t.lookup_done_nanos = 25;
+        t.lookup_done_nanos = 10;
+        t.admitted_nanos = 25;
         t.flight_done_nanos = 30;
         t.solve_start_nanos = 400;
         t.solve_done_nanos = 900;
@@ -597,10 +666,10 @@ mod tests {
     #[test]
     fn finish_repairs_out_of_order_stamps() {
         let mut t = QueryTrace::begin(3, 50);
-        t.admitted_nanos = 60;
-        // lookup_done left at 50 (< admitted): fix-up must clamp it.
+        t.lookup_done_nanos = 60;
+        // admitted left at 50 (< lookup_done): fix-up must clamp it.
         t.finish("error", 70);
-        assert_eq!(t.lookup_done_nanos, 60);
+        assert_eq!(t.admitted_nanos, 60);
         let sum: u64 = t.stages().iter().map(|&(_, s, e)| e - s).sum();
         assert_eq!(sum, 20);
     }
@@ -633,14 +702,17 @@ mod tests {
         let sink = TraceSink::new(2, 8, true);
         let mut a = sink.begin(200).unwrap();
         let mut b = sink.begin(100).unwrap();
+        let mut c = sink.begin(150).unwrap();
         assert_ne!(a.id, b.id);
         a.finish("cache", 210);
         b.finish("cache", 110);
-        sink.push(0, a);
-        sink.push(1, b);
+        c.finish("cache", 160);
+        sink.push(Ring::Worker(0), a);
+        sink.push(Ring::Worker(1), b);
+        sink.push(Ring::Caller(caller_ring()), c);
         let all = sink.drain();
-        assert_eq!(all.len(), 2);
-        assert!(all[0].submitted_nanos <= all[1].submitted_nanos);
+        assert_eq!(all.len(), 3, "worker and caller-side rings drain together");
+        assert!(all.windows(2).all(|w| w[0].submitted_nanos <= w[1].submitted_nanos));
         assert_eq!(sink.dropped(), 0);
     }
 
@@ -649,8 +721,8 @@ mod tests {
         let mut t = QueryTrace::begin(7, 1_000);
         t.worker = 0;
         t.solver = 1;
-        t.admitted_nanos = 2_000;
-        t.lookup_done_nanos = 3_000;
+        t.lookup_done_nanos = 2_000;
+        t.admitted_nanos = 3_000;
         t.flight_done_nanos = 4_000;
         t.solve_start_nanos = 10_000;
         t.solve_done_nanos = 20_000;
@@ -683,7 +755,7 @@ mod tests {
     #[test]
     fn gate_queue_track_is_named_even_without_gated_traces() {
         let mut t = QueryTrace::begin(1, 100);
-        t.admitted_nanos = 110;
+        t.lookup_done_nanos = 110;
         t.finish("cache", 120);
         assert!(!t.gate_queued);
         let json = chrome_trace_json(&[t], &[]);
@@ -697,8 +769,8 @@ mod tests {
         let mut t = QueryTrace::begin(9, 0);
         t.worker = 2;
         t.solver = 2;
-        t.admitted_nanos = 100;
-        t.lookup_done_nanos = 200;
+        t.lookup_done_nanos = 100;
+        t.admitted_nanos = 200;
         t.flight_done_nanos = 300;
         t.solve_start_nanos = 1_000;
         t.solve_done_nanos = 9_000;
@@ -744,13 +816,35 @@ mod tests {
     #[test]
     fn zero_length_spans_are_omitted() {
         let mut t = QueryTrace::begin(1, 100);
-        t.admitted_nanos = 110;
         t.lookup_done_nanos = 120;
         t.finish("cache", 125);
         let json = chrome_trace_json(&[t], &[]);
         assert!(!json.contains("\"name\": \"solve\""), "{json}");
         assert!(!json.contains("\"name\": \"gate\""), "{json}");
-        assert!(json.contains("\"name\": \"queue\""), "{json}");
+        assert!(!json.contains("\"name\": \"queue\""), "a hit never queues: {json}");
+        assert!(json.contains("\"name\": \"lookup\""), "{json}");
         assert!(json.contains("\"name\": \"publish\""), "{json}");
+    }
+
+    #[test]
+    fn inline_hits_are_drawn_on_their_caller_track() {
+        let mut hit = QueryTrace::begin(1, 100);
+        hit.lane = INLINE_LANE;
+        hit.worker = 3;
+        hit.lookup_done_nanos = 120;
+        hit.finish("cache", 125);
+        let mut miss = QueryTrace::begin(2, 100);
+        miss.worker = 3;
+        miss.solver = 3;
+        miss.lookup_done_nanos = 130;
+        miss.admitted_nanos = 140;
+        miss.finish("solve-cold", 900);
+        let json = chrome_trace_json(&[hit, miss], &[]);
+        // Caller-side ring 3 and worker 3 are different tracks.
+        assert!(json.contains("\"caller-3\""), "{json}");
+        assert!(json.contains("\"worker-3\""), "{json}");
+        let caller_tid = format!("\"tid\": {}, \"ts\": 0.100", CALLER_TID_BASE + 3);
+        assert!(json.contains(&caller_tid), "the hit's lookup sits on the caller track: {json}");
+        assert!(json.contains("\"tid\": 3, \"ts\": 0.100"), "the miss stays on the worker: {json}");
     }
 }

@@ -75,31 +75,19 @@ impl Collective {
         }
     }
 
-    /// All node ids the collective mentions.
-    fn node_ids(&self) -> Vec<NodeId> {
-        match self {
-            Collective::Scatter { source, targets } => {
-                let mut ids = vec![*source];
-                ids.extend(targets);
-                ids
-            }
-            Collective::Gather { sources, sink } => {
-                let mut ids = sources.clone();
-                ids.push(*sink);
-                ids
-            }
-            Collective::Gossip { sources, targets } => {
-                let mut ids = sources.clone();
-                ids.extend(targets);
-                ids
-            }
+    /// All node ids the collective mentions, read in place: validation runs
+    /// on the caller's thread for every query, so no role list is cloned.
+    fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let (first, lists, last): (Option<NodeId>, [&[NodeId]; 2], Option<NodeId>) = match self {
+            Collective::Scatter { source, targets } => (Some(*source), [targets, &[]], None),
+            Collective::Gather { sources, sink } => (None, [sources, &[]], Some(*sink)),
+            Collective::Gossip { sources, targets } => (None, [sources, targets], None),
             Collective::Reduce { participants, target, .. } => {
-                let mut ids = participants.clone();
-                ids.push(*target);
-                ids
+                (None, [participants, &[]], Some(*target))
             }
-            Collective::Prefix { participants, .. } => participants.clone(),
-        }
+            Collective::Prefix { participants, .. } => (None, [participants, &[]], None),
+        };
+        first.into_iter().chain(lists.into_iter().flatten().copied()).chain(last)
     }
 }
 

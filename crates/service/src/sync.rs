@@ -26,7 +26,7 @@
 //! | 25   | background-idle latch: the `pending` count its condvar waits on (`steady_sched::sync`) |
 //! | 30   | cache `shard` locks (and any `cache.` method call)            |
 //! | 40   | cache `seeded` class set (and `mark_class_seeded`)            |
-//! | 50   | observability leaves: per-worker trace `ring` buffers         |
+//! | 50   | observability leaves: worker and caller-side trace `ring`s   |
 //! | 55   | the solver flight `recorder` buffer (anomalous-solve ring)    |
 //!
 //! Ranks 10/12/25 for the scheduler's own locks live in `steady-sched`'s

@@ -1,4 +1,4 @@
-//! Exhaustive interleaving checks for the serving core's seven riskiest
+//! Exhaustive interleaving checks for the serving core's eight riskiest
 //! protocols, run under the deterministic model checker (`shims/loom`).
 //!
 //! Build and run with:
@@ -24,7 +24,7 @@ use steady_service::cache::{CacheConfig, Lookup, SolutionCache};
 use steady_service::flight::{Flight, SingleFlight};
 use steady_service::gate::{Admission, ColdGate};
 use steady_service::ledger::PrefetchLedger;
-use steady_service::obs::TraceRing;
+use steady_service::obs::{Ring, TraceSink, CALLER_RINGS};
 use steady_service::recorder::{SolveFlightRecorder, SolveRecord};
 use steady_service::sync::atomic::{AtomicU64, Ordering};
 use steady_service::sync::channel;
@@ -241,33 +241,41 @@ fn prefetch_claim_is_at_most_once() {
     });
 }
 
-/// Protocol 5 — the trace ring's lossy-but-accounted contract: across every
-/// interleaving of two writers (4 pushes into a capacity-2 ring, forcing
-/// wrap-around) racing a concurrent collector drain, **every** pushed trace
-/// is either drained or counted dropped — `pushed == drained + buffered +
-/// dropped` exactly — no trace is lost *and* uncounted, and nothing is
-/// duplicated.
+/// Protocol 5 — the trace rings' lossy-but-accounted contract, through the
+/// sink the engine pushes to: two caller threads whose slots wrap onto the
+/// **same** caller-side ring (3 pushes into its capacity of 2, forcing
+/// wrap-around and writer-writer contention), one of which also pushes to a
+/// worker ring, race a concurrent collector drain over every ring.  Across
+/// every interleaving **every** pushed trace is either drained or counted
+/// dropped — `pushed == drained + buffered + dropped` exactly, summed over
+/// worker and caller-side rings — no trace is lost *and* uncounted, and
+/// nothing is duplicated.
 #[test]
 fn trace_ring_loses_nothing_uncounted() {
     explore("trace_ring", Builder::default(), || {
-        let ring = Arc::new(TraceRing::new(2));
+        let sink = Arc::new(TraceSink::new(1, 2, true));
         let drained = Arc::new(Mutex::new(Vec::new()));
 
-        let writers: Vec<_> = (0..2u64)
-            .map(|w| {
-                let ring = Arc::clone(&ring);
+        let pushes: [Vec<(Ring, u64)>; 2] = [
+            vec![(Ring::Caller(0), 0), (Ring::Caller(0), 1)],
+            vec![(Ring::Caller(CALLER_RINGS), 2), (Ring::Worker(0), 3)],
+        ];
+        let writers: Vec<_> = pushes
+            .into_iter()
+            .map(|pushes| {
+                let sink = Arc::clone(&sink);
                 thread::spawn(move || {
-                    for i in 0..2u64 {
-                        ring.push(QueryTrace::begin(w * 2 + i, 0));
+                    for (ring, id) in pushes {
+                        sink.push(ring, QueryTrace::begin(id, 0));
                     }
                 })
             })
             .collect();
         let collector = {
-            let ring = Arc::clone(&ring);
+            let sink = Arc::clone(&sink);
             let drained = Arc::clone(&drained);
             thread::spawn(move || {
-                let batch = ring.drain();
+                let batch = sink.drain();
                 drained.lock().extend(batch);
             })
         };
@@ -277,7 +285,7 @@ fn trace_ring_loses_nothing_uncounted() {
         collector.join().unwrap();
 
         let mut got = drained.lock().clone();
-        got.extend(ring.drain());
+        got.extend(sink.drain());
         let mut ids: Vec<u64> = got.iter().map(|t| t.id).collect();
         ids.sort_unstable();
         let before = ids.len();
@@ -285,13 +293,13 @@ fn trace_ring_loses_nothing_uncounted() {
         assert_eq!(ids.len(), before, "a trace was duplicated: {ids:?}");
         assert!(ids.iter().all(|&id| id < 4), "unknown trace id in {ids:?}");
         assert_eq!(
-            ids.len() as u64 + ring.dropped(),
+            ids.len() as u64 + sink.dropped(),
             4,
             "a trace was lost without being counted dropped ({} drained, {} dropped)",
             ids.len(),
-            ring.dropped()
+            sink.dropped()
         );
-        assert!(ring.is_empty(), "the final drain left traces buffered");
+        assert!(sink.drain().is_empty(), "the final drain left traces buffered");
     });
 }
 
@@ -466,5 +474,122 @@ fn lane_steal_runs_each_task_exactly_once() {
         );
         assert_eq!(lanes.idle_latch().backlog(), 0, "the idle latch never drained");
         assert_eq!(lanes.depths(), [0, 0, 0], "a task was stranded in a lane");
+    });
+}
+
+/// Protocol 8 — the inline front half, as the engine runs it: callers do
+/// one epoch read and one counted cache lookup **on their own threads**,
+/// return a fresh hit right there, and hand anything else — with the epoch
+/// they read — to the worker, which re-checks under the single-flight lock
+/// before solving, publishes to the cache *before* completing the flight,
+/// and replies.  The cache starts with a prefetched entry nobody landed on
+/// that the TTL expired before the run (stamped epoch 0, `ttl` 1, clock at
+/// 2), and an `advance_epoch` races everything.  Across every interleaving:
+/// every caller gets exactly one answer; the key is solved exactly once (a
+/// miss racing the publish is fed by the re-check, never re-solved); every
+/// answer — inline hit or reply — is the published value, so no caller,
+/// whichever side of the advance it read the epoch on, is served the entry
+/// that had already expired at that epoch; the expired prefetch is claimed
+/// once, by the solve, as wasted; and both tables drain to empty.
+#[test]
+fn inline_lookup_never_double_solves_or_serves_expired() {
+    const OLD: u64 = 1;
+    const NEW: u64 = 2;
+    explore("inline_lookup", Builder::default(), || {
+        let cache = Arc::new(SolutionCache::<u64>::new(&CacheConfig { capacity: 4, shards: 1 }));
+        let flight = Arc::new(SingleFlight::<channel::Sender<u64>>::new());
+        let ledger = Arc::new(PrefetchLedger::new());
+        let epoch = Arc::new(AtomicU64::new(2));
+        let ttl = Some(1);
+        cache.insert_at(KEY, OLD, 0, None);
+        ledger.record(KEY);
+        let solves = Arc::new(AtomicU64::new(0));
+        let wasted = Arc::new(AtomicU64::new(0));
+        let prefetch_hits = Arc::new(AtomicU64::new(0));
+        // The demand lane: (reply channel, the epoch the caller read).
+        let (lane, lane_rx) = channel::unbounded::<(channel::Sender<u64>, u64)>();
+
+        let callers: Vec<_> = (0..2)
+            .map(|_| {
+                let cache = Arc::clone(&cache);
+                let ledger = Arc::clone(&ledger);
+                let epoch = Arc::clone(&epoch);
+                let prefetch_hits = Arc::clone(&prefetch_hits);
+                let lane = lane.clone();
+                thread::spawn(move || {
+                    // relaxed: mirrors `Shared::now` — a lag-tolerant stamp.
+                    let now = epoch.load(Ordering::Relaxed);
+                    match cache.lookup(KEY, now, ttl) {
+                        Lookup::Hit(value) => {
+                            if ledger.claim(KEY) {
+                                // relaxed: test-only tally, asserted after join.
+                                prefetch_hits.fetch_add(1, Ordering::Relaxed);
+                            }
+                            value
+                        }
+                        Lookup::Stale(_) | Lookup::Miss => {
+                            let (reply, response) = channel::unbounded();
+                            assert!(lane.send((reply, now)).is_ok(), "the worker left early");
+                            drop(lane);
+                            let value = response.recv().expect("a caller lost its answer");
+                            assert!(response.try_recv().is_err(), "a caller was answered twice");
+                            value
+                        }
+                    }
+                })
+            })
+            .collect();
+        drop(lane);
+        let worker = {
+            let cache = Arc::clone(&cache);
+            let flight = Arc::clone(&flight);
+            let ledger = Arc::clone(&ledger);
+            let epoch = Arc::clone(&epoch);
+            let solves = Arc::clone(&solves);
+            let wasted = Arc::clone(&wasted);
+            let prefetch_hits = Arc::clone(&prefetch_hits);
+            thread::spawn(move || {
+                while let Ok((reply, now)) = lane_rx.recv() {
+                    let recheck = || cache.peek_fresh(KEY, now, ttl);
+                    match flight.join_or_lead(KEY, reply, recheck, |reply| reply) {
+                        Flight::Ready(value, reply) => {
+                            if ledger.claim(KEY) {
+                                // relaxed: test-only tally, asserted after join.
+                                prefetch_hits.fetch_add(1, Ordering::Relaxed);
+                            }
+                            let _ = reply.send(value);
+                        }
+                        Flight::Parked => panic!("a lone worker found a flight in progress"),
+                        Flight::Leader(reply) => {
+                            // relaxed: test-only tallies, asserted after join.
+                            solves.fetch_add(1, Ordering::Relaxed);
+                            if ledger.claim(KEY) {
+                                wasted.fetch_add(1, Ordering::Relaxed);
+                            }
+                            // relaxed: as `Shared::now`.
+                            cache.insert_at(KEY, NEW, epoch.load(Ordering::Relaxed), None);
+                            let waiters = flight.complete(KEY);
+                            let _ = reply.send(NEW);
+                            for waiter in waiters {
+                                let _ = waiter.send(NEW);
+                            }
+                        }
+                    }
+                }
+            })
+        };
+        // relaxed: mirrors `Service::advance_epoch`.
+        epoch.fetch_add(1, Ordering::Relaxed);
+
+        for caller in callers {
+            let value = caller.join().unwrap();
+            assert_eq!(value, NEW, "served the entry the TTL had expired, not the publish");
+        }
+        worker.join().unwrap();
+        assert_eq!(solves.load(Ordering::Relaxed), 1, "the key was solved twice (or never)");
+        assert_eq!(wasted.load(Ordering::Relaxed), 1, "the expired prefetch was not claimed");
+        assert_eq!(prefetch_hits.load(Ordering::Relaxed), 0, "the prefetch was claimed twice");
+        assert!(!flight.contains(KEY), "the flight was never completed");
+        assert_eq!(ledger.outstanding(), 0, "the ledger did not drain");
     });
 }

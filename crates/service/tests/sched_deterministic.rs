@@ -43,7 +43,9 @@ fn demand_lane_timeouts_fire_on_the_manual_clock() {
 
 /// With a generous deadline the same frozen clock never sheds: queries are
 /// served normally, the timeout counter stays zero, and the demand lane's
-/// wait histogram records the (zero-width) enqueue-to-pickup spans.
+/// wait histogram records the (zero-width) enqueue-to-pickup span of the one
+/// query that needed a worker — the repeat is a hit served on this thread,
+/// which never enters a lane.
 #[test]
 fn unexpired_deadlines_never_shed() {
     let clock = Arc::new(ManualClock::new());
@@ -59,10 +61,14 @@ fn unexpired_deadlines_never_shed() {
     let stats = service.stats();
     assert_eq!(stats.demand_timeouts, 0);
     let metrics = service.metrics();
-    let lane_wait = metrics
-        .histogram("lane_demand_wait_nanos")
-        .expect("the demand-lane wait histogram is always registered");
-    assert!(lane_wait.count() >= 2, "both demand tasks must record a lane wait");
+    let count = |name: &str| {
+        metrics.histogram(name).unwrap_or_else(|| panic!("{name} is always registered")).count()
+    };
+    assert_eq!((stats.queries, stats.hits), (2, 1));
+    assert_eq!(count("lane_demand_wait_nanos"), 1, "only the miss rode the demand lane");
+    assert_eq!(count("stage_queue_wait_nanos"), stats.queries - stats.hits);
+    assert_eq!(count("stage_lookup_nanos"), 2, "both were looked up");
+    assert_eq!(count("e2e_hit_nanos"), 1, "the hit still feeds its end-to-end histogram");
 }
 
 /// Cancelled prefetch tasks never publish: the single worker is pinned to a
