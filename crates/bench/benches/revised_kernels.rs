@@ -4,10 +4,12 @@
 //!
 //! These are the three operations every revised-simplex pivot is made of,
 //! so their scaling with basis dimension is the scaling of the whole sparse
-//! route (the end-to-end picture is `steady scaling-sweep`).  The benched
-//! bases are strictly diagonally dominant sparse matrices — guaranteed
-//! nonsingular, with the few-nonzeros-per-column shape of the steady-state
-//! collective LPs.
+//! route (the end-to-end picture is `steady scaling-sweep`).  Two basis
+//! families are benched, both with the few-nonzeros-per-column shape of the
+//! steady-state collective LPs: strictly diagonally dominant sparse matrices
+//! (guaranteed nonsingular; what a basis looks like mid-solve) and row-permuted
+//! sparse *triangular* ones — the shape of the crash basis every cold revised
+//! solve factorizes first, whose cost no solver phase accounts for.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -33,6 +35,33 @@ fn dominant_basis(m: usize, rng: &mut StdRng) -> CscMatrix<f64> {
     CscMatrix::from_columns(m, columns)
 }
 
+/// A sparse `m x m` matrix that is upper triangular up to a random row
+/// permutation, like a crash basis: column `j` has a `±1` "diagonal" in row
+/// `perm[j]` and up to two entries in rows of earlier columns.
+fn triangular_basis(m: usize, rng: &mut StdRng) -> CscMatrix<f64> {
+    let mut perm: Vec<usize> = (0..m).collect();
+    for i in (1..m).rev() {
+        perm.swap(i, rng.gen_range(0..i + 1));
+    }
+    let columns = (0..m)
+        .map(|j| {
+            let mut col = vec![(perm[j], if rng.gen::<f64>() < 0.5 { 1.0 } else { -1.0 })];
+            for _ in 0..2.min(j) {
+                let i = perm[rng.gen_range(0..j)];
+                if !col.iter().any(|&(r, _)| r == i) {
+                    col.push((i, 0.1 + 0.9 * rng.gen::<f64>()));
+                }
+            }
+            col
+        })
+        .collect();
+    CscMatrix::from_columns(m, columns)
+}
+
+/// The triangular family draws from its own stream, so the dominant bases —
+/// and the kernel rows tracked since before it existed — keep their inputs.
+const TRIANGULAR_SEED: u64 = 11;
+
 /// A right-hand side with a handful of nonzeros, like an entering column.
 fn sparse_rhs(m: usize, rng: &mut StdRng) -> Vec<f64> {
     let mut b = vec![0.0; m];
@@ -44,13 +73,18 @@ fn sparse_rhs(m: usize, rng: &mut StdRng) -> Vec<f64> {
 
 fn reproduce() {
     print_header("Revised simplex kernels — LU / FTRAN / BTRAN / eta costs");
-    println!("{:<10} {:>10} {:>12}", "basis m", "A nnz", "LU nnz");
+    println!("{:<12} {:<10} {:>10} {:>12}", "family", "basis m", "A nnz", "LU nnz");
     let mut rng = StdRng::seed_from_u64(7);
+    let mut tri_rng = StdRng::seed_from_u64(TRIANGULAR_SEED);
     for m in [200usize, 500, 1000] {
-        let a = dominant_basis(m, &mut rng);
         let cols: Vec<usize> = (0..m).collect();
-        let lu = SparseLu::factorize(&a, &cols).expect("dominant basis factorizes");
-        println!("{m:<10} {:>10} {:>12}", a.nnz(), lu.nnz());
+        for (family, a) in [
+            ("dominant", dominant_basis(m, &mut rng)),
+            ("triangular", triangular_basis(m, &mut tri_rng)),
+        ] {
+            let lu = SparseLu::factorize(&a, &cols).expect("both families are nonsingular");
+            println!("{family:<12} {m:<10} {:>10} {:>12}", a.nnz(), lu.nnz());
+        }
     }
 }
 
@@ -59,6 +93,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("revised_kernels");
     group.sample_size(10);
     let mut rng = StdRng::seed_from_u64(7);
+    let mut tri_rng = StdRng::seed_from_u64(TRIANGULAR_SEED);
     for m in [200usize, 500, 1000] {
         let a = dominant_basis(m, &mut rng);
         let cols: Vec<usize> = (0..m).collect();
@@ -73,6 +108,21 @@ fn bench(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("btran", m), &(), |b, ()| {
             b.iter(|| lu.btran(rhs.clone()))
+        });
+
+        // The same three kernels over a crash-shaped basis: Markowitz should
+        // retire it singleton by singleton, with no fill.
+        let tri = triangular_basis(m, &mut tri_rng);
+        let tri_lu = SparseLu::factorize(&tri, &cols).expect("triangular basis factorizes");
+        assert_eq!(tri_lu.nnz(), tri.nnz(), "a triangular basis factorizes without fill");
+        group.bench_with_input(BenchmarkId::new("factorize_triangular", m), &(), |b, ()| {
+            b.iter(|| SparseLu::factorize(&tri, &cols).expect("triangular basis factorizes"))
+        });
+        group.bench_with_input(BenchmarkId::new("ftran_triangular", m), &(), |b, ()| {
+            b.iter(|| tri_lu.ftran(rhs.clone()))
+        });
+        group.bench_with_input(BenchmarkId::new("btran_triangular", m), &(), |b, ()| {
+            b.iter(|| tri_lu.btran(rhs.clone()))
         });
 
         // Eta-file costs: build one eta from a solved column, then apply a

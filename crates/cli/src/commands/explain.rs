@@ -15,8 +15,8 @@ use std::time::Instant;
 
 use steady_core::{ReduceProblem, ScatterProblem, SteadyProblem};
 use steady_lp::{
-    Certificate, CertifyOptions, PivotKind, PivotRule, RecordingObserver, SimplexOptions,
-    SolveEvent, SolvePhase, SolveRecording, TimedEvent,
+    Certificate, CertifyOptions, PivotKind, PivotRule, RecordingObserver, SolveEvent, SolvePhase,
+    SolveRecording, TimedEvent,
 };
 use steady_platform::generators::{
     clustered_reduce_instance, clustered_scatter_instance, ClusteredConfig,
@@ -52,13 +52,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let reduce = parsed.flag("reduce");
     let show_pivots = parsed.flag("pivots");
 
-    // Same pricing setup as the scaling sweep: these generated LPs never
-    // cycle under Dantzig pricing, so the Bland's-rule switch would only
-    // slow them down.
-    let options = CertifyOptions {
-        simplex: SimplexOptions { bland_after: 1_000_000, ..SimplexOptions::default() },
-        ..CertifyOptions::default()
-    };
+    let options = CertifyOptions::default();
 
     let config = ClusteredConfig::with_total_nodes(size);
     let explained = if reduce {
@@ -249,6 +243,9 @@ fn label(event: &SolveEvent) -> String {
             format!("refactorization finished (LU {lu_nnz} nnz over dimension {dim})")
         }
         SolveEvent::WarmStart { outcome } => format!("warm start: {}", outcome.name()),
+        SolveEvent::CrashStart { open_rows, covered } => {
+            format!("crash basis: {covered} of {open_rows} zero-rhs artificial rows covered")
+        }
         SolveEvent::Fallback { cause } => {
             format!("fell back to the exact simplex ({})", cause.kind_name())
         }

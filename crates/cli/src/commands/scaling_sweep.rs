@@ -22,9 +22,7 @@ use std::io::Write;
 use std::time::Instant;
 
 use steady_core::{ReduceProblem, ScatterProblem, SteadyProblem};
-use steady_lp::{
-    routes_to_revised, Certificate, CertifyOptions, RecordingObserver, SimplexOptions,
-};
+use steady_lp::{routes_to_revised, Certificate, CertifyOptions, RecordingObserver};
 use steady_platform::generators::{
     clustered_reduce_instance, clustered_scatter_instance, ClusteredConfig,
 };
@@ -80,14 +78,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         })?),
     };
 
-    // The thousand-node LPs spend well over the default `bland_after`
-    // pivots: left at the default, the solver would degrade to Bland's
-    // (cycle-proof but slow) rule mid-run for no reason — these LPs are
-    // generic enough that Dantzig pricing never cycles on them.
-    let options = CertifyOptions {
-        simplex: SimplexOptions { bland_after: 1_000_000, ..SimplexOptions::default() },
-        ..CertifyOptions::default()
-    };
+    let options = CertifyOptions::default();
 
     let collective = if reduce { "reduce" } else { "scatter" };
     writeln!(out, "operation          : solver scaling sweep ({collective})")?;

@@ -456,28 +456,15 @@ pub fn certify(
         values.push(if r.is_negative() { Ratio::zero() } else { r });
     }
 
-    // Exact primal feasibility.
-    problem.check_feasible(&values).map_err(|e| format!("primal infeasible: {e}"))?;
-    let primal_obj = problem.objective_value(&values);
-
-    // Rationalize the dual and check dual feasibility + strong duality.
+    // Rationalize the dual.
     let mut duals = Vec::with_capacity(float.duals.len());
     for (i, &y) in float.duals.iter().enumerate() {
         let r = Ratio::approximate_f64(y, max_denominator)
             .ok_or_else(|| format!("dual {i} is not finite"))?;
         duals.push(r);
     }
-    check_dual_feasible(problem, &duals).map_err(|e| format!("dual infeasible: {e}"))?;
 
-    let dual_obj: Ratio = problem.constraints().iter().zip(&duals).map(|(c, y)| &c.rhs * y).sum();
-
-    let gap = match problem.direction() {
-        Objective::Maximize => &dual_obj - &primal_obj,
-        Objective::Minimize => &primal_obj - &dual_obj,
-    };
-    if !gap.is_zero() {
-        return Err(format!("duality gap is {gap} (primal {primal_obj}, dual {dual_obj})"));
-    }
+    let primal_obj = check_optimal(problem, &values, &duals)?;
 
     Ok(CertifiedSolution {
         values,
@@ -490,6 +477,31 @@ pub fn certify(
         basis: Some(float.basis.clone()),
         refactorizations: 0,
     })
+}
+
+/// The exact optimality proof behind [`certify`]: `values` is primal
+/// feasible, `duals` is dual feasible (sign conditions and `Aᵀy ≥ c`), and
+/// the two objectives coincide (strong duality).  Returns that common
+/// objective value, or the reason the pair proves nothing.
+pub fn check_optimal(
+    problem: &LpProblem,
+    values: &[Ratio],
+    duals: &[Ratio],
+) -> Result<Ratio, String> {
+    problem.check_feasible(values).map_err(|e| format!("primal infeasible: {e}"))?;
+    let primal_obj = problem.objective_value(values);
+
+    check_dual_feasible(problem, duals).map_err(|e| format!("dual infeasible: {e}"))?;
+    let dual_obj: Ratio = problem.constraints().iter().zip(duals).map(|(c, y)| &c.rhs * y).sum();
+
+    let gap = match problem.direction() {
+        Objective::Maximize => &dual_obj - &primal_obj,
+        Objective::Minimize => &primal_obj - &dual_obj,
+    };
+    if !gap.is_zero() {
+        return Err(format!("duality gap is {gap} (primal {primal_obj}, dual {dual_obj})"));
+    }
+    Ok(primal_obj)
 }
 
 /// Exact dual feasibility for `max { c x : A x (<=,=,>=) b, x >= 0 }`:

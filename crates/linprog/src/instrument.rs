@@ -5,8 +5,9 @@
 //! module makes them inspectable without touching their arithmetic: the
 //! solvers ([`crate::simplex`], [`crate::revised`], [`crate::exact`]) emit a
 //! [`SolveEvent`] at every phase transition, pivot, eta append,
-//! refactorization, warm-start install and certified-pipeline fallback, into
-//! whatever [`SolveObserver`] the caller supplies.
+//! refactorization, warm-start install, cold crash start and
+//! certified-pipeline fallback, into whatever [`SolveObserver`] the caller
+//! supplies.
 //!
 //! **Zero-cost when off.**  Every emission site is guarded by the observer's
 //! associated constant [`SolveObserver::ENABLED`]; the default
@@ -237,6 +238,15 @@ pub enum SolveEvent {
         /// How the basis was used.
         outcome: WarmOutcome,
     },
+    /// The revised solver chose its cold-start basis: a triangular crash that
+    /// replaces zero-level artificials by real columns, so a run that covers
+    /// every open row has no phase 1.
+    CrashStart {
+        /// Rows that would have started on an artificial at level zero.
+        open_rows: usize,
+        /// How many of them start on a real column instead.
+        covered: usize,
+    },
     /// The certified pipeline fell back to the exact simplex.
     Fallback {
         /// Why the fast path was abandoned.
@@ -340,7 +350,8 @@ impl SolveHealth {
             SolveEvent::RunStarted { .. }
             | SolveEvent::PhaseStarted { .. }
             | SolveEvent::RefactorStarted { .. }
-            | SolveEvent::WarmStart { .. } => {}
+            | SolveEvent::WarmStart { .. }
+            | SolveEvent::CrashStart { .. } => {}
         }
     }
 

@@ -51,7 +51,7 @@ pub mod simplex;
 pub mod sparse;
 
 pub use exact::{
-    certify, routes_to_revised, solve_certified, solve_certified_dual,
+    certify, check_optimal, routes_to_revised, solve_certified, solve_certified_dual,
     solve_certified_dual_observed, solve_certified_warm, solve_certified_warm_observed,
     solve_certified_with_options, Certificate, CertifiedSolution, CertifyError, CertifyOptions,
     SolveTrace,

@@ -22,15 +22,37 @@
 //!   (or its fill outgrows the factors), which also refreshes the basic
 //!   values against accumulated `f64` round-off.
 //!
-//! **Pivot-rule parity.**  The solver replicates the dense tableau's pivot
-//! rules *exactly*: same standard form, same Dantzig/Bland switch, same
-//! ratio-test tie-breaking, same two-phase structure, artificial drive-out
-//! and warm-start acceptance conditions.  Instantiated over
-//! [`Ratio`](steady_rational::Ratio) the two solvers therefore perform the
-//! *same pivot sequence* and return bit-identical optima, duals and bases —
-//! property-tested in `tests/proptest_revised.rs` — so the revised path
-//! slots into the certified pipeline ([`crate::exact`]) and the warm-start
-//! world ([`SolvedBasis`]) without weakening any exactness guarantee.
+//! **Same rules, different cold start.**  The solver replicates the dense
+//! tableau's pivot rules *exactly*: same standard form, same Dantzig/Bland
+//! switch, same ratio-test tie-breaking, same artificial drive-out and
+//! warm-start acceptance conditions.  What differs is the basis a cold solve
+//! starts from.  The dense tableau starts from the slack/artificial identity
+//! and, on the steady-state LPs — conservation and delivery rows `= 0` —
+//! spends one degenerate phase-1 pivot per equality row getting the
+//! artificials out, although `x = 0` was feasible all along.  This solver
+//! starts from a *triangular crash basis*
+//! (`StandardForm::crash_basis`): every zero-rhs artificial row it can reach
+//! gets a network column instead, the LU retires the result singleton by
+//! singleton, the basic values are still the right-hand side, and phase 1
+//! runs only if some artificial is left at a *positive* level — the rule a
+//! supplied basis was always held to.
+//!
+//! What is and is not bit-identical to the dense solve, instantiated over
+//! [`Ratio`](steady_rational::Ratio):
+//!
+//! * a **warm start** from a supplied basis, and a **cold solve of an LP
+//!   with no zero-rhs artificial row** (the crash then *is* the identity
+//!   start), perform the dense pivot sequence and return bit-identical
+//!   optima, duals, bases and pivot counts;
+//! * a **cold solve from a crash** returns the `Ratio`-equal objective, a
+//!   primal-feasible `values`, a dual-feasible `duals` with zero gap, and a
+//!   [`SolvedBasis`] the dense solver installs with zero pivots — possibly a
+//!   different optimal vertex of a degenerate optimum.
+//!
+//! Both are property-tested in `tests/proptest_revised.rs`, so the revised
+//! path slots into the certified pipeline ([`crate::exact`]) and the
+//! warm-start world ([`SolvedBasis`]) without weakening any exactness
+//! guarantee.
 
 use crate::instrument::{
     NoopObserver, PivotKind, PivotRule, RefactorReason, SolveEvent, SolveObserver, SolvePath,
@@ -46,7 +68,7 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Debug, Clone)]
 pub struct RevisedOptions {
     /// Underlying pivot-rule options, shared with the dense simplex so the
-    /// two paths stay pivot-for-pivot comparable.
+    /// two paths stay pivot-for-pivot comparable from the same basis.
     pub simplex: SimplexOptions,
     /// Number of eta updates accumulated before the basis is refactorized
     /// from scratch.  Each eta makes every FTRAN/BTRAN a little more
@@ -426,7 +448,7 @@ impl<S: Scalar> Factors<S> {
 // ---------------------------------------------------------------------------
 
 struct Revised<'a, S> {
-    sf: StandardForm<S>,
+    sf: &'a StandardForm<S>,
     /// Basic column of each basis position (position `i` tracks standard-form
     /// row `i`, matching the dense tableau's row-to-basis assignment).
     basic: Vec<usize>,
@@ -437,7 +459,20 @@ struct Revised<'a, S> {
     stats: RevisedStats,
 }
 
-impl<S: Scalar> Revised<'_, S> {
+impl<'a, S: Scalar> Revised<'a, S> {
+    /// Factorizes `basic` and computes its basic values `B⁻¹ b` — the one
+    /// way a run starts, from a supplied basis or from the crash.  `None`
+    /// when the basis is singular for this data.
+    fn install(
+        sf: &'a StandardForm<S>,
+        basic: Vec<usize>,
+        options: &'a RevisedOptions,
+    ) -> Option<Self> {
+        let factors = Factors::fresh(SparseLu::factorize(&sf.a, &basic)?);
+        let xb = factors.ftran(sf.rhs.clone());
+        Some(Revised { sf, basic, factors, xb, options, stats: RevisedStats::default() })
+    }
+
     /// Simplex multipliers then reduced costs for every column:
     /// `y = B⁻ᵀ c_B`, `d_j = c_j − y · A_j`.
     fn reduced_costs(&self, costs: &[S]) -> Vec<S> {
@@ -653,8 +688,12 @@ impl<S: Scalar> Revised<'_, S> {
         Ok(())
     }
 
-    /// Two-phase driver, mirroring the dense `Tableau::run` decision
-    /// structure exactly (see the module docs on pivot-rule parity).
+    /// Two-phase driver.  Phase 1 runs iff the start basis holds an
+    /// artificial at a positive level — one rule for a supplied basis and for
+    /// the crash, which leaves none on the zero-rhs steady-state LPs.
+    /// Artificials basic at level zero (rows the crash could not reach) go
+    /// straight to [`Self::drive_out_artificials`].  `warm_started` only
+    /// labels the solution.
     fn run<O: SolveObserver>(
         mut self,
         problem: &LpProblem,
@@ -663,13 +702,9 @@ impl<S: Scalar> Revised<'_, S> {
     ) -> Result<(Solution<S>, RevisedStats), SimplexError> {
         let mut iterations = 0usize;
 
-        let needs_phase1 = if warm_started {
-            (0..self.sf.num_rows()).any(|i| {
-                self.sf.kinds[self.basic[i]] == ColKind::Artificial && self.xb[i].is_positive()
-            })
-        } else {
-            self.sf.kinds.contains(&ColKind::Artificial)
-        };
+        let needs_phase1 = (0..self.sf.num_rows()).any(|i| {
+            self.sf.kinds[self.basic[i]] == ColKind::Artificial && self.xb[i].is_positive()
+        });
         if needs_phase1 {
             if O::ENABLED {
                 obs.on_event(SolveEvent::PhaseStarted { phase: SolvePhase::Phase1 });
@@ -701,8 +736,8 @@ impl<S: Scalar> Revised<'_, S> {
             obs.on_event(SolveEvent::PhaseStarted { phase: SolvePhase::Phase2 });
         }
         let allowed: Vec<bool> = self.sf.kinds.iter().map(|k| *k != ColKind::Artificial).collect();
-        let costs = self.sf.costs.clone();
-        self.optimize(&costs, &allowed, &mut iterations, SolvePhase::Phase2, obs)?;
+        let sf = self.sf;
+        self.optimize(&sf.costs, &allowed, &mut iterations, SolvePhase::Phase2, obs)?;
 
         Ok(self.finish(problem, iterations, phase1_iterations, warm_started))
     }
@@ -839,49 +874,39 @@ pub fn solve_revised_report_observed<S: Scalar, O: SolveObserver>(
     let sf = StandardForm::<S>::build(problem);
 
     if let Some(basis) = warm {
-        if basis_compatible(basis, &sf) {
-            if let Some(lu) = SparseLu::factorize(&sf.a, &basis.cols) {
-                let factors = Factors::fresh(lu);
-                let xb = factors.ftran(sf.rhs.clone());
-                if xb.iter().all(|b| !b.is_negative()) {
-                    if O::ENABLED {
-                        obs.on_event(SolveEvent::WarmStart { outcome: WarmOutcome::Installed });
-                    }
-                    let solver = Revised {
-                        sf,
-                        basic: basis.cols.clone(),
-                        factors,
-                        xb,
-                        options,
-                        stats: RevisedStats::default(),
-                    };
-                    return solver.run(problem, true, obs);
-                }
-            }
-        }
         // An incompatible, singular or primal-infeasible basis is silently
-        // discarded; the cold start below matches the dense fallback.
+        // discarded, like the dense fallback.
+        let installed = basis_compatible(basis, &sf)
+            .then(|| Revised::install(&sf, basis.cols.clone(), options))
+            .flatten()
+            .filter(|solver| solver.xb.iter().all(|b| !b.is_negative()));
         if O::ENABLED {
-            obs.on_event(SolveEvent::WarmStart { outcome: WarmOutcome::Rejected });
+            let outcome =
+                if installed.is_some() { WarmOutcome::Installed } else { WarmOutcome::Rejected };
+            obs.on_event(SolveEvent::WarmStart { outcome });
+        }
+        if let Some(solver) = installed {
+            return solver.run(problem, true, obs);
         }
     }
-    cold_start(sf, problem, options, obs)
+    cold_start(&sf, problem, options, obs)
 }
 
-/// Cold start from the all-slack/artificial identity basis.
+/// Cold start from the triangular crash basis
+/// ([`StandardForm::crash_basis`]).
 fn cold_start<S: Scalar, O: SolveObserver>(
-    sf: StandardForm<S>,
+    sf: &StandardForm<S>,
     problem: &LpProblem,
     options: &RevisedOptions,
     obs: &mut O,
 ) -> Result<(Solution<S>, RevisedStats), SimplexError> {
-    let basic = sf.init_basis.clone();
-    let lu = SparseLu::factorize(&sf.a, &basic)
-        .expect("the slack/artificial start basis is an identity and always factorizes");
-    let factors = Factors::fresh(lu);
-    let xb = sf.rhs.clone();
-    let solver = Revised { sf, basic, factors, xb, options, stats: RevisedStats::default() };
-    solver.run(problem, false, obs)
+    let crash = sf.crash_basis();
+    if O::ENABLED {
+        obs.on_event(SolveEvent::CrashStart { open_rows: crash.open_rows, covered: crash.covered });
+    }
+    Revised::install(sf, crash.basic, options)
+        .expect("the crash basis is triangular with a nonzero diagonal and always factorizes")
+        .run(problem, false, obs)
 }
 
 #[cfg(test)]
@@ -899,16 +924,47 @@ mod tests {
         e
     }
 
+    /// The cold contract on any LP: the dense objective, a primal/dual pair
+    /// that proves it, and bases that install on the other solver with zero
+    /// pivots.  The vertex itself may differ — the crash starts elsewhere.
     fn assert_matches_dense(lp: &LpProblem) {
         let dense = simplex::solve_exact(lp).unwrap();
-        let (revised, _) =
-            solve_revised_report::<Ratio>(lp, None, &RevisedOptions::default()).unwrap();
+        let revised = solve_revised::<Ratio>(lp).unwrap();
+        assert_eq!(revised.objective, dense.objective);
+        assert_eq!(
+            crate::exact::check_optimal(lp, &revised.values, &revised.duals),
+            Ok(dense.objective.clone())
+        );
+        assert!(!revised.warm_started);
+
+        let dense_warm = simplex::solve_with_basis::<Ratio>(lp, &revised.basis).unwrap();
+        assert!(dense_warm.warm_started);
+        assert_eq!(dense_warm.iterations, 0);
+        assert_eq!(dense_warm.objective, dense.objective);
+        let revised_warm = solve_revised_with_basis::<Ratio>(lp, &dense.basis).unwrap();
+        assert!(revised_warm.warm_started);
+        assert_eq!(revised_warm.iterations, 0);
+        assert_eq!(revised_warm.objective, dense.objective);
+    }
+
+    /// With no open row the crash is `init_basis`, and the cold solve is the
+    /// dense solve pivot for pivot.
+    fn assert_bit_identical_to_dense(lp: &LpProblem) {
+        assert_eq!(StandardForm::<Ratio>::build(lp).crash_basis().open_rows, 0);
+        let dense = simplex::solve_exact(lp).unwrap();
+        let revised = solve_revised::<Ratio>(lp).unwrap();
         assert_eq!(revised.values, dense.values);
         assert_eq!(revised.objective, dense.objective);
         assert_eq!(revised.duals, dense.duals);
         assert_eq!(revised.basis, dense.basis);
         assert_eq!(revised.iterations, dense.iterations);
         assert_eq!(revised.phase1_iterations, dense.phase1_iterations);
+    }
+
+    /// Artificial columns left in the optimal basis of `lp`.
+    fn basic_artificials(lp: &LpProblem, sol: &Solution<Ratio>) -> usize {
+        let sf = StandardForm::<Ratio>::build(lp);
+        sol.basis.cols.iter().filter(|&&c| sf.kinds[c] == ColKind::Artificial).count()
     }
 
     #[test]
@@ -998,9 +1054,10 @@ mod tests {
         lp.set_objective(y, rat(2, 1));
         lp.add_constraint("c1", expr(&[(x, rat(1, 1)), (y, rat(1, 1))]), Sense::Le, rat(4, 1));
         lp.add_constraint("c2", expr(&[(x, rat(1, 1)), (y, rat(3, 1))]), Sense::Le, rat(6, 1));
-        assert_matches_dense(&lp);
+        assert_bit_identical_to_dense(&lp);
 
-        // Mixed senses and a minimization.
+        // Mixed senses and a minimization; every artificial row has a
+        // nonzero rhs, so none is open.
         let mut lp = LpProblem::minimize();
         let x = lp.add_var("x");
         let y = lp.add_var("y");
@@ -1008,9 +1065,9 @@ mod tests {
         lp.set_objective(y, rat(1, 1));
         lp.add_constraint("a", expr(&[(x, rat(1, 1)), (y, rat(2, 1))]), Sense::Ge, rat(4, 1));
         lp.add_constraint("b", expr(&[(x, rat(3, 1)), (y, rat(1, 1))]), Sense::Ge, rat(6, 1));
-        assert_matches_dense(&lp);
+        assert_bit_identical_to_dense(&lp);
 
-        // Equalities and a negative rhs.
+        // A zero-rhs equality (crashed) beside a negative rhs (phase 1).
         let mut lp = LpProblem::maximize();
         let x = lp.add_var("x");
         let y = lp.add_var("y");
@@ -1038,6 +1095,99 @@ mod tests {
         lp.set_objective(x, rat(1, 1));
         lp.add_constraint("only-y", expr(&[(y, rat(1, 1))]), Sense::Le, rat(1, 1));
         assert!(matches!(solve_revised::<Ratio>(&lp), Err(SimplexError::Unbounded)));
+
+        // The same verdicts behind a crashed zero-rhs row: phase 1 starts
+        // from the crash basis and still proves `x = y >= 5, y <= 3` empty...
+        let mut lp = LpProblem::maximize();
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        lp.set_objective(x, rat(1, 1));
+        lp.add_constraint("flow", expr(&[(x, rat(1, 1)), (y, rat(-1, 1))]), Sense::Eq, rat(0, 1));
+        lp.add_constraint("lo", expr(&[(x, rat(1, 1))]), Sense::Ge, rat(5, 1));
+        lp.add_constraint("hi", expr(&[(y, rat(1, 1))]), Sense::Le, rat(3, 1));
+        assert_eq!(simplex::solve_exact(&lp).unwrap_err(), SimplexError::Infeasible);
+        assert_eq!(solve_revised::<Ratio>(&lp).unwrap_err(), SimplexError::Infeasible);
+
+        // ... and phase 2 still finds `x = y >= 1` unbounded.
+        let mut lp = LpProblem::maximize();
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        lp.set_objective(x, rat(1, 1));
+        lp.add_constraint("flow", expr(&[(x, rat(1, 1)), (y, rat(-1, 1))]), Sense::Eq, rat(0, 1));
+        lp.add_constraint("lo", expr(&[(x, rat(1, 1))]), Sense::Ge, rat(1, 1));
+        assert_eq!(simplex::solve_exact(&lp).unwrap_err(), SimplexError::Unbounded);
+        assert_eq!(solve_revised::<Ratio>(&lp).unwrap_err(), SimplexError::Unbounded);
+    }
+
+    #[test]
+    fn crashed_rows_skip_phase1_and_nonzero_rows_still_run_it() {
+        // Two-hop flow `src -> a -> b -> sink` with a delivery row: every
+        // equality has rhs 0, the crash covers all three, phase 1 never runs.
+        let mut lp = LpProblem::maximize();
+        let f: Vec<_> = (0..3).map(|i| lp.add_var(format!("f{i}"))).collect();
+        let tp = lp.add_var("tp");
+        lp.set_objective(tp, rat(1, 1));
+        for i in 0..2 {
+            let e = expr(&[(f[i], rat(1, 1)), (f[i + 1], rat(-1, 1))]);
+            lp.add_constraint(format!("cons{i}"), e, Sense::Eq, rat(0, 1));
+        }
+        lp.add_constraint(
+            "deliver",
+            expr(&[(f[2], rat(1, 1)), (tp, rat(-1, 1))]),
+            Sense::Eq,
+            rat(0, 1),
+        );
+        for (i, &v) in f.iter().enumerate() {
+            lp.add_constraint(
+                format!("cap{i}"),
+                expr(&[(v, rat(i as i64 + 2, 1))]),
+                Sense::Le,
+                rat(1, 1),
+            );
+        }
+        let crash = StandardForm::<Ratio>::build(&lp).crash_basis();
+        assert_eq!((crash.open_rows, crash.covered), (3, 3));
+        let sol = solve_revised::<Ratio>(&lp).unwrap();
+        assert_eq!(sol.phase1_iterations, 0);
+        assert_eq!(sol.objective, rat(1, 4));
+        assert_eq!(basic_artificials(&lp, &sol), 0);
+        assert_matches_dense(&lp);
+
+        // A floor with a nonzero rhs keeps its artificial, at a positive
+        // level: phase 1 runs from the crash basis and the answer holds.
+        lp.add_constraint("floor", expr(&[(f[0], rat(1, 1))]), Sense::Ge, rat(1, 8));
+        let crash = StandardForm::<Ratio>::build(&lp).crash_basis();
+        assert_eq!((crash.open_rows, crash.covered), (3, 3));
+        let sol = solve_revised::<Ratio>(&lp).unwrap();
+        assert!(sol.phase1_iterations > 0);
+        assert_eq!(sol.objective, rat(1, 4));
+        assert_matches_dense(&lp);
+    }
+
+    #[test]
+    fn rows_the_crash_cannot_reach_are_driven_out() {
+        // Every column has three entries in open rows, so none is a crash
+        // candidate.  The rows have rank 2 (`a = b = c`): drive-out replaces
+        // two artificials and the redundant third stays basic at zero.
+        let mut lp = LpProblem::maximize();
+        let a = lp.add_var("a");
+        let b = lp.add_var("b");
+        let c = lp.add_var("c");
+        lp.set_objective(a, rat(1, 1));
+        let rows = [[1, 1, -2], [1, -2, 1], [-2, 1, 1]];
+        for (i, row) in rows.iter().enumerate() {
+            let e = expr(&[(a, rat(row[0], 1)), (b, rat(row[1], 1)), (c, rat(row[2], 1))]);
+            lp.add_constraint(format!("tie{i}"), e, Sense::Eq, rat(0, 1));
+        }
+        lp.add_constraint("cap", expr(&[(a, rat(1, 1))]), Sense::Le, rat(1, 1));
+
+        let crash = StandardForm::<Ratio>::build(&lp).crash_basis();
+        assert_eq!((crash.open_rows, crash.covered), (3, 0));
+        let sol = solve_revised::<Ratio>(&lp).unwrap();
+        assert_eq!(sol.phase1_iterations, 0);
+        assert_eq!(sol.values, vec![rat(1, 1); 3]);
+        assert_eq!(basic_artificials(&lp, &sol), 1);
+        assert_matches_dense(&lp);
     }
 
     #[test]
@@ -1097,7 +1247,7 @@ mod tests {
         assert_eq!(sol.basis, baseline.basis);
         assert!(stats.refactorizations > 0, "tight interval must trigger refactorizations");
         assert!(stats.peak_eta <= 2);
-        assert_matches_dense(&lp);
+        assert_bit_identical_to_dense(&lp);
     }
 
     #[test]

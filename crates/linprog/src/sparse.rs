@@ -20,11 +20,13 @@
 //!   **exactly** the same column ordering, right-hand-side normalization
 //!   and cost conventions as the dense `Tableau::build`, so a
 //!   [`SolvedBasis`](crate::simplex::SolvedBasis) produced by either solver
-//!   installs on the other.
+//!   installs on the other — and `StandardForm::crash_basis`, the
+//!   triangular basis the revised solver starts cold from.
 
 use crate::model::{LpProblem, Objective, Sense};
 use crate::scalar::Scalar;
 use crate::simplex::effective_sense;
+use std::collections::VecDeque;
 
 /// Column classification in the equality standard form.
 ///
@@ -117,7 +119,8 @@ impl<S: Scalar> CscMatrix<S> {
 /// (structural, slacks in constraint order, artificials in constraint
 /// order), same negation of rows with a negative right-hand side, same
 /// maximization-form costs.  `init_basis[i]` is the slack or artificial
-/// column that forms row `i`'s initial identity — the cold-start basis.
+/// column that forms row `i`'s initial identity — the dense cold-start
+/// basis, and what [`Self::crash_basis`] improves on for the revised one.
 #[derive(Debug, Clone)]
 pub(crate) struct StandardForm<S> {
     /// The full standard-form coefficient matrix (`m` rows, all columns).
@@ -134,6 +137,28 @@ pub(crate) struct StandardForm<S> {
     pub negated: Vec<bool>,
     /// Number of structural columns.
     pub n_structural: usize,
+}
+
+/// Most open-row entries a column may have and still be crashed into the
+/// start basis: the two of a network column in the conservation laws.
+///
+/// Measured, not taste: admitting the reduce LP's three-entry hyperedge
+/// columns (`cons[node, T[k,l,m]]`) starts Dantzig pricing on a vertex it
+/// stalls at — `scaling-sweep --reduce --sizes 200,500 --seed 42` takes
+/// 235 / 164 pivots with the limit and 10 018 / 19 182 without (PR 15 in
+/// CHANGES.md).
+const MAX_OPEN_NONZEROS: usize = 2;
+
+/// What [`StandardForm::crash_basis`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct CrashBasis {
+    /// Basic column of each row: the crashed column where the row was
+    /// covered, its `init_basis` column otherwise.
+    pub basic: Vec<usize>,
+    /// Rows that started on an artificial at level zero.
+    pub open_rows: usize,
+    /// Open rows that received a non-artificial basic column.
+    pub covered: usize,
 }
 
 impl<S: Scalar> StandardForm<S> {
@@ -231,6 +256,70 @@ impl<S: Scalar> StandardForm<S> {
         }
     }
 
+    /// The revised solver's cold-start basis: `init_basis` with as many
+    /// zero-level artificials as possible replaced by real columns, chosen so
+    /// the result is triangular.
+    ///
+    /// A row is *open* while its basic column is an artificial and its
+    /// right-hand side is zero — every conservation row of the steady-state
+    /// LPs.  A *candidate* is a non-artificial column with at most
+    /// [`MAX_OPEN_NONZEROS`] entries in open rows.  A candidate with exactly
+    /// one entry in a still-open row becomes basic there and closes the row,
+    /// which may leave other candidates of that row with one open entry in
+    /// turn; a FIFO seeded in ascending column order carries the cascade to
+    /// its fixpoint in `O(nnz)`.
+    ///
+    /// In assignment order every crashed column's open-row entries lie in its
+    /// own row and in rows closed before it, so the crashed block is
+    /// triangular with a nonzero diagonal: the basis is nonsingular, and —
+    /// the crashed rows having a zero right-hand side — its basic values are
+    /// `rhs` itself, crashed columns at level zero.  With no open row the
+    /// result *is* `init_basis`.
+    pub fn crash_basis(&self) -> CrashBasis {
+        let mut basic = self.init_basis.clone();
+        let mut open: Vec<bool> = basic
+            .iter()
+            .zip(&self.rhs)
+            .map(|(&col, b)| self.kinds[col] == ColKind::Artificial && b.is_zero())
+            .collect();
+        let open_rows = open.iter().filter(|&&o| o).count();
+
+        // Per candidate, its entries in still-open rows (other columns stay
+        // at 0 and never queue); per open row, the candidates with an entry.
+        let mut live = vec![0usize; self.num_cols()];
+        let mut candidates_of: Vec<Vec<usize>> = vec![Vec::new(); self.num_rows()];
+        for j in (0..self.num_cols()).filter(|&j| self.kinds[j] != ColKind::Artificial) {
+            let open_entries = || self.a.col(j).map(|(r, _)| r).filter(|&r| open[r]);
+            let n = open_entries().count();
+            if (1..=MAX_OPEN_NONZEROS).contains(&n) {
+                live[j] = n;
+                for r in open_entries() {
+                    candidates_of[r].push(j);
+                }
+            }
+        }
+
+        let mut queue: VecDeque<usize> = (0..self.num_cols()).filter(|&j| live[j] == 1).collect();
+        let mut covered = 0;
+        while let Some(j) = queue.pop_front() {
+            // `None`: another column closed this one's last open row after
+            // it was queued.
+            let Some(row) = self.a.col(j).map(|(r, _)| r).find(|&r| open[r]) else {
+                continue;
+            };
+            basic[row] = j;
+            open[row] = false;
+            covered += 1;
+            for &k in &candidates_of[row] {
+                live[k] -= 1;
+                if live[k] == 1 {
+                    queue.push_back(k);
+                }
+            }
+        }
+        CrashBasis { basic, open_rows, covered }
+    }
+
     /// Number of constraint rows.
     pub fn num_rows(&self) -> usize {
         self.rhs.len()
@@ -308,5 +397,49 @@ mod tests {
         // Maximization-form costs on the structural prefix.
         assert_eq!(sf.costs[0], rat(3, 1));
         assert_eq!(sf.costs[1], rat(0, 1));
+    }
+
+    #[test]
+    fn crash_takes_zero_rhs_rows_only_and_ignores_the_scalar() {
+        let mut lp = LpProblem::maximize();
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        let z = lp.add_var("z");
+        lp.set_objective(z, rat(1, 1));
+        // Open rows r0, r1, r4.  Open entries: `x` two (r0, r4), `y` two
+        // (r0, r1), `z` one (r1), `w` one (r4), r4's surplus one.
+        lp.add_constraint("r0", expr(&[(x, rat(1, 1)), (y, rat(-1, 1))]), Sense::Eq, rat(0, 1));
+        lp.add_constraint("r1", expr(&[(y, rat(1, 3)), (z, rat(-1, 1))]), Sense::Eq, rat(0, 1));
+        // Nonzero rhs: `w` is a singleton over it and still must not take it.
+        let w = lp.add_var("w");
+        lp.add_constraint("r2", expr(&[(w, rat(1, 1))]), Sense::Eq, rat(3, 1));
+        lp.add_constraint("r3", expr(&[(x, rat(1, 1))]), Sense::Ge, rat(2, 1));
+        // An open `>=` row.
+        lp.add_constraint("r4", expr(&[(w, rat(1, 1)), (x, rat(1, 1))]), Sense::Ge, rat(0, 1));
+        // A slack row is never open.
+        lp.add_constraint("r5", expr(&[(x, rat(2, 1))]), Sense::Le, rat(0, 1));
+
+        let sf = StandardForm::<Ratio>::build(&lp);
+        let crash = sf.crash_basis();
+        assert_eq!((crash.open_rows, crash.covered), (3, 3));
+        // FIFO, seeded in ascending column order: `z` takes r1 (queueing
+        // `y`), `w` takes r4 (queueing `x`), the surplus finds r4 taken, `y`
+        // takes r0, `x` finds nothing left.
+        assert_eq!(crash.basic[0], y.index());
+        assert_eq!(crash.basic[1], z.index());
+        assert_eq!(crash.basic[4], w.index());
+        for i in [2, 3, 5] {
+            assert_eq!(crash.basic[i], sf.init_basis[i], "row {i} keeps its identity column");
+        }
+        assert_eq!(StandardForm::<f64>::build(&lp).crash_basis(), crash);
+
+        // No open row: the crash is the identity start.
+        let mut le_only = LpProblem::maximize();
+        let x = le_only.add_var("x");
+        le_only.add_constraint("cap", expr(&[(x, rat(1, 1))]), Sense::Le, rat(1, 1));
+        le_only.add_constraint("lo", expr(&[(x, rat(1, 1))]), Sense::Ge, rat(1, 2));
+        let sf = StandardForm::<Ratio>::build(&le_only);
+        let identity = CrashBasis { basic: sf.init_basis.clone(), open_rows: 0, covered: 0 };
+        assert_eq!(sf.crash_basis(), identity);
     }
 }

@@ -2,16 +2,21 @@
 //! dense tableau.
 //!
 //! The revised solver is a performance route, not a second algorithm: it
-//! runs the same pivot rules over an LU-factorized basis, so on any LP it
-//! must return the *bit-identical* exact rational optimum — values,
-//! objective and duals — and a [`SolvedBasis`] the dense solver accepts (and
-//! vice versa).  Random Le-only LPs plus the Ge/Eq-augmented variants cover
-//! the artificial-column regime the steady-state LPs live in.
+//! runs the same pivot rules over an LU-factorized basis.  Where it starts
+//! from the same basis — warm, or cold on an LP with no zero-rhs artificial
+//! row (the Le-only LPs here) — it must return the *bit-identical* exact
+//! rational optimum: values, objective, duals, basis.  Cold on the
+//! Ge/Eq-augmented variants (the artificial-column regime the steady-state
+//! LPs live in) it starts from the triangular crash basis instead, and the
+//! contract is the optimum, not the vertex: the `Ratio`-equal objective, a
+//! primal/dual pair that proves it, and a [`SolvedBasis`](steady_lp::SolvedBasis)
+//! the dense solver installs with zero pivots (and vice versa).
 
 use proptest::prelude::*;
 use steady_lp::{
-    solve_exact, solve_revised, solve_revised_with_basis, solve_with_basis, LinearExpr, LpProblem,
-    Sense,
+    check_optimal, solve_exact, solve_revised, solve_revised_report_observed,
+    solve_revised_with_basis, solve_with_basis, LinearExpr, LpProblem, RecordingObserver,
+    RevisedOptions, Sense, SolveEvent, SolvePhase,
 };
 use steady_rational::{rat, Ratio};
 
@@ -76,6 +81,117 @@ fn augment_with_eq_and_ge(lp: &mut LpProblem) {
     lp.add_constraint("floor", floor, Sense::Ge, rat(0, 1));
 }
 
+/// Rows with a nonzero rhs beside the zero-rhs ones: an equality pinning a
+/// fresh variable to `x1`'s complement and a `>=` floor on `x0`.  Their
+/// artificials start at a positive level, so phase 1 runs from the crash.
+fn augment_with_nonzero_eq_and_ge(lp: &mut LpProblem, floor: &Ratio) {
+    let vars: Vec<_> = lp.vars().collect();
+    let pinned = lp.add_var("pinned");
+    let mut pin = LinearExpr::new();
+    pin.add_term(vars[1], rat(1, 1));
+    pin.add_term(pinned, rat(1, 1));
+    lp.add_constraint("pin", pin, Sense::Eq, rat(7, 2));
+    lp.add_constraint("floor0", LinearExpr::var(vars[0]), Sense::Ge, floor.clone());
+}
+
+/// What the cold crash start found, and whether phase 1 ran after it.
+fn crash_report(lp: &LpProblem) -> (usize, usize, bool) {
+    let mut rec = RecordingObserver::unbounded();
+    let _ =
+        solve_revised_report_observed::<Ratio, _>(lp, None, &RevisedOptions::default(), &mut rec);
+    let events = rec.finish().events;
+    let crash = events.iter().find_map(|e| match e.event {
+        SolveEvent::CrashStart { open_rows, covered } => Some((open_rows, covered)),
+        _ => None,
+    });
+    let (open_rows, covered) = crash.expect("a cold revised solve reports its crash");
+    let phase1 =
+        events.iter().any(|e| e.event == SolveEvent::PhaseStarted { phase: SolvePhase::Phase1 });
+    (open_rows, covered, phase1)
+}
+
+/// A small multi-commodity flow LP in the shape of the paper's `SSSP(G)`:
+/// every commodity ships `tp` from node 0 to its own sink over a weakly
+/// connected random digraph; conservation `= 0` at every other node,
+/// delivery `= 0` against `tp` at the sink, one-port capacity `<= 1` per
+/// node and direction.
+#[derive(Debug, Clone)]
+struct FlowLp {
+    nodes: usize,
+    /// `(tail, head, cost)`; the first `nodes - 1` edges form a spanning tree.
+    edges: Vec<(usize, usize, i64)>,
+    sinks: Vec<usize>,
+}
+
+fn flow_lp_strategy() -> impl Strategy<Value = FlowLp> {
+    (3usize..7, 1usize..4).prop_flat_map(|(nodes, commodities)| {
+        // Node i > 0 hangs off a lower node, in a random direction.
+        let tree = proptest::collection::vec((0usize..64, any::<bool>(), 1i64..6), nodes - 1);
+        let extra = proptest::collection::vec((0..nodes, 0..nodes, 1i64..6), 0..6);
+        let sinks = proptest::collection::vec(1..nodes, commodities);
+        (tree, extra, sinks).prop_map(move |(tree, extra, sinks)| {
+            let mut edges: Vec<(usize, usize, i64)> = tree
+                .into_iter()
+                .enumerate()
+                .map(|(i, (pick, down, cost))| {
+                    let (child, parent) = (i + 1, pick % (i + 1));
+                    if down {
+                        (parent, child, cost)
+                    } else {
+                        (child, parent, cost)
+                    }
+                })
+                .collect();
+            edges.extend(extra.into_iter().filter(|(a, b, _)| a != b));
+            FlowLp { nodes, edges, sinks }
+        })
+    })
+}
+
+fn build_flow(desc: &FlowLp) -> LpProblem {
+    let mut lp = LpProblem::maximize();
+    let tp = lp.add_var("tp");
+    lp.set_objective(tp, rat(1, 1));
+    let flow: Vec<Vec<_>> = (0..desc.sinks.len())
+        .map(|k| (0..desc.edges.len()).map(|e| lp.add_var(format!("f{k}_{e}"))).collect())
+        .collect();
+    for (k, &sink) in desc.sinks.iter().enumerate() {
+        for node in 1..desc.nodes {
+            let mut e = LinearExpr::new();
+            for (i, &(tail, head, _)) in desc.edges.iter().enumerate() {
+                if head == node {
+                    e.add_term(flow[k][i], rat(1, 1));
+                } else if tail == node {
+                    e.add_term(flow[k][i], rat(-1, 1));
+                }
+            }
+            if node == sink {
+                e.add_term(tp, rat(-1, 1));
+            }
+            lp.add_constraint(format!("cons{k}_{node}"), e, Sense::Eq, rat(0, 1));
+        }
+    }
+    for node in 0..desc.nodes {
+        let (mut out, mut inn) = (LinearExpr::new(), LinearExpr::new());
+        for (i, &(tail, head, cost)) in desc.edges.iter().enumerate() {
+            for per_commodity in &flow {
+                if tail == node {
+                    out.add_term(per_commodity[i], rat(cost, 1));
+                }
+                if head == node {
+                    inn.add_term(per_commodity[i], rat(cost, 1));
+                }
+            }
+        }
+        for (name, e) in [("out", out), ("in", inn)] {
+            if !e.is_empty() {
+                lp.add_constraint(format!("{name}{node}"), e, Sense::Le, rat(1, 1));
+            }
+        }
+    }
+    lp
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -87,23 +203,52 @@ proptest! {
         prop_assert_eq!(&revised.values, &dense.values);
         prop_assert_eq!(&revised.objective, &dense.objective);
         prop_assert_eq!(&revised.duals, &dense.duals);
-        // Cold runs assign rows identically, so even the basis *ordering*
-        // and the pivot counts coincide.
+        // No row is open, so the crash is the identity start: cold runs
+        // assign rows identically, and even the basis *ordering* and the
+        // pivot counts coincide.
+        prop_assert_eq!(crash_report(&lp), (0, 0, false));
         prop_assert_eq!(&revised.basis.cols, &dense.basis.cols);
         prop_assert_eq!(revised.iterations, dense.iterations);
         prop_assert_eq!(revised.phase1_iterations, dense.phase1_iterations);
     }
 
     #[test]
-    fn revised_matches_dense_on_eq_and_ge_rows(desc in random_lp_strategy()) {
+    fn revised_matches_dense_on_eq_and_ge_rows(
+        desc in random_lp_strategy(),
+        floor in (0i64..4, 1i64..12),
+    ) {
         let mut lp = build(&desc);
         augment_with_eq_and_ge(&mut lp);
         let dense = solve_exact(&lp).unwrap();
         let revised = solve_revised::<Ratio>(&lp).unwrap();
-        prop_assert_eq!(&revised.values, &dense.values);
         prop_assert_eq!(&revised.objective, &dense.objective);
-        prop_assert_eq!(&revised.duals, &dense.duals);
-        prop_assert_eq!(&revised.basis.cols, &dense.basis.cols);
+        // Exactly: `lp.check_feasible(values)`, dual feasibility, zero gap.
+        prop_assert_eq!(
+            check_optimal(&lp, &revised.values, &revised.duals),
+            Ok(dense.objective.clone())
+        );
+        // Both zero-rhs rows are crashed, so nothing is left for phase 1.
+        prop_assert_eq!(crash_report(&lp), (2, 2, false));
+        prop_assert_eq!(revised.phase1_iterations, 0);
+
+        // With nonzero-rhs `=` / `>=` rows mixed in the crash takes the same
+        // two rows, phase 1 handles the rest (unless the floor is 0 and its
+        // row open too), and the verdict is still the dense one.
+        augment_with_nonzero_eq_and_ge(&mut lp, &rat(floor.0, floor.1));
+        let (open_rows, covered, phase1) = crash_report(&lp);
+        prop_assert_eq!(open_rows, covered);
+        prop_assert_eq!(open_rows, if floor.0 == 0 { 3 } else { 2 });
+        prop_assert!(phase1);
+        match (solve_exact(&lp), solve_revised::<Ratio>(&lp)) {
+            (Ok(dense), Ok(revised)) => {
+                prop_assert_eq!(&revised.objective, &dense.objective);
+                prop_assert_eq!(
+                    check_optimal(&lp, &revised.values, &revised.duals),
+                    Ok(dense.objective)
+                );
+            }
+            (dense, revised) => prop_assert_eq!(revised.err(), dense.err()),
+        }
     }
 
     #[test]
@@ -114,22 +259,51 @@ proptest! {
         let revised = solve_revised::<Ratio>(&lp).unwrap();
 
         // The revised solver's basis is a valid SolvedBasis for the dense
-        // tableau: it installs (warm) and re-proves the same optimum with
-        // zero pivots, and symmetrically for the dense basis on the
-        // revised solver.
+        // tableau: it installs (warm) and re-proves the optimum with zero
+        // pivots — possibly at another optimal vertex than the dense cold
+        // solve's, since the revised one was reached from the crash.
         let dense_warm = solve_with_basis::<Ratio>(&lp, &revised.basis).unwrap();
         prop_assert!(dense_warm.warm_started);
         prop_assert_eq!(dense_warm.iterations, 0);
-        prop_assert_eq!(&dense_warm.values, &dense.values);
         prop_assert_eq!(&dense_warm.objective, &dense.objective);
-        prop_assert_eq!(&dense_warm.duals, &dense.duals);
+        prop_assert_eq!(
+            check_optimal(&lp, &dense_warm.values, &dense_warm.duals),
+            Ok(dense.objective.clone())
+        );
 
+        // Symmetrically the dense basis on the revised solver — a warm start
+        // from the same basis, so bit for bit the dense solution.
         let revised_warm = solve_revised_with_basis::<Ratio>(&lp, &dense.basis).unwrap();
         prop_assert!(revised_warm.warm_started);
         prop_assert_eq!(revised_warm.iterations, 0);
         prop_assert_eq!(&revised_warm.values, &dense.values);
         prop_assert_eq!(&revised_warm.objective, &dense.objective);
         prop_assert_eq!(&revised_warm.duals, &dense.duals);
+    }
+
+    #[test]
+    fn crash_covers_every_conservation_row_of_a_flow_lp(desc in flow_lp_strategy()) {
+        // The digraph is weakly connected and node 0 has no row, so the
+        // cascade that starts at node 0's edges reaches every node of every
+        // commodity: no artificial is left for phase 1 or for drive-out.
+        let lp = build_flow(&desc);
+        let (open_rows, covered, phase1) = crash_report(&lp);
+        prop_assert_eq!(open_rows, desc.sinks.len() * (desc.nodes - 1));
+        prop_assert_eq!(covered, open_rows);
+        prop_assert!(!phase1);
+
+        let dense = solve_exact(&lp).unwrap();
+        let revised = solve_revised::<Ratio>(&lp).unwrap();
+        prop_assert_eq!(revised.phase1_iterations, 0);
+        prop_assert_eq!(&revised.objective, &dense.objective);
+        prop_assert_eq!(
+            check_optimal(&lp, &revised.values, &revised.duals),
+            Ok(dense.objective.clone())
+        );
+        let dense_warm = solve_with_basis::<Ratio>(&lp, &revised.basis).unwrap();
+        prop_assert!(dense_warm.warm_started);
+        prop_assert_eq!(dense_warm.iterations, 0);
+        prop_assert_eq!(&dense_warm.objective, &dense.objective);
     }
 
     #[test]

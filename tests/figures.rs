@@ -74,6 +74,51 @@ fn figure6_reduce_throughput_trees_and_schedule() {
     assert!(!schedule.computations.is_empty());
 }
 
+/// The paper's LPs through the revised solver's cold start: every row of
+/// `SSSP(G)` / `SSR(G)` that needs an artificial has a zero right-hand side,
+/// so the crash basis leaves none at a positive level, phase 1 never runs,
+/// and the optimum — no artificial above zero, or the values would violate
+/// their row — is the exact dense one.
+#[test]
+fn figure2_and_figure6_lps_start_from_the_crash_without_phase1() {
+    use steady_lp::{RecordingObserver, RevisedOptions, SolveEvent, SolvePhase};
+
+    fn check(name: &str, lp: &steady_lp::LpProblem, throughput: Ratio) {
+        let mut rec = RecordingObserver::unbounded();
+        let (sol, _) = steady_lp::solve_revised_report_observed::<Ratio, _>(
+            lp,
+            None,
+            &RevisedOptions::default(),
+            &mut rec,
+        )
+        .unwrap();
+        assert_eq!(sol.phase1_iterations, 0, "{name}");
+        assert_eq!(sol.objective, throughput, "{name}");
+        assert_eq!(sol.objective, steady_lp::solve_exact(lp).unwrap().objective, "{name}");
+        lp.check_feasible(&sol.values).unwrap();
+
+        let events = rec.finish().events;
+        assert!(
+            events.iter().any(|e| matches!(
+                e.event,
+                SolveEvent::CrashStart { open_rows, covered } if open_rows > 0 && covered > 0
+            )),
+            "{name}: the crash finds zero-rhs artificial rows and covers some"
+        );
+        assert!(
+            !events
+                .iter()
+                .any(|e| e.event == SolveEvent::PhaseStarted { phase: SolvePhase::Phase1 }),
+            "{name}: no phase 1"
+        );
+    }
+
+    let scatter = ScatterProblem::from_instance(figure2()).unwrap();
+    check("figure 2 scatter", &scatter.formulate().0, rat(1, 2));
+    let reduce = ReduceProblem::from_instance(figure6()).unwrap();
+    check("figure 6 reduce", &reduce.formulate().0, rat(1, 1));
+}
+
 /// Figure 5: a single reduction tree on the 3-node clique is structurally valid.
 #[test]
 fn figure5_single_tree() {
