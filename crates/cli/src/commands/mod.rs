@@ -8,7 +8,6 @@ pub mod generate;
 pub mod info;
 pub mod obs_overhead;
 pub mod scaling_sweep;
-pub mod sched_bench;
 pub mod serve_bench;
 pub mod solve;
 pub mod trace;

@@ -13,9 +13,7 @@
 
 use std::io::Write;
 
-use steady_service::{
-    chrome_trace_json, run_load, LoadConfig, SchedulerKind, Service, ServiceConfig,
-};
+use steady_service::{chrome_trace_json, run_load, LoadConfig, Service, ServiceConfig};
 
 use crate::args::{OptionSpec, ParsedArgs};
 use crate::CliError;
@@ -36,7 +34,6 @@ const SPEC: OptionSpec = OptionSpec {
         "max-inflight-cold",
         "cold-queue",
         "trace",
-        "scheduler",
     ],
     flags: &["schedules"],
 };
@@ -44,21 +41,8 @@ const SPEC: OptionSpec = OptionSpec {
 /// Maximum tolerated relative drop in queries/sec against the baseline.
 const MAX_QPS_REGRESSION: f64 = 0.20;
 
-/// Parses the `--scheduler` option (`thread-per-worker`/`tpw`,
-/// `work-stealing`/`ws`; defaults to the engine default).
-pub fn parse_scheduler(parsed: &mut ParsedArgs) -> Result<SchedulerKind, CliError> {
-    match parsed.value("scheduler") {
-        None => Ok(SchedulerKind::default()),
-        Some(raw) => SchedulerKind::parse(raw).ok_or_else(|| {
-            CliError::Usage(format!(
-                "--scheduler expects 'thread-per-worker' or 'work-stealing', got '{raw}'"
-            ))
-        }),
-    }
-}
-
 /// Extracts the numeric value of `"key":<number>` from a flat JSON object.
-pub(crate) fn json_number(text: &str, key: &str) -> Option<f64> {
+fn json_number(text: &str, key: &str) -> Option<f64> {
     let tag = format!("\"{key}\":");
     let start = text.find(&tag)? + tag.len();
     let rest = &text[start..];
@@ -84,7 +68,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     config.cache.shards = parsed.usize_value("shards", config.cache.shards)?;
     config.max_inflight_cold = parsed.usize_value("max-inflight-cold", config.max_inflight_cold)?;
     config.cold_queue = parsed.usize_value("cold-queue", config.cold_queue)?;
-    config.scheduler = parse_scheduler(&mut parsed)?;
     let json_path = parsed.value("out").map(str::to_owned);
     let baseline_path = parsed.value("baseline").map(str::to_owned);
     let snapshot_path = parsed.value("snapshot").map(str::to_owned);
@@ -93,7 +76,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     config.tracing = trace_path.is_some();
 
     let service = Service::start(config);
-    writeln!(out, "scheduler          : {}", service.scheduler_kind().name())?;
     if let Some(path) = &preload_path {
         let restored = service
             .preload(path)

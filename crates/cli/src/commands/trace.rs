@@ -19,7 +19,7 @@ use crate::args::{OptionSpec, ParsedArgs};
 use crate::CliError;
 
 const SPEC: OptionSpec = OptionSpec {
-    valued: &["queries", "clients", "distinct", "workers", "seed", "out", "scheduler"],
+    valued: &["queries", "clients", "distinct", "workers", "seed", "out"],
     flags: &["metrics", "prometheus"],
 };
 
@@ -32,12 +32,9 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         distinct: parsed.usize_value("distinct", 12)?,
         seed: parsed.u64_value("seed", 42)?,
     };
-    let config = ServiceConfig {
-        workers: parsed.usize_value("workers", 2)?,
-        scheduler: super::serve_bench::parse_scheduler(&mut parsed)?,
-        ..ServiceConfig::default()
-    }
-    .traced();
+    let config =
+        ServiceConfig { workers: parsed.usize_value("workers", 2)?, ..ServiceConfig::default() }
+            .traced();
     let path = parsed.value("out").unwrap_or("trace.json").to_owned();
     let want_metrics = parsed.flag("metrics");
     let want_prometheus = parsed.flag("prometheus");

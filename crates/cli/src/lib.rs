@@ -81,11 +81,8 @@ USAGE:
                         [--cache-capacity N] [--shards N] [--seed N] [--out FILE] [--schedules]
                         [--baseline FILE] [--snapshot FILE] [--preload FILE]
                         [--max-inflight-cold N] [--cold-queue N] [--trace FILE]
-                        [--scheduler thread-per-worker|work-stealing]
-  steady sched-bench    [--queries N] [--clients N] [--distinct N] [--workers N] [--prefetch N]
-                        [--seed N] [--out FILE] [--baseline FILE] [--p99-margin F]
   steady trace          [--queries N] [--clients N] [--distinct N] [--workers N] [--seed N]
-                        [--out FILE] [--metrics] [--prometheus] [--scheduler KIND]
+                        [--out FILE] [--metrics] [--prometheus]
   steady obs-overhead   [--queries N] [--clients N] [--distinct N] [--workers N] [--seed N]
                         [--rounds N] [--max-overhead F] [--out FILE] [--trace-out FILE]
   steady drift-bench    [--epochs N] [--hits-per-epoch N] [--workers N] [--ttl N | --no-ttl]
@@ -118,7 +115,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         }
         "solve" => commands::solve::run(rest, out),
         "serve-bench" => commands::serve_bench::run(rest, out),
-        "sched-bench" => commands::sched_bench::run(rest, out),
         "trace" => commands::trace::run(rest, out),
         "obs-overhead" => commands::obs_overhead::run(rest, out),
         "drift-bench" => commands::drift_bench::run(rest, out),
@@ -150,7 +146,6 @@ mod tests {
             "solve scatter",
             "solve reduce",
             "serve-bench",
-            "sched-bench",
             "trace",
             "obs-overhead",
             "drift-bench",

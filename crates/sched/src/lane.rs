@@ -1,11 +1,11 @@
-//! Priority lanes: the shared admission queues both schedulers pull from.
+//! Priority lanes: the shared admission queues the workers pull from.
 //!
 //! Three lanes — demand > revalidation > prefetch — are first-class queues
 //! with strict priority: a worker never takes revalidation work while demand
 //! work is queued, and never takes prefetch work while either of the other
 //! lanes has work.  Every queued task carries an enqueue timestamp, an
 //! optional deadline, and a [`CancelToken`] for cooperative cancellation;
-//! [`LaneQueues::vet`] turns an expired or cancelled task into a terminal
+//! [`LaneQueues::pop`] turns an expired or cancelled task into a terminal
 //! [`Popped`] verdict *before* it reaches a worker, so cancelled prefetch
 //! work never runs and demand work that missed its deadline is shed instead
 //! of solved.
@@ -125,7 +125,7 @@ impl<T> LaneTask<T> {
     }
 }
 
-/// Verdict of a pop (or of vetting a stolen task).
+/// Verdict of a pop.
 #[derive(Debug)]
 pub enum Popped<T> {
     /// A live task: run it.
@@ -153,8 +153,6 @@ pub struct LaneCounters {
     pub cancelled: [u64; 3],
     /// Demand tasks shed because their deadline passed while queued.
     pub demand_timeouts: u64,
-    /// Successful steals from a sibling worker (work-stealing pool only).
-    pub steals: u64,
 }
 
 impl LaneCounters {
@@ -169,7 +167,7 @@ struct LaneState<T> {
     closed: bool,
 }
 
-/// The shared priority-lane injector both schedulers pull from.
+/// The shared priority-lane injector the workers pull from.
 ///
 /// A single mutex (`lanes`, rank 10) guards all three queues so the
 /// priority invariant — never pop a lower lane while a higher lane has work
@@ -234,41 +232,24 @@ impl<T> LaneQueues<T> {
     /// Pops the front task of the highest-priority non-empty lane and vets
     /// it against the clock reading `now`.
     pub fn pop(&self, now: u64) -> Popped<T> {
-        self.pop_with_overflow(now, 0).0
-    }
-
-    /// [`Self::pop`] that additionally grabs up to `extra` more *demand*
-    /// tasks (unvetted — the taker vets them at dequeue) when the popped
-    /// task itself came off the demand lane.  The work-stealing pool uses
-    /// the overflow batch to seed its per-worker deques with stealable work.
-    pub fn pop_with_overflow(&self, now: u64, extra: usize) -> (Popped<T>, Vec<LaneTask<T>>) {
         let mut lanes = self.lanes.lock();
         for lane in LANES {
             if let Some(task) = lanes.queues[lane.index()].pop_front() {
-                let mut batch = Vec::new();
-                if lane == Lane::Demand {
-                    let queue = &mut lanes.queues[Lane::Demand.index()];
-                    while batch.len() < extra {
-                        match queue.pop_front() {
-                            Some(more) => batch.push(more),
-                            None => break,
-                        }
-                    }
-                }
                 drop(lanes);
-                return (self.vet(task, now), batch);
+                return self.vet(task, now);
             }
         }
-        let closed = lanes.closed;
-        drop(lanes);
-        (if closed { Popped::Closed } else { Popped::Empty }, Vec::new())
+        if lanes.closed {
+            Popped::Closed
+        } else {
+            Popped::Empty
+        }
     }
 
     /// Turns a dequeued task into its verdict: cancelled and past-deadline
     /// tasks become terminal [`Popped`] variants (counted), live tasks are
-    /// returned to run.  Also used by the work-stealing pool on tasks taken
-    /// from per-worker deques, so stolen work obeys the same contract.
-    pub fn vet(&self, task: LaneTask<T>, now: u64) -> Popped<T> {
+    /// returned to run.
+    fn vet(&self, task: LaneTask<T>, now: u64) -> Popped<T> {
         let lane = task.lane.index();
         if task.cancel.is_cancelled() {
             // relaxed: monotone report-only counter.
@@ -358,8 +339,7 @@ impl<T> LaneQueues<T> {
         [lanes.queues[0].len() as u64, lanes.queues[1].len() as u64, lanes.queues[2].len() as u64]
     }
 
-    /// Snapshot of depths and event counters.  `steals` is always zero
-    /// here; the work-stealing pool overlays its own count.
+    /// Snapshot of depths and event counters.
     pub fn counters(&self) -> LaneCounters {
         let depth = self.depths();
         let read = |a: &AtomicU64| {
@@ -375,14 +355,12 @@ impl<T> LaneQueues<T> {
                 read(&self.cancelled[2]),
             ],
             demand_timeouts: read(&self.demand_timeouts),
-            steals: 0,
         }
     }
 }
 
 /// Counts scheduled-but-unfinished background (revalidation + prefetch)
-/// tasks, so callers can await quiescence.  Extracted from the engine's old
-/// `PrefetchIdle`, now shared by both schedulers: the lanes bump it on every
+/// tasks, so callers can await quiescence: the lanes bump it on every
 /// background push (under the lane lock), and workers — or the drain paths
 /// in [`LaneQueues::close`] / [`LaneQueues::cancel_lane`] — retire entries
 /// as tasks reach a terminal state (ran, timed out, cancelled, or dropped).
@@ -523,21 +501,6 @@ mod tests {
         assert!(!lanes.push(LaneTask::new(4, Lane::Demand, 0)));
         assert!(matches!(lanes.pop(0), Popped::Task(t) if t.payload == 1));
         assert!(matches!(lanes.pop(0), Popped::Closed));
-    }
-
-    #[test]
-    fn overflow_batch_only_grabs_demand_tasks() {
-        let lanes: LaneQueues<u32> = LaneQueues::new();
-        for i in 0..4 {
-            lanes.push(LaneTask::new(i, Lane::Demand, 0));
-        }
-        lanes.push(LaneTask::new(100, Lane::Prefetch, 0));
-        let (popped, batch) = lanes.pop_with_overflow(0, 2);
-        assert!(matches!(popped, Popped::Task(t) if t.payload == 0));
-        let grabbed: Vec<u32> = batch.into_iter().map(|t| t.payload).collect();
-        assert_eq!(grabbed, vec![1, 2]);
-        // The prefetch task must not ride along in a demand batch.
-        assert_eq!(lanes.depths(), [1, 0, 1]);
     }
 
     #[test]

@@ -1,44 +1,33 @@
-//! `steady-sched`: pluggable scheduler subsystem for the serving core.
+//! `steady-sched`: the scheduler subsystem of the serving core.
 //!
 //! The engine hands this crate an opaque work-item type and a set of
 //! [`WorkerHooks`]; the crate decides *which thread runs which task when*.
 //! Work is admitted through three strict [priority lanes](lane::Lane)
 //! (demand > revalidation > prefetch) with per-task deadlines and
-//! cooperative cancellation, and drained by one of two [`Scheduler`]
-//! implementations:
+//! cooperative cancellation, and drained by [`ThreadPerWorker`]: each
+//! worker blocks on the shared [`lane::LaneQueues`] injector and runs one
+//! task at a time.
 //!
-//! * [`ThreadPerWorker`] — the classic pool: each worker blocks on the
-//!   shared lane injector and runs one task at a time.  This is the
-//!   engine's historical behaviour, extracted behind the trait.
-//! * [`WorkStealing`] — an executor-backed pool: each task is spawned on
-//!   the offline `async-executor` shim, workers keep per-worker deques of
-//!   demand batches and woken runnables, and idle workers steal the oldest
-//!   task from a busy sibling before sleeping.
-//!
-//! Both implementations pull from the same [`lane::LaneQueues`], so lane
-//! priority, deadlines, cancellation and the background [`lane::IdleLatch`]
-//! behave identically; only the dispatch strategy differs.  All
-//! synchronization goes through [`sync`], which swaps to loom-modeled
-//! primitives under `--cfg steady_loom` for the model-check suite.
+//! The [`Scheduler`] / [`Running`] traits are the seam between the engine
+//! and whatever drains the lanes.  All synchronization goes through
+//! [`sync`], which swaps to loom-modeled primitives under
+//! `--cfg steady_loom` for the model-check suite.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod deque;
 pub mod lane;
 pub mod sync;
 mod thread_per_worker;
-mod work_stealing;
 
 use std::sync::Arc;
 use std::time::Duration;
 
 pub use lane::{CancelToken, Lane, LaneCounters, LaneTask, Popped, LANES};
 pub use thread_per_worker::ThreadPerWorker;
-pub use work_stealing::WorkStealing;
 
 /// How long an idle worker parks on the lane condvar before re-polling.
-/// Bounds both shutdown latency and steal latency.
+/// Bounds shutdown latency.
 pub const IDLE_POLL: Duration = Duration::from_millis(1);
 
 /// Source of monotonic clock readings (nanoseconds), supplied by the
@@ -47,12 +36,14 @@ pub const IDLE_POLL: Duration = Duration::from_millis(1);
 pub type NowFn = Arc<dyn Fn() -> u64 + Send + Sync>;
 
 /// What the scheduler calls back into when a task reaches a worker.  The
-/// engine implements this once; both pools drive it.
+/// engine implements this once; the pool drives it.
 ///
-/// `run` executes on a scheduler worker thread and may block (a cold solve
-/// does).  Pools contain panics at this boundary, so a panicking task never
-/// takes down a worker — but hook implementations are still expected to do
-/// their own `catch_unwind` bookkeeping where replies must be delivered.
+/// Every hook executes on a scheduler worker thread and `run` may block (a
+/// cold solve does).  The pool contains a panic from any of the three at
+/// this boundary: the worker survives and a background task is still
+/// retired from the idle latch — but hook implementations are still
+/// expected to do their own `catch_unwind` bookkeeping where replies must
+/// be delivered.
 pub trait WorkerHooks<T>: Send + Sync + 'static {
     /// Run a live task on worker `worker`.
     fn run(&self, worker: usize, task: LaneTask<T>);
@@ -110,41 +101,29 @@ pub trait Running<T: Send + 'static>: Send + Sync {
     fn shutdown(&self);
 }
 
-/// Which [`Scheduler`] implementation to run — the engine's configuration
-/// surface (`ServiceConfig::scheduler`, `--scheduler` on the CLIs).
+/// Which [`Scheduler`] implementation to run.  There is one; the enum stays
+/// because `benchmark/src/probe.rs` starts its pool through
+/// `SchedulerKind::default().build()`, until that is re-pointed at
+/// [`ThreadPerWorker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerKind {
-    /// The classic blocking pool (default; historical engine behaviour).
+    /// The blocking pool: one thread per worker on the shared lanes.
     #[default]
     ThreadPerWorker,
-    /// The executor-backed work-stealing pool.
-    WorkStealing,
 }
 
 impl SchedulerKind {
-    /// Parses a CLI spelling (`thread-per-worker`/`tpw`,
-    /// `work-stealing`/`ws`).
-    pub fn parse(text: &str) -> Option<SchedulerKind> {
-        match text {
-            "thread-per-worker" | "tpw" => Some(SchedulerKind::ThreadPerWorker),
-            "work-stealing" | "ws" => Some(SchedulerKind::WorkStealing),
-            _ => None,
-        }
-    }
-
-    /// Stable name, also the accepted CLI spelling.
+    /// Stable name.
     pub fn name(self) -> &'static str {
         match self {
             SchedulerKind::ThreadPerWorker => "thread-per-worker",
-            SchedulerKind::WorkStealing => "work-stealing",
         }
     }
 
-    /// Instantiates the corresponding [`Scheduler`] with default tuning.
+    /// Instantiates the corresponding [`Scheduler`].
     pub fn build<T: Send + 'static>(self) -> Box<dyn Scheduler<T>> {
         match self {
             SchedulerKind::ThreadPerWorker => Box::new(ThreadPerWorker),
-            SchedulerKind::WorkStealing => Box::new(WorkStealing::default()),
         }
     }
 }
@@ -190,9 +169,10 @@ mod tests {
         Arc::new(move || epoch.elapsed().as_nanos() as u64)
     }
 
-    fn exercise(kind: SchedulerKind) {
+    #[test]
+    fn thread_per_worker_runs_every_lane() {
         let hooks = CountingHooks::new();
-        let pool = kind.build::<u64>().start(3, hooks.clone(), wall_now());
+        let pool = ThreadPerWorker.start(3, hooks.clone(), wall_now());
         let mut expected = 0u64;
         for i in 1..=50u64 {
             let lane = match i % 3 {
@@ -214,43 +194,46 @@ mod tests {
     }
 
     #[test]
-    fn thread_per_worker_runs_every_lane() {
-        exercise(SchedulerKind::ThreadPerWorker);
-    }
-
-    #[test]
-    fn work_stealing_runs_every_lane() {
-        exercise(SchedulerKind::WorkStealing);
-    }
-
-    #[test]
     fn cancelled_prefetch_reaches_the_cancel_hook() {
-        for kind in [SchedulerKind::ThreadPerWorker, SchedulerKind::WorkStealing] {
-            let hooks = CountingHooks::new();
-            // Zero workers: tasks stay queued, so cancellation is
-            // deterministic; a late-started worker must observe it.
-            let pool = kind.build::<u64>().start(0, hooks.clone(), wall_now());
-            let task = LaneTask::new(7, Lane::Prefetch, 0);
-            let token = task.cancel.clone();
-            assert!(pool.submit(task));
-            token.cancel();
-            assert_eq!(pool.backlog(), 1);
-            assert_eq!(pool.cancel_lane(Lane::Prefetch), 1);
-            assert_eq!(pool.backlog(), 0);
-            pool.shutdown();
-            assert_eq!(hooks.ran.load(Ordering::Relaxed), 0);
-            assert_eq!(pool.counters().prefetch_cancelled(), 1);
+        let hooks = CountingHooks::new();
+        // Zero workers: tasks stay queued, so cancellation is
+        // deterministic; a late-started worker must observe it.
+        let pool = ThreadPerWorker.start(0, hooks.clone(), wall_now());
+        let task = LaneTask::new(7, Lane::Prefetch, 0);
+        let token = task.cancel.clone();
+        assert!(pool.submit(task));
+        token.cancel();
+        assert_eq!(pool.backlog(), 1);
+        assert_eq!(pool.cancel_lane(Lane::Prefetch), 1);
+        assert_eq!(pool.backlog(), 0);
+        pool.shutdown();
+        assert_eq!(hooks.ran.load(Ordering::Relaxed), 0);
+        assert_eq!(pool.counters().prefetch_cancelled(), 1);
+    }
+
+    /// Hooks whose `cancelled` verdict panics; `run` reports the payload.
+    struct PanickingCancel(std::sync::mpsc::Sender<u64>);
+
+    impl WorkerHooks<u64> for PanickingCancel {
+        fn run(&self, _worker: usize, task: LaneTask<u64>) {
+            let _ = self.0.send(task.payload);
+        }
+        fn cancelled(&self, _worker: usize, _task: LaneTask<u64>) {
+            panic!("cancelled hook panics");
         }
     }
 
     #[test]
-    fn kind_parse_round_trips() {
-        for kind in [SchedulerKind::ThreadPerWorker, SchedulerKind::WorkStealing] {
-            assert_eq!(SchedulerKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(SchedulerKind::parse("tpw"), Some(SchedulerKind::ThreadPerWorker));
-        assert_eq!(SchedulerKind::parse("ws"), Some(SchedulerKind::WorkStealing));
-        assert_eq!(SchedulerKind::parse("fifo"), None);
-        assert_eq!(SchedulerKind::default(), SchedulerKind::ThreadPerWorker);
+    fn a_panicking_cancel_hook_neither_kills_the_worker_nor_wedges_the_latch() {
+        let (sender, ran) = std::sync::mpsc::channel();
+        let pool = ThreadPerWorker.start(1, Arc::new(PanickingCancel(sender)), wall_now());
+        // Latched before the push, so the only worker pops `Cancelled`.
+        let doomed = LaneTask::new(7, Lane::Prefetch, 0);
+        doomed.cancel.cancel();
+        assert!(pool.submit(doomed));
+        assert!(pool.await_background_idle(Duration::from_secs(10)));
+        assert!(pool.submit(LaneTask::new(8, Lane::Demand, 0)));
+        assert_eq!(ran.recv_timeout(Duration::from_secs(10)), Ok(8));
+        pool.shutdown();
     }
 }

@@ -6,7 +6,7 @@
 //! atomics).  Under `--cfg steady_loom` they map to the `loom` shim's
 //! *modeled* primitives instead, so the model-check suite
 //! (`crates/service/tests/loom_models.rs`, model #7) can exhaustively
-//! enumerate interleavings of the lane/steal protocol:
+//! enumerate interleavings of the lane protocol:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg steady_loom" cargo test -p steady-service --test loom_models
@@ -21,15 +21,12 @@
 //! | rank | locks                                                          |
 //! |------|----------------------------------------------------------------|
 //! | 10   | the priority-lane injector: [`LaneQueues`]' `lanes` state      |
-//! | 12   | per-worker steal targets: each [`WorkDeque`]'s `deque`         |
 //! | 25   | background-idle latch: the [`IdleLatch`] `pending` count       |
 //!
 //! Pushing a background task bumps the idle latch while holding the lane
-//! state (10 → 25); workers consult their own deque only after releasing
-//! the injector, and **never** the reverse.
+//! state (10 → 25), and **never** the reverse.
 //!
 //! [`LaneQueues`]: crate::lane::LaneQueues
-//! [`WorkDeque`]: crate::deque::WorkDeque
 //! [`IdleLatch`]: crate::lane::IdleLatch
 
 #[cfg(not(steady_loom))]

@@ -1,6 +1,5 @@
-//! The classic pool: one blocking thread per worker, all pulling straight
-//! from the shared lane injector.  This is the engine's historical dispatch
-//! strategy, extracted behind the [`Scheduler`] trait.
+//! The pool: one blocking thread per worker, all pulling straight from the
+//! shared lane injector.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -11,7 +10,7 @@ use crate::lane::{Lane, LaneCounters, LaneQueues, LaneTask, Popped};
 use crate::sync::Mutex;
 use crate::{NowFn, Running, Scheduler, WorkerHooks, IDLE_POLL};
 
-/// The thread-per-worker scheduling strategy (the default).
+/// The thread-per-worker scheduling strategy.
 pub struct ThreadPerWorker;
 
 impl<T: Send + 'static> Scheduler<T> for ThreadPerWorker {
@@ -33,7 +32,7 @@ impl<T: Send + 'static> Scheduler<T> for ThreadPerWorker {
                 let now = Arc::clone(&now);
                 std::thread::Builder::new()
                     .name(format!("steady-tpw-{worker}"))
-                    .spawn(move || worker_loop(worker, &lanes, &hooks, &now))
+                    .spawn(move || worker_loop(worker, &lanes, &*hooks, &now))
                     // Documented fail-fast at startup: if the OS refuses a
                     // thread the pool cannot exist.
                     // lint: allow(panics)
@@ -94,42 +93,41 @@ impl<T> Drop for Pool<T> {
 fn worker_loop<T: Send + 'static>(
     worker: usize,
     lanes: &LaneQueues<T>,
-    hooks: &Arc<dyn WorkerHooks<T>>,
+    hooks: &dyn WorkerHooks<T>,
     now: &NowFn,
 ) {
     loop {
-        match lanes.pop(now()) {
-            Popped::Task(task) => run_task(worker, task, lanes, hooks),
-            Popped::TimedOut(task) => {
-                let background = task.lane.is_background();
-                hooks.timed_out(worker, task);
-                if background {
-                    lanes.idle_latch().finish_one();
-                }
+        let (task, hook): (_, Hook<T>) = match lanes.pop(now()) {
+            Popped::Task(task) => (task, WorkerHooks::run),
+            Popped::TimedOut(task) => (task, WorkerHooks::timed_out),
+            Popped::Cancelled(task) => (task, WorkerHooks::cancelled),
+            Popped::Empty => {
+                lanes.wait_for_work(IDLE_POLL);
+                continue;
             }
-            Popped::Cancelled(task) => {
-                let background = task.lane.is_background();
-                hooks.cancelled(worker, task);
-                if background {
-                    lanes.idle_latch().finish_one();
-                }
-            }
-            Popped::Empty => lanes.wait_for_work(IDLE_POLL),
             Popped::Closed => return,
-        }
+        };
+        retire(worker, task, hook, lanes, hooks);
     }
 }
 
-fn run_task<T: Send + 'static>(
+/// The [`WorkerHooks`] method a popped task's verdict selects.
+type Hook<T> = fn(&dyn WorkerHooks<T>, usize, LaneTask<T>);
+
+/// Hands a popped task to the hook its verdict selected, then retires it
+/// from the idle latch.
+fn retire<T: Send + 'static>(
     worker: usize,
     task: LaneTask<T>,
+    hook: Hook<T>,
     lanes: &LaneQueues<T>,
-    hooks: &Arc<dyn WorkerHooks<T>>,
+    hooks: &dyn WorkerHooks<T>,
 ) {
     let background = task.lane.is_background();
-    // Contain panics at the pool boundary: a panicking task must not take
-    // down its worker thread or wedge the background-idle latch.
-    let _ = catch_unwind(AssertUnwindSafe(|| hooks.run(worker, task)));
+    // Contain panics at the pool boundary, whichever hook raised them: a
+    // panicking task must not take down its worker thread or wedge the
+    // background-idle latch.
+    let _ = catch_unwind(AssertUnwindSafe(|| hook(hooks, worker, task)));
     if background {
         lanes.idle_latch().finish_one();
     }

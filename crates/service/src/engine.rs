@@ -1,6 +1,6 @@
-//! The serving engine: a scheduler-generic worker pool with single-flight
-//! deduplication, drift-triaged solves, TTL revalidation and requeue-based
-//! admission control.
+//! The serving engine: a worker pool with single-flight deduplication,
+//! drift-triaged solves, TTL revalidation and requeue-based admission
+//! control.
 //!
 //! A query's **front half** runs on the thread that asks
 //! ([`Service::query`] / [`Service::submit`]): validate, fingerprint, and
@@ -13,11 +13,9 @@
 //!
 //! Work dispatch is delegated to the `steady-sched` subsystem: misses are
 //! admitted onto three strict priority lanes (demand > revalidation >
-//! prefetch) and drained by the scheduler named in
-//! [`ServiceConfig::scheduler`] — the classic thread-per-worker pool by
-//! default, or the executor-backed work-stealing pool.  Both produce
-//! identical answers; only *which thread runs which task when* differs.
-//! Whatever the scheduler, a worker that picks up a missed query:
+//! prefetch) and drained by its thread-per-worker pool
+//! ([`ServiceConfig::workers`] threads blocking on the shared lanes).  A
+//! worker that picks up a missed query:
 //!
 //! 1. (revalidation lane only — proactive refreshes have no caller thread)
 //!    runs the same front half itself;
@@ -65,7 +63,7 @@ use steady_core::problem::SolvedBasis;
 use steady_platform::Platform;
 
 use steady_drift::Triage;
-use steady_sched::{Lane, LaneTask, NowFn, Running, SchedulerKind, WorkerHooks};
+use steady_sched::{Lane, LaneTask, NowFn, Running, Scheduler, ThreadPerWorker, WorkerHooks};
 
 use crate::cache::{CacheConfig, CacheStats, Lookup, SolutionCache};
 use crate::fingerprint::Fingerprint;
@@ -164,12 +162,6 @@ pub struct ServiceConfig {
     /// oldest is evicted (only meaningful with `solver_events`); losses are
     /// counted, never blocking.
     pub solver_record_capacity: usize,
-    /// Which scheduler drains the priority lanes (see [`steady_sched`]).
-    /// The default, [`SchedulerKind::ThreadPerWorker`], is the engine's
-    /// historical dispatch; [`SchedulerKind::WorkStealing`] runs every task
-    /// on the executor shim with per-worker deques and stealing.  Answers
-    /// are identical either way.
-    pub scheduler: SchedulerKind,
     /// Optional per-task deadline for the demand lane: a query still queued
     /// this long after submission is shed (counted in
     /// [`ServiceStats::demand_timeouts`]) instead of run — bounding how
@@ -192,7 +184,6 @@ impl Default for ServiceConfig {
             trace_capacity: 4096,
             solver_events: false,
             solver_record_capacity: 64,
-            scheduler: SchedulerKind::default(),
             demand_deadline: None,
         }
     }
@@ -214,12 +205,6 @@ impl ServiceConfig {
     /// Turns on per-solve solver event recording (see [`crate::recorder`]).
     pub fn with_solver_events(mut self) -> Self {
         self.solver_events = true;
-        self
-    }
-
-    /// Selects the scheduler that drains the priority lanes.
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.scheduler = kind;
         self
     }
 
@@ -375,9 +360,6 @@ pub struct ServiceStats {
     /// Prefetch tasks cancelled (or dropped at shutdown/expiry) before they
     /// ran — see [`Service::cancel_prefetch`].
     pub prefetch_cancelled: u64,
-    /// Tasks executed by a worker that stole them from a busy sibling
-    /// (always 0 under the thread-per-worker scheduler).
-    pub steals: u64,
     /// Evictions where the drift-aware preference overrode plain LRU (see
     /// [`CacheStats::preferred_evictions`]).
     pub preferred_evictions: u64,
@@ -472,7 +454,6 @@ impl ServiceStats {
             predicted_exits: self.predicted_exits.saturating_sub(earlier.predicted_exits),
             demand_timeouts: self.demand_timeouts.saturating_sub(earlier.demand_timeouts),
             prefetch_cancelled: self.prefetch_cancelled.saturating_sub(earlier.prefetch_cancelled),
-            steals: self.steals.saturating_sub(earlier.steals),
             preferred_evictions: self
                 .preferred_evictions
                 .saturating_sub(earlier.preferred_evictions),
@@ -559,13 +540,12 @@ fn tailor(answer: &Arc<Answer>, platform: &Platform) -> Arc<Answer> {
 }
 
 /// What the scheduler dispatches: the engine's one work-item type, with one
-/// variant per lane.  (The idle-detection and prefetch-drain machinery that
-/// used to live here — `PrefetchIdle` and the idle-poll loop — moved into
-/// `steady-sched`'s reusable `lane` module, shared by both schedulers.)
+/// variant per lane.  (Idle detection and the prefetch drain live in
+/// `steady-sched`'s `lane` module.)
 enum WorkItem {
     /// An interactive query the caller's thread could not answer from the
     /// cache (demand lane).  Boxed: a job carries its query and trace by
-    /// value, and lane tasks are moved between queues and deques.
+    /// value, and lane tasks are moved through the lane queues.
     Demand(Box<Job>),
     /// A proactive TTL refresh (revalidation lane), scheduled by
     /// [`Service::schedule_revalidation`]: nobody waits on it, so its whole
@@ -853,7 +833,6 @@ enum Inline {
 /// every worker.
 pub struct Service {
     running: Box<dyn Running<WorkItem>>,
-    scheduler: SchedulerKind,
     demand_deadline: Option<Duration>,
     shared: Arc<Shared>,
 }
@@ -930,13 +909,8 @@ impl Service {
             Arc::new(move || clock.now_nanos())
         };
         let hooks = Arc::new(EngineWorker { shared: Arc::clone(&shared) });
-        let running = config.scheduler.build::<WorkItem>().start(workers, hooks, now);
-        let service = Service {
-            running,
-            scheduler: config.scheduler,
-            demand_deadline: config.demand_deadline,
-            shared,
-        };
+        let running = ThreadPerWorker.start(workers, hooks, now);
+        let service = Service { running, demand_deadline: config.demand_deadline, shared };
         if let Some(path) = &config.preload_from {
             // lint: allow(panics) — documented fail-fast at startup.
             service.preload(path).expect("preloading the configured snapshot");
@@ -1192,7 +1166,6 @@ impl Service {
             predicted_exits: gauge(&self.shared.predicted_exits),
             demand_timeouts: lanes.demand_timeouts,
             prefetch_cancelled: lanes.prefetch_cancelled(),
-            steals: lanes.steals,
             preferred_evictions: cache.preferred_evictions,
             insertions: cache.insertions,
             evictions: cache.evictions,
@@ -1233,7 +1206,6 @@ impl Service {
         snap.push_counter("predicted_exits", stats.predicted_exits);
         snap.push_counter("demand_timeouts", stats.demand_timeouts);
         snap.push_counter("prefetch_cancelled", stats.prefetch_cancelled);
-        snap.push_counter("steals", stats.steals);
         snap.push_counter("preferred_evictions", stats.preferred_evictions);
         snap.push_counter("insertions", stats.insertions);
         snap.push_counter("evictions", stats.evictions);
@@ -1248,11 +1220,6 @@ impl Service {
         snap.push_gauge("lane_revalidation_depth", lanes.depth[Lane::Revalidation.index()]);
         snap.push_gauge("lane_prefetch_depth", lanes.depth[Lane::Prefetch.index()]);
         snap
-    }
-
-    /// Which scheduler is draining the lanes (the `--scheduler` switch).
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.scheduler
     }
 
     /// Whether per-query lifecycle tracing is on

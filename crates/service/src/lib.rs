@@ -103,7 +103,7 @@ pub use obs::{
 };
 pub use query::{solve_query, Answer, Collective, Query};
 pub use recorder::{SolveFlightRecorder, SolveRecord};
-pub use steady_sched::{Lane, LaneCounters, SchedulerKind};
+pub use steady_sched::{Lane, LaneCounters};
 
 /// Error produced while validating or solving a query.
 ///

@@ -341,7 +341,7 @@ impl LoadReport {
              ttl / requeue      : {} expired, {} revalidated, {} requeued, {} stale-served\n\
              mean pivots        : {:.1} warm vs {:.1} cold\n\
              mean solve latency : {:.1} µs warm vs {:.1} µs cold\n\
-             scheduler lanes    : {} demand timeouts, {} prefetch cancelled, {} steals\n",
+             scheduler lanes    : {} demand timeouts, {} prefetch cancelled\n",
             self.queries,
             self.distinct,
             self.clients,
@@ -371,7 +371,6 @@ impl LoadReport {
             self.stats.mean_cold_solve_micros(),
             self.stats.demand_timeouts,
             self.stats.prefetch_cancelled,
-            self.stats.steals,
         );
         out.push_str(&stage_table(&self.metrics));
         out

@@ -21,7 +21,6 @@
 //! | rank | locks                                                        |
 //! |------|--------------------------------------------------------------|
 //! | 10   | admission/dispatch: single-flight `table`, gate `state`, scheduler `lanes` injector (`steady_sched::sync`) |
-//! | 12   | scheduler per-worker `deque`s (`steady_sched::sync`)          |
 //! | 20   | side tables: `bases`, prefetch-ledger `keys`                  |
 //! | 25   | background-idle latch: the `pending` count its condvar waits on (`steady_sched::sync`) |
 //! | 30   | cache `shard` locks (and any `cache.` method call)            |
@@ -29,7 +28,7 @@
 //! | 50   | observability leaves: worker and caller-side trace `ring`s   |
 //! | 55   | the solver flight `recorder` buffer (anomalous-solve ring)    |
 //!
-//! Ranks 10/12/25 for the scheduler's own locks live in `steady-sched`'s
+//! Ranks 10/25 for the scheduler's own locks live in `steady-sched`'s
 //! `sync` facade (same cfg switch, same loom shim) and are listed here so
 //! the hierarchy stays one table.  In particular: the single-flight
 //! admission lock may call into the cache (10 → 30), the cache may consult

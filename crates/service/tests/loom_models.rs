@@ -368,27 +368,23 @@ fn solve_recorder_loses_nothing_uncounted() {
     });
 }
 
-/// Protocol 7 — the scheduler's work-stealing deque + priority-lane pop
-/// protocol (`steady_sched`): a worker that batch-pops the demand lane into
-/// its private deque races a sibling stealing from that deque, both race
-/// the shared injector, and a canceller races them all for the queued
-/// prefetch task.  Across every interleaving each demand task runs exactly
-/// once (popped, drained from the deque, or stolen — never duplicated,
-/// never lost), the prefetch task either runs exactly once or is cancelled
+/// Protocol 7 — the scheduler's priority-lane pop protocol
+/// (`steady_sched`): two workers popping the shared injector race each
+/// other and a canceller going for the queued prefetch task.  Across every
+/// interleaving each demand task runs exactly once (never duplicated, never
+/// lost), the prefetch task either runs exactly once or is cancelled
 /// without running (never both), and the background idle latch always
 /// drains back to zero.
 #[test]
-fn lane_steal_runs_each_task_exactly_once() {
-    use steady_sched::deque::WorkDeque;
+fn lane_pop_runs_each_task_exactly_once() {
     use steady_sched::lane::LaneQueues;
     use steady_sched::{Lane, LaneTask, Popped};
 
-    explore("lane_steal", Builder::default(), || {
+    explore("lane_pop", Builder::default(), || {
         let lanes: Arc<LaneQueues<u64>> = Arc::new(LaneQueues::new());
-        let deque: Arc<WorkDeque<LaneTask<u64>>> = Arc::new(WorkDeque::new());
         let ran = Arc::new(Mutex::new(Vec::new()));
 
-        // Retires a pop verdict the way both pools do: live tasks "run"
+        // Retires a pop verdict the way the pool does: live tasks "run"
         // (recorded), terminal background verdicts retire the idle latch.
         fn retire(lanes: &LaneQueues<u64>, ran: &Mutex<Vec<u64>>, verdict: Popped<u64>) {
             match verdict {
@@ -411,48 +407,29 @@ fn lane_steal_runs_each_task_exactly_once() {
         lanes.push(LaneTask::new(2, Lane::Demand, 0));
         lanes.push(LaneTask::new(10, Lane::Prefetch, 0));
 
-        let owner = {
+        // Two turns of the worker loop each: between them the workers can
+        // take every queued task, or leave some for the final drain.
+        let worker = || {
             let lanes = Arc::clone(&lanes);
-            let deque = Arc::clone(&deque);
             let ran = Arc::clone(&ran);
             thread::spawn(move || {
-                // Batch-pop: take one demand task plus a stealable overflow
-                // batch into the private deque, then drain what's left of it.
-                let (popped, batch) = lanes.pop_with_overflow(0, 2);
-                deque.push_many(batch);
-                retire(&lanes, &ran, popped);
-                while let Some(task) = deque.pop() {
-                    retire(&lanes, &ran, lanes.vet(task, 0));
+                for _ in 0..2 {
+                    let verdict = lanes.pop(0);
+                    retire(&lanes, &ran, verdict);
                 }
             })
         };
-        let thief = {
-            let lanes = Arc::clone(&lanes);
-            let deque = Arc::clone(&deque);
-            let ran = Arc::clone(&ran);
-            thread::spawn(move || {
-                // Steal the oldest batched task, then fall back to the
-                // injector — the work-stealing worker's idle path.
-                if let Some(task) = deque.steal() {
-                    retire(&lanes, &ran, lanes.vet(task, 0));
-                }
-                let verdict = lanes.pop(0);
-                retire(&lanes, &ran, verdict);
-            })
-        };
+        let (first, second) = (worker(), worker());
         let canceller = {
             let lanes = Arc::clone(&lanes);
             thread::spawn(move || lanes.cancel_lane(Lane::Prefetch))
         };
-        owner.join().unwrap();
-        thief.join().unwrap();
+        first.join().unwrap();
+        second.join().unwrap();
         let cancelled = canceller.join().unwrap();
 
         // Main drains whatever the racing workers left behind, exactly like
         // a worker observing the close.
-        while let Some(task) = deque.pop() {
-            retire(&lanes, &ran, lanes.vet(task, 0));
-        }
         loop {
             match lanes.pop(0) {
                 Popped::Empty | Popped::Closed => break,

@@ -6,15 +6,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use steady_service::obs::ManualClock;
-use steady_service::{query_mix, SchedulerKind, ServeError, ServedVia, Service, ServiceConfig};
+use steady_service::{query_mix, ServeError, ServedVia, Service, ServiceConfig};
 
-fn start(
-    kind: SchedulerKind,
-    clock: &Arc<ManualClock>,
-    demand_deadline: Option<Duration>,
-) -> Service {
+fn start(clock: &Arc<ManualClock>, demand_deadline: Option<Duration>) -> Service {
     Service::start_with_clock(
-        ServiceConfig { workers: 1, scheduler: kind, demand_deadline, ..ServiceConfig::default() },
+        ServiceConfig { workers: 1, demand_deadline, ..ServiceConfig::default() },
         Arc::clone(clock) as Arc<dyn steady_service::Clock>,
     )
 }
@@ -25,20 +21,18 @@ fn start(
 /// [`ServeError::Shed`], the timeout counter ticks, and no solve runs.
 #[test]
 fn demand_lane_timeouts_fire_on_the_manual_clock() {
-    for kind in [SchedulerKind::ThreadPerWorker, SchedulerKind::WorkStealing] {
-        let clock = Arc::new(ManualClock::new());
-        let service = start(kind, &clock, Some(Duration::ZERO));
-        let mix = query_mix(4, 7);
-        for query in &mix[..3] {
-            match service.query(query.clone()) {
-                Err(ServeError::Shed) => {}
-                other => panic!("{kind:?}: expected a deadline shed, got {other:?}"),
-            }
+    let clock = Arc::new(ManualClock::new());
+    let service = start(&clock, Some(Duration::ZERO));
+    let mix = query_mix(4, 7);
+    for query in &mix[..3] {
+        match service.query(query.clone()) {
+            Err(ServeError::Shed) => {}
+            other => panic!("expected a deadline shed, got {other:?}"),
         }
-        let stats = service.stats();
-        assert_eq!(stats.demand_timeouts, 3, "{kind:?}: every demand task must time out");
-        assert_eq!(stats.solves, 0, "{kind:?}: a timed-out task must never solve");
     }
+    let stats = service.stats();
+    assert_eq!(stats.demand_timeouts, 3, "every demand task must time out");
+    assert_eq!(stats.solves, 0, "a timed-out task must never solve");
 }
 
 /// With a generous deadline the same frozen clock never sheds: queries are
@@ -49,7 +43,7 @@ fn demand_lane_timeouts_fire_on_the_manual_clock() {
 #[test]
 fn unexpired_deadlines_never_shed() {
     let clock = Arc::new(ManualClock::new());
-    let service = start(SchedulerKind::WorkStealing, &clock, Some(Duration::from_secs(3600)));
+    let service = start(&clock, Some(Duration::from_secs(3600)));
     let mix = query_mix(4, 7);
     let first = service.query(mix[0].clone()).expect("an unexpired query must be served");
     assert_eq!(first.via, ServedVia::Solve);
@@ -77,35 +71,30 @@ fn unexpired_deadlines_never_shed() {
 /// are cancelled, none ever solves, and the cache gains no entries.
 #[test]
 fn cancelled_prefetch_tasks_never_publish() {
-    for kind in [SchedulerKind::ThreadPerWorker, SchedulerKind::WorkStealing] {
-        let clock = Arc::new(ManualClock::new());
-        let service = start(kind, &clock, None);
-        let mix = query_mix(12, 99);
+    let clock = Arc::new(ManualClock::new());
+    let service = start(&clock, None);
+    let mix = query_mix(12, 99);
 
-        // Pin the lone worker: three cold demand solves it must fully
-        // drain (strict lane priority) before it could reach any prefetch.
-        let replies: Vec<_> = mix[..3].iter().map(|q| service.submit(q.clone())).collect();
+    // Pin the lone worker: three cold demand solves it must fully
+    // drain (strict lane priority) before it could reach any prefetch.
+    let replies: Vec<_> = mix[..3].iter().map(|q| service.submit(q.clone())).collect();
 
-        let scheduled = service.schedule_prefetch(
-            mix[3..9]
-                .iter()
-                .map(|q| steady_service::PrefetchJob { query: q.clone(), predicted_exit: false }),
-        );
-        assert_eq!(scheduled, 6, "{kind:?}: every prefetch job must queue");
-        let cancelled = service.cancel_prefetch();
-        assert_eq!(cancelled, 6, "{kind:?}: all queued prefetch jobs must cancel");
+    let scheduled = service.schedule_prefetch(
+        mix[3..9]
+            .iter()
+            .map(|q| steady_service::PrefetchJob { query: q.clone(), predicted_exit: false }),
+    );
+    assert_eq!(scheduled, 6, "every prefetch job must queue");
+    let cancelled = service.cancel_prefetch();
+    assert_eq!(cancelled, 6, "all queued prefetch jobs must cancel");
 
-        for reply in replies {
-            reply.recv().expect("demand reply").expect("{kind:?}: demand query failed");
-        }
-        assert!(service.await_prefetch_idle(Duration::from_secs(10)));
-
-        let stats = service.stats();
-        assert_eq!(stats.prefetch_cancelled, 6, "{kind:?}: cancel count must stick");
-        assert_eq!(stats.prefetched, 0, "{kind:?}: a cancelled prefetch ran anyway");
-        assert_eq!(
-            stats.cached_entries, 3,
-            "{kind:?}: a cancelled prefetch published to the cache"
-        );
+    for reply in replies {
+        reply.recv().expect("demand reply").expect("demand query failed");
     }
+    assert!(service.await_prefetch_idle(Duration::from_secs(10)));
+
+    let stats = service.stats();
+    assert_eq!(stats.prefetch_cancelled, 6, "cancel count must stick");
+    assert_eq!(stats.prefetched, 0, "a cancelled prefetch ran anyway");
+    assert_eq!(stats.cached_entries, 3, "a cancelled prefetch published to the cache");
 }

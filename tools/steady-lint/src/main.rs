@@ -351,12 +351,11 @@ fn rule_relaxed(path: &Path, lines: &[Line], mask: &[bool], out: &mut Vec<Violat
 // ---------------------------------------------------------------------------
 
 /// The documented lock order of `steady_service::sync` (which also lists
-/// the `steady_sched::sync` locks at ranks 10/12/25), by the receiver's
+/// the `steady_sched::sync` locks at ranks 10/25), by the receiver's
 /// final named path component.
 fn lock_rank(name: &str) -> Option<u32> {
     match name {
         "table" | "state" | "lanes" => Some(10),
-        "deque" | "deques" => Some(12),
         "bases" | "keys" => Some(20),
         "pending" => Some(25),
         "shard" | "shards" => Some(30),
@@ -453,9 +452,8 @@ fn rule_lock_order(path: &Path, lines: &[Line], mask: &[bool], out: &mut Vec<Vio
                         message: format!(
                             "acquiring rank-{rank} lock via `{what}` while holding rank-{} \
                              guard `{}` — documented order is admission/lanes(10) < \
-                             worker deques(12) < ledger/bases(20) < background-idle(25) < \
-                             cache shards(30) < seeded(40) < trace ring(50), strictly \
-                             ascending",
+                             ledger/bases(20) < background-idle(25) < cache shards(30) < \
+                             seeded(40) < trace ring(50), strictly ascending",
                             h.rank, h.name
                         ),
                     });
