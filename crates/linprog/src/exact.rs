@@ -722,7 +722,21 @@ mod tests {
         lp.set_objective(y, rat(1, 1));
         lp.add_constraint("a", expr(&[(x, rat(1, 1)), (y, rat(2, 1))]), Sense::Ge, rat(4, 1));
         lp.add_constraint("b", expr(&[(x, rat(3, 1)), (y, rat(1, 1))]), Sense::Ge, rat(6, 1));
-        let sol = solve_certified(&lp).unwrap();
-        assert_eq!(sol.objective, rat(14, 5));
+        // Both routes must certify from their own duals: a minimization's
+        // come out in its own sense, or `check_optimal` rejects them by sign
+        // and the answer is an uncertified exact re-solve.
+        let revised = CertifyOptions { revised_threshold: 0, ..Default::default() };
+        for options in [CertifyOptions::default(), revised] {
+            assert_eq!(routes_to_revised(&lp, &options), options.revised_threshold == 0);
+            let sol = solve_certified_with_options(&lp, &options).unwrap();
+            assert_eq!(sol.objective, rat(14, 5));
+            assert_eq!(sol.certificate, Certificate::Optimal);
+            assert_eq!(check_optimal(&lp, &sol.values, &sol.duals), Ok(rat(14, 5)));
+        }
+        // The exact solvers agree with that convention, dense and revised.
+        let dense = simplex::solve_exact(&lp).unwrap();
+        assert_eq!(check_optimal(&lp, &dense.values, &dense.duals), Ok(rat(14, 5)));
+        let sparse = revised::solve_revised::<Ratio>(&lp).unwrap();
+        assert_eq!(check_optimal(&lp, &sparse.values, &sparse.duals), Ok(rat(14, 5)));
     }
 }

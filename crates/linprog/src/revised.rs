@@ -765,19 +765,21 @@ impl<'a, S: Scalar> Revised<'a, S> {
                 objective = objective.add(&c.mul(&values[j]));
             }
         }
-        if matches!(problem.direction(), Objective::Minimize) {
+        let minimize = matches!(problem.direction(), Objective::Minimize);
+        if minimize {
             objective = objective.neg();
         }
 
         // Duals: y = B⁻ᵀ c_B; the dual of original row i is y[i] since the
-        // initial-identity column of row i is e_i (negated rows flip sign),
+        // initial-identity column of row i is e_i (negated rows flip sign,
+        // and so does a minimization, whose costs are in maximization form),
         // exactly as the dense path reads them off the init_col columns.
         let cb: Vec<S> = self.basic.iter().map(|&j| self.sf.costs[j].clone()).collect();
         let y = self.factors.btran(cb);
         let duals: Vec<S> = y
             .into_iter()
             .zip(&self.sf.negated)
-            .map(|(v, &neg)| if neg { v.neg() } else { v })
+            .map(|(v, &neg)| if neg != minimize { v.neg() } else { v })
             .collect();
 
         let basis = SolvedBasis {

@@ -150,9 +150,10 @@ pub struct Solution<S> {
     pub values: Vec<S>,
     /// Objective value in the problem's own direction.
     pub objective: S,
-    /// Dual value per original constraint (sign convention: dual of the
-    /// maximization problem; `>= 0` for `<=` rows, `<= 0` for `>=` rows,
-    /// free for `==` rows).
+    /// Dual value per original constraint, in the problem's own direction:
+    /// for a maximization `>= 0` on `<=` rows and `<= 0` on `>=` rows, for a
+    /// minimization the reverse, free on `==` rows — the convention
+    /// [`check_optimal`](crate::exact::check_optimal) verifies.
     pub duals: Vec<S>,
     /// Number of simplex pivots performed (both phases).
     pub iterations: usize,
@@ -1067,12 +1068,15 @@ impl<S: Scalar> Tableau<S> {
                 objective = objective.add(&c.mul(&values[j]));
             }
         }
-        if matches!(problem.direction(), Objective::Minimize) {
+        let minimize = matches!(problem.direction(), Objective::Minimize);
+        if minimize {
             objective = objective.neg();
         }
 
         // ---- Extract the duals: y_i = c_B^T B^{-1} e_i, read from the column
-        // that formed the initial identity of row i. ----
+        // that formed the initial identity of row i.  `costs` are in
+        // maximization form, so a minimization's duals flip back with its
+        // objective: they are reported in the problem's own sense. ----
         let mut duals = Vec::with_capacity(self.num_rows());
         for i in 0..self.num_rows() {
             let col = self.init_col[i];
@@ -1088,7 +1092,7 @@ impl<S: Scalar> Tableau<S> {
                 }
                 y = y.add(&cb.mul(t));
             }
-            if self.negated[i] {
+            if self.negated[i] != minimize {
                 y = y.neg();
             }
             duals.push(y);

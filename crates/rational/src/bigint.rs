@@ -1,15 +1,38 @@
-//! Sign-magnitude arbitrary-precision integers.
+//! Arbitrary-precision integers with an inline machine-word form.
 //!
 //! The steady-state scheduling pipeline needs *exact* rational arithmetic:
 //! the period of the periodic schedule is the least common multiple of the
 //! denominators of the linear-program solution, and the correctness proofs of
 //! the paper (conservation laws, one-port feasibility) only hold if no
-//! rounding occurs.  [`BigInt`] is a small, dependency-free implementation of
-//! the integer layer: little-endian `u64` limbs plus a sign.
+//! rounding occurs.  [`BigInt`] is the dependency-free integer layer.
 //!
-//! The implementation favours clarity over asymptotic sophistication
-//! (schoolbook multiplication and division); the integers manipulated by the
-//! scheduler stay small (tens of digits), so this is more than fast enough.
+//! # Two forms, one value
+//!
+//! The paper's data are small integer ratios (link costs, message sizes, task
+//! weights), and so is nearly every intermediate of an exact simplex run, so
+//! a [`BigInt`] is stored in one of two forms:
+//!
+//! * **inline** — an `i64`, no heap allocation;
+//! * **limbs** — a sign flag plus little-endian `u64` limbs with no leading
+//!   zero limb, for everything else (schoolbook multiplication, Knuth
+//!   algorithm D division: clarity over asymptotic sophistication).
+//!
+//! **Canonicity invariant:** a value that fits `i64` is *always* inline, so
+//! every value has exactly one representation and the derived `Eq` and `Hash`
+//! compare and hash values, not forms.  Every constructor and every operation
+//! upholds it: results of the limb routines are demoted by `from_limbs`.
+//!
+//! **Promotion:** `+`, `-`, `*` promote when the checked machine operation
+//! overflows; negation and [`BigInt::abs`] promote at `i64::MIN`;
+//! [`BigInt::div_rem`] at `i64::MIN / -1`; [`BigInt::gcd`] at `2^63` (the gcd
+//! of `i64::MIN` with itself or zero); conversions from `u64`/`i128`/`u128`
+//! and [`std::str::FromStr`] whenever the value is out of range.  Everything
+//! else on two inline operands stays inline, and an operation with a limb
+//! operand runs the limb routine on borrowed magnitudes (an inline operand
+//! lends its single limb from the stack).
+//!
+//! `Display`/`FromStr` encode the value in decimal and do not depend on the
+//! form (the service's query fingerprint and its snapshots rely on that).
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -47,13 +70,43 @@ impl Sign {
     }
 }
 
-/// Arbitrary-precision signed integer (sign + magnitude, little-endian `u64`
-/// limbs, no leading zero limb).
+/// Arbitrary-precision signed integer: an inline `i64`, or sign + magnitude
+/// (little-endian `u64` limbs, no leading zero limb) for a value outside the
+/// `i64` range.  See the [module documentation](self) for the invariant.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct BigInt {
-    sign: bool,
-    /// `true` means negative. Zero always has `sign == false`.
-    limbs: Vec<u64>,
+pub struct BigInt(Repr);
+
+/// The representation behind [`BigInt`]; as wide as the limb form alone (the
+/// discriminant lives in the `bool`'s niche).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Repr {
+    /// Every value in `i64::MIN..=i64::MAX`.
+    Small(i64),
+    /// Every other value.  `negative` is `false` for an empty magnitude.
+    Large { negative: bool, limbs: Vec<u64> },
+}
+
+/// Greatest common divisor of two machine words (binary algorithm);
+/// `gcd_u64(0, x) == x`.
+pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    if a == 1 || b == 1 {
+        return 1;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
 }
 
 /// Error returned when parsing a [`BigInt`] from a string fails.
@@ -74,51 +127,91 @@ impl std::error::Error for ParseBigIntError {}
 impl BigInt {
     /// The integer 0.
     pub fn zero() -> Self {
-        BigInt { sign: false, limbs: Vec::new() }
+        BigInt(Repr::Small(0))
     }
 
     /// The integer 1.
     pub fn one() -> Self {
-        BigInt { sign: false, limbs: vec![1] }
+        BigInt(Repr::Small(1))
     }
 
-    /// Builds a big integer from raw limbs (little-endian) and a sign flag.
-    fn from_limbs(sign: bool, mut limbs: Vec<u64>) -> Self {
+    /// Builds a big integer from raw limbs (little-endian) and a sign flag,
+    /// demoting a magnitude that fits `i64` to the inline form.
+    fn from_limbs(negative: bool, mut limbs: Vec<u64>) -> Self {
         while limbs.last() == Some(&0) {
             limbs.pop();
         }
-        if limbs.is_empty() {
-            BigInt::zero()
-        } else {
-            BigInt { sign, limbs }
+        match limbs[..] {
+            [] => BigInt::zero(),
+            [m] if m <= i64::MAX as u64 + negative as u64 => {
+                // `2^63 as i64` is `i64::MIN`, its own wrapping negation.
+                BigInt(Repr::Small(if negative { (m as i64).wrapping_neg() } else { m as i64 }))
+            }
+            _ => BigInt(Repr::Large { negative, limbs }),
+        }
+    }
+
+    /// The value as a machine word when it is stored inline: by canonicity,
+    /// exactly when it fits `i64`.
+    #[inline]
+    pub(crate) fn as_small(&self) -> Option<i64> {
+        match self.0 {
+            Repr::Small(v) => Some(v),
+            Repr::Large { .. } => None,
+        }
+    }
+
+    /// Sign flag and magnitude limbs of either form, as the limb routines
+    /// take them; an inline value lends its one limb from `inline`.
+    fn sign_mag<'a>(&'a self, inline: &'a mut u64) -> (bool, &'a [u64]) {
+        match &self.0 {
+            Repr::Small(0) => (false, &[]),
+            Repr::Small(v) => {
+                *inline = v.unsigned_abs();
+                (*v < 0, std::slice::from_ref(inline))
+            }
+            Repr::Large { negative, limbs } => (*negative, limbs),
         }
     }
 
     /// Returns `true` iff the value is 0.
+    #[inline]
     pub fn is_zero(&self) -> bool {
-        self.limbs.is_empty()
+        match &self.0 {
+            Repr::Small(v) => *v == 0,
+            Repr::Large { limbs, .. } => limbs.is_empty(),
+        }
     }
 
     /// Returns `true` iff the value is 1.
+    #[inline]
     pub fn is_one(&self) -> bool {
-        !self.sign && self.limbs.len() == 1 && self.limbs[0] == 1
+        match &self.0 {
+            Repr::Small(v) => *v == 1,
+            Repr::Large { negative, limbs } => !negative && limbs[..] == [1],
+        }
     }
 
     /// Returns `true` iff the value is strictly negative.
+    #[inline]
     pub fn is_negative(&self) -> bool {
-        self.sign
+        match &self.0 {
+            Repr::Small(v) => *v < 0,
+            Repr::Large { negative, .. } => *negative,
+        }
     }
 
     /// Returns `true` iff the value is strictly positive.
+    #[inline]
     pub fn is_positive(&self) -> bool {
-        !self.sign && !self.is_zero()
+        !self.is_negative() && !self.is_zero()
     }
 
     /// Returns the sign of the value.
     pub fn sign(&self) -> Sign {
         if self.is_zero() {
             Sign::Zero
-        } else if self.sign {
+        } else if self.is_negative() {
             Sign::Negative
         } else {
             Sign::Positive
@@ -127,14 +220,19 @@ impl BigInt {
 
     /// Absolute value.
     pub fn abs(&self) -> BigInt {
-        BigInt { sign: false, limbs: self.limbs.clone() }
+        match &self.0 {
+            Repr::Small(v) => BigInt::from(v.unsigned_abs()),
+            Repr::Large { limbs, .. } => BigInt::from_limbs(false, limbs.clone()),
+        }
     }
 
     /// Number of bits of the magnitude (0 for zero).
     pub fn bits(&self) -> u64 {
-        match self.limbs.last() {
+        let mut inline = 0;
+        let (_, limbs) = self.sign_mag(&mut inline);
+        match limbs.last() {
             None => 0,
-            Some(&top) => (self.limbs.len() as u64 - 1) * 64 + (64 - top.leading_zeros() as u64),
+            Some(&top) => (limbs.len() as u64 - 1) * 64 + (64 - top.leading_zeros() as u64),
         }
     }
 
@@ -190,6 +288,19 @@ impl BigInt {
             out.pop();
         }
         out
+    }
+
+    /// Sum of two sign-and-magnitude operands.
+    fn add_signed(a_neg: bool, a: &[u64], b_neg: bool, b: &[u64]) -> BigInt {
+        if a_neg == b_neg {
+            BigInt::from_limbs(a_neg, BigInt::add_abs(a, b))
+        } else {
+            match BigInt::cmp_abs(a, b) {
+                Ordering::Equal => BigInt::zero(),
+                Ordering::Greater => BigInt::from_limbs(a_neg, BigInt::sub_abs(a, b)),
+                Ordering::Less => BigInt::from_limbs(b_neg, BigInt::sub_abs(b, a)),
+            }
+        }
     }
 
     fn mul_abs(a: &[u64], b: &[u64]) -> Vec<u64> {
@@ -357,14 +468,26 @@ impl BigInt {
     /// (truncated division, like Rust's `%` on primitive integers).
     pub fn div_rem(&self, other: &BigInt) -> (BigInt, BigInt) {
         assert!(!other.is_zero(), "division by zero");
-        let (q, r) = Self::div_rem_abs(&self.limbs, &other.limbs);
-        let q_sign = self.sign != other.sign && !q.is_empty();
-        let r_sign = self.sign && !r.is_empty();
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &other.0) {
+            // Only `i64::MIN / -1` overflows; it takes the limb route.
+            if let Some(q) = a.checked_div(*b) {
+                return (BigInt(Repr::Small(q)), BigInt(Repr::Small(a % b)));
+            }
+        }
+        let (mut ia, mut ib) = (0, 0);
+        let (a_neg, a) = self.sign_mag(&mut ia);
+        let (b_neg, b) = other.sign_mag(&mut ib);
+        let (q, r) = Self::div_rem_abs(a, b);
+        let q_sign = a_neg != b_neg && !q.is_empty();
+        let r_sign = a_neg && !r.is_empty();
         (BigInt::from_limbs(q_sign, q), BigInt::from_limbs(r_sign, r))
     }
 
     /// Greatest common divisor of the magnitudes (always non-negative).
     pub fn gcd(&self, other: &BigInt) -> BigInt {
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &other.0) {
+            return BigInt::from(gcd_u64(a.unsigned_abs(), b.unsigned_abs()));
+        }
         let mut a = self.abs();
         let mut b = other.abs();
         while !b.is_zero() {
@@ -401,11 +524,15 @@ impl BigInt {
 
     /// Lossy conversion to `f64` (magnitude clamped to `f64::INFINITY` on overflow).
     pub fn to_f64(&self) -> f64 {
+        let (negative, limbs) = match &self.0 {
+            Repr::Small(v) => return *v as f64,
+            Repr::Large { negative, limbs } => (*negative, limbs),
+        };
         let mut v = 0.0f64;
-        for &limb in self.limbs.iter().rev() {
+        for &limb in limbs.iter().rev() {
             v = v * 1.8446744073709552e19 + limb as f64;
         }
-        if self.sign {
+        if negative {
             -v
         } else {
             v
@@ -414,47 +541,27 @@ impl BigInt {
 
     /// Conversion to `i64` if the value fits.
     pub fn to_i64(&self) -> Option<i64> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => {
-                let m = self.limbs[0];
-                if self.sign {
-                    if m <= 1u64 << 63 {
-                        Some((m as i128).wrapping_neg() as i64)
-                    } else {
-                        None
-                    }
-                } else if m <= i64::MAX as u64 {
-                    Some(m as i64)
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        }
+        self.to_i128().and_then(|v| i64::try_from(v).ok())
     }
 
     /// Conversion to `u64` if the value fits and is non-negative.
     pub fn to_u64(&self) -> Option<u64> {
-        if self.sign {
-            return None;
-        }
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(self.limbs[0]),
-            _ => None,
-        }
+        self.to_i128().and_then(|v| u64::try_from(v).ok())
     }
 
     /// Conversion to `i128` if the value fits.
     pub fn to_i128(&self) -> Option<i128> {
-        let mag: u128 = match self.limbs.len() {
+        let (negative, limbs) = match &self.0 {
+            Repr::Small(v) => return Some(*v as i128),
+            Repr::Large { negative, limbs } => (*negative, limbs),
+        };
+        let mag: u128 = match limbs.len() {
             0 => 0,
-            1 => self.limbs[0] as u128,
-            2 => (self.limbs[1] as u128) << 64 | self.limbs[0] as u128,
+            1 => limbs[0] as u128,
+            2 => (limbs[1] as u128) << 64 | limbs[0] as u128,
             _ => return None,
         };
-        if self.sign {
+        if negative {
             if mag <= 1u128 << 127 {
                 Some(mag.wrapping_neg() as i128)
             } else {
@@ -475,26 +582,27 @@ impl Default for BigInt {
 }
 
 impl From<i64> for BigInt {
+    #[inline]
     fn from(v: i64) -> Self {
-        BigInt::from(v as i128)
+        BigInt(Repr::Small(v))
     }
 }
 
 impl From<u64> for BigInt {
     fn from(v: u64) -> Self {
-        BigInt::from_limbs(false, vec![v])
+        BigInt::from(v as i128)
     }
 }
 
 impl From<i32> for BigInt {
     fn from(v: i32) -> Self {
-        BigInt::from(v as i128)
+        BigInt::from(v as i64)
     }
 }
 
 impl From<u32> for BigInt {
     fn from(v: u32) -> Self {
-        BigInt::from(v as u64)
+        BigInt::from(v as i64)
     }
 }
 
@@ -505,16 +613,24 @@ impl From<usize> for BigInt {
 }
 
 impl From<i128> for BigInt {
+    #[inline]
     fn from(v: i128) -> Self {
-        let sign = v < 0;
-        let mag = v.unsigned_abs();
-        BigInt::from_limbs(sign, vec![mag as u64, (mag >> 64) as u64])
+        match i64::try_from(v) {
+            Ok(small) => BigInt(Repr::Small(small)),
+            Err(_) => {
+                let mag = v.unsigned_abs();
+                BigInt::from_limbs(v < 0, vec![mag as u64, (mag >> 64) as u64])
+            }
+        }
     }
 }
 
 impl From<u128> for BigInt {
     fn from(v: u128) -> Self {
-        BigInt::from_limbs(false, vec![v as u64, (v >> 64) as u64])
+        match i64::try_from(v) {
+            Ok(small) => BigInt(Repr::Small(small)),
+            Err(_) => BigInt::from_limbs(false, vec![v as u64, (v >> 64) as u64]),
+        }
     }
 }
 
@@ -526,17 +642,17 @@ impl PartialOrd for BigInt {
 
 impl Ord for BigInt {
     fn cmp(&self, other: &Self) -> Ordering {
-        match (self.sign, other.sign) {
-            (false, true) => {
-                if self.is_zero() && other.is_zero() {
-                    Ordering::Equal
-                } else {
-                    Ordering::Greater
-                }
-            }
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &other.0) {
+            return a.cmp(b);
+        }
+        let (mut ia, mut ib) = (0, 0);
+        let (a_neg, a) = self.sign_mag(&mut ia);
+        let (b_neg, b) = other.sign_mag(&mut ib);
+        match (a_neg, b_neg) {
+            (false, true) => Ordering::Greater,
             (true, false) => Ordering::Less,
-            (false, false) => Self::cmp_abs(&self.limbs, &other.limbs),
-            (true, true) => Self::cmp_abs(&other.limbs, &self.limbs),
+            (false, false) => Self::cmp_abs(a, b),
+            (true, true) => Self::cmp_abs(b, a),
         }
     }
 }
@@ -544,10 +660,13 @@ impl Ord for BigInt {
 impl Neg for &BigInt {
     type Output = BigInt;
     fn neg(self) -> BigInt {
-        if self.is_zero() {
-            BigInt::zero()
-        } else {
-            BigInt { sign: !self.sign, limbs: self.limbs.clone() }
+        match &self.0 {
+            Repr::Small(v) => match v.checked_neg() {
+                Some(n) => BigInt(Repr::Small(n)),
+                None => BigInt::from(v.unsigned_abs()),
+            },
+            // `-(2^63)` is `i64::MIN`: negation can demote.
+            Repr::Large { negative, limbs } => BigInt::from_limbs(!negative, limbs.clone()),
         }
     }
 }
@@ -562,33 +681,48 @@ impl Neg for BigInt {
 impl Add for &BigInt {
     type Output = BigInt;
     fn add(self, other: &BigInt) -> BigInt {
-        if self.sign == other.sign {
-            BigInt::from_limbs(self.sign, BigInt::add_abs(&self.limbs, &other.limbs))
-        } else {
-            match BigInt::cmp_abs(&self.limbs, &other.limbs) {
-                Ordering::Equal => BigInt::zero(),
-                Ordering::Greater => {
-                    BigInt::from_limbs(self.sign, BigInt::sub_abs(&self.limbs, &other.limbs))
-                }
-                Ordering::Less => {
-                    BigInt::from_limbs(other.sign, BigInt::sub_abs(&other.limbs, &self.limbs))
-                }
-            }
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &other.0) {
+            return match a.checked_add(*b) {
+                Some(sum) => BigInt(Repr::Small(sum)),
+                None => BigInt::from(*a as i128 + *b as i128),
+            };
         }
+        let (mut ia, mut ib) = (0, 0);
+        let (a_neg, a) = self.sign_mag(&mut ia);
+        let (b_neg, b) = other.sign_mag(&mut ib);
+        BigInt::add_signed(a_neg, a, b_neg, b)
     }
 }
 
 impl Sub for &BigInt {
     type Output = BigInt;
     fn sub(self, other: &BigInt) -> BigInt {
-        self + &(-other)
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &other.0) {
+            return match a.checked_sub(*b) {
+                Some(diff) => BigInt(Repr::Small(diff)),
+                None => BigInt::from(*a as i128 - *b as i128),
+            };
+        }
+        let (mut ia, mut ib) = (0, 0);
+        let (a_neg, a) = self.sign_mag(&mut ia);
+        let (b_neg, b) = other.sign_mag(&mut ib);
+        BigInt::add_signed(a_neg, a, !b_neg && !b.is_empty(), b)
     }
 }
 
 impl Mul for &BigInt {
     type Output = BigInt;
     fn mul(self, other: &BigInt) -> BigInt {
-        BigInt::from_limbs(self.sign != other.sign, BigInt::mul_abs(&self.limbs, &other.limbs))
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &other.0) {
+            return match a.checked_mul(*b) {
+                Some(product) => BigInt(Repr::Small(product)),
+                None => BigInt::from(*a as i128 * *b as i128),
+            };
+        }
+        let (mut ia, mut ib) = (0, 0);
+        let (a_neg, a) = self.sign_mag(&mut ia);
+        let (b_neg, b) = other.sign_mag(&mut ib);
+        BigInt::from_limbs(a_neg != b_neg, BigInt::mul_abs(a, b))
     }
 }
 
@@ -655,18 +789,18 @@ impl MulAssign<&BigInt> for BigInt {
 
 impl BigInt {
     /// The general decimal rendering: peel 19-digit chunks off the magnitude
-    /// by repeated short division.  Correct for any non-zero value;
-    /// [`fmt::Display`] only reaches it for multi-limb ones.
-    fn fmt_chunked(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    /// by repeated short division.  Correct for any non-zero magnitude;
+    /// [`fmt::Display`] only reaches it for the limb form.
+    fn fmt_chunked(negative: bool, limbs: &[u64], f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut digits = Vec::new();
-        let mut cur = self.limbs.clone();
+        let mut cur = limbs.to_vec();
         while !cur.is_empty() {
             let (q, r) = BigInt::div_rem_abs_small(&cur, 10_000_000_000_000_000_000);
             digits.push(r);
             cur = q;
         }
         let mut s = String::new();
-        if self.sign {
+        if negative {
             s.push('-');
         }
         s.push_str(&digits.last().unwrap().to_string());
@@ -675,22 +809,30 @@ impl BigInt {
         }
         write!(f, "{}", s)
     }
+
+    /// `limbs = limbs * factor + addend` in place, on a magnitude.
+    fn mul_add_small(limbs: &mut Vec<u64>, factor: u64, addend: u64) {
+        let mut carry = addend as u128;
+        for limb in limbs.iter_mut() {
+            let cur = *limb as u128 * factor as u128 + carry;
+            *limb = cur as u64;
+            carry = cur >> 64;
+        }
+        if carry != 0 {
+            limbs.push(carry as u64);
+        }
+    }
 }
 
 impl fmt::Display for BigInt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.limbs[..] {
-            [] => f.write_str("0"),
-            // One limb is the `u64` itself: format it in place, with no limb
-            // clone, digit vector or string (the service fingerprints every
-            // edge cost through this).  `fmt_chunked` emits the same digits.
-            [limb] => {
-                if self.sign {
-                    f.write_str("-")?;
-                }
-                write!(f, "{limb}")
-            }
-            _ => self.fmt_chunked(f),
+        match &self.0 {
+            // The inline form is the machine integer itself: format it in
+            // place, with no limb clone, digit vector or string (the service
+            // fingerprints every edge cost through this).  `fmt_chunked`
+            // emits the same digits.
+            Repr::Small(v) => write!(f, "{v}"),
+            Repr::Large { negative, limbs } => BigInt::fmt_chunked(*negative, limbs, f),
         }
     }
 }
@@ -699,32 +841,72 @@ impl FromStr for BigInt {
     type Err = ParseBigIntError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
+        /// Decimal digits per chunk: the most a `u64` holds with room to
+        /// spare, so a chunk parses as one machine integer.
+        const CHUNK: usize = 18;
+        const CHUNK_BASE: u64 = 10u64.pow(CHUNK as u32);
+
         let s = s.trim();
-        let (sign, digits) = match s.strip_prefix('-') {
+        let (negative, digits) = match s.strip_prefix('-') {
             Some(rest) => (true, rest),
             None => (false, s.strip_prefix('+').unwrap_or(s)),
         };
         if digits.is_empty() {
             return Err(ParseBigIntError { reason: "empty string".into() });
         }
-        let mut acc = BigInt::zero();
-        let ten = BigInt::from(10u64);
-        for ch in digits.chars() {
-            let d = ch
-                .to_digit(10)
-                .ok_or_else(|| ParseBigIntError { reason: format!("invalid digit {ch:?}") })?;
-            acc = &acc * &ten + BigInt::from(d as u64);
+        if let Some(ch) = digits.chars().find(|ch| !ch.is_ascii_digit()) {
+            return Err(ParseBigIntError { reason: format!("invalid digit {ch:?}") });
         }
-        if sign && !acc.is_zero() {
-            acc = -acc;
+        // All ASCII from here on, so byte offsets are digit offsets.
+        let chunk_value = |chunk: &str| chunk.bytes().fold(0u64, |v, b| v * 10 + (b - b'0') as u64);
+        let (head, mut rest) = digits.split_at((digits.len() - 1) % CHUNK + 1);
+        let head = chunk_value(head);
+        if rest.is_empty() {
+            // At most 18 digits: below `10^18 < 2^63`, a machine integer.
+            let value = head as i64;
+            return Ok(BigInt::from(if negative { -value } else { value }));
         }
-        Ok(acc)
+        let mut limbs = vec![head];
+        while !rest.is_empty() {
+            let (chunk, tail) = rest.split_at(CHUNK);
+            BigInt::mul_add_small(&mut limbs, CHUNK_BASE, chunk_value(chunk));
+            rest = tail;
+        }
+        Ok(BigInt::from_limbs(negative, limbs))
+    }
+}
+
+#[cfg(test)]
+impl BigInt {
+    /// The same value in limb form whether or not it fits `i64` — the one
+    /// deliberate breach of canonicity, so that the cross-form tests can send
+    /// a small value down the limb routines.
+    pub(crate) fn forced_limbs(&self) -> BigInt {
+        let mut inline = 0;
+        let (negative, limbs) = self.sign_mag(&mut inline);
+        BigInt(Repr::Large { negative, limbs: limbs.to_vec() })
+    }
+
+    /// `true` for the inline form.
+    pub(crate) fn is_inline(&self) -> bool {
+        self.as_small().is_some()
+    }
+
+    /// `true` when the form is the one canonicity prescribes for the value.
+    pub(crate) fn is_canonical(&self) -> bool {
+        match &self.0 {
+            Repr::Small(_) => true,
+            Repr::Large { limbs, .. } => limbs.last() != Some(&0) && self.to_i64().is_none(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
 
     fn b(v: i128) -> BigInt {
         BigInt::from(v)
@@ -808,7 +990,7 @@ mod tests {
             }
             let (q, r) = a.div_rem(&d);
             assert_eq!(&q * &d + &r, a);
-            assert!(BigInt::cmp_abs(&r.limbs, &d.limbs) == Ordering::Less);
+            assert!(r.abs() < d.abs());
         }
     }
 
@@ -862,27 +1044,22 @@ mod tests {
 
     #[test]
     fn one_limb_display_matches_the_chunked_algorithm() {
-        struct Chunked<'a>(&'a BigInt);
-        impl fmt::Display for Chunked<'_> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                self.0.fmt_chunked(f)
-            }
-        }
         let max = u64::MAX as i128;
         // 10^19 is the chunk size: the widest one-limb values straddle it.
         let chunk = 10_000_000_000_000_000_000i128;
         for v in [1, -1, 7, i64::MAX as i128, i64::MIN as i128, chunk - 1, chunk, max, -max] {
             let big = b(v);
-            assert_eq!(big.limbs.len(), 1, "{v} must be a one-limb value");
+            assert_eq!(big.is_inline(), i64::try_from(v).is_ok(), "form of {v}");
             assert_eq!(big.to_string(), v.to_string());
-            assert_eq!(big.to_string(), Chunked(&big).to_string(), "fast path diverged on {v}");
+            // The limb form always renders through `fmt_chunked`.
+            assert_eq!(big.to_string(), big.forced_limbs().to_string(), "inline diverged on {v}");
             assert_eq!(big.to_string().parse::<BigInt>().unwrap(), big);
         }
         assert_eq!(b(0).to_string(), "0");
         assert_eq!("0".parse::<BigInt>().unwrap(), b(0));
-        // The limb boundary: one past `u64::MAX` takes the chunked path.
+        // The limb boundary: one past `u64::MAX` needs a second limb.
         let two_limbs = b(max + 1);
-        assert_eq!(two_limbs.limbs.len(), 2);
+        assert_eq!(two_limbs.bits(), 65);
         assert_eq!(two_limbs.to_string(), (max + 1).to_string());
         assert_eq!(two_limbs.to_string().parse::<BigInt>().unwrap(), two_limbs);
     }
@@ -907,5 +1084,182 @@ mod tests {
         assert_eq!(b(255).bits(), 8);
         assert_eq!(b(256).bits(), 9);
         assert_eq!(BigInt::from(u128::MAX).bits(), 128);
+    }
+    fn hash_of(v: &BigInt) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        v.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// Asserts that a result of the limb routines is the canonical twin of
+    /// the inline route's result: same form, `==`, same hash.
+    fn assert_same(inline: &BigInt, limb: &BigInt, what: &str) {
+        assert!(inline.is_canonical(), "{what}: inline result {inline:?} is not canonical");
+        assert!(limb.is_canonical(), "{what}: limb result {limb:?} is not canonical");
+        assert_eq!(inline, limb, "{what}");
+        assert_eq!(hash_of(inline), hash_of(limb), "{what}: hashes differ");
+    }
+
+    /// Every operation on `a`, `b` through every mix of forms, against the
+    /// all-inline (or, for wide operands, canonical) result.
+    fn check_all_forms(a: &BigInt, b: &BigInt) {
+        let forms = |v: &BigInt| [v.clone(), v.forced_limbs()];
+        for (fa, fb) in forms(a).iter().flat_map(|fa| forms(b).map(|fb| (fa.clone(), fb))) {
+            let what = format!("{a} ? {b} as {fa:?}, {fb:?}");
+            assert_same(&(a + b), &(&fa + &fb), &format!("add {what}"));
+            assert_same(&(a - b), &(&fa - &fb), &format!("sub {what}"));
+            assert_same(&(a * b), &(&fa * &fb), &format!("mul {what}"));
+            assert_same(&a.gcd(b), &fa.gcd(&fb), &format!("gcd {what}"));
+            assert_same(&a.lcm(b), &fa.lcm(&fb), &format!("lcm {what}"));
+            assert_eq!(a.cmp(b), fa.cmp(&fb), "cmp {what}");
+            if !b.is_zero() {
+                let (q, r) = a.div_rem(b);
+                let (fq, fr) = fa.div_rem(&fb);
+                assert_same(&q, &fq, &format!("quotient {what}"));
+                assert_same(&r, &fr, &format!("remainder {what}"));
+                assert_eq!(&(&q * b) + &r, *a, "div_rem reconstruction {what}");
+            }
+        }
+        let fa = a.forced_limbs();
+        assert_same(&-a, &-&fa, &format!("neg {a}"));
+        assert_same(&-a.clone(), &-fa.clone(), &format!("owned neg {a}"));
+        assert_same(&a.abs(), &fa.abs(), &format!("abs {a}"));
+        assert_same(&a.pow(3), &fa.pow(3), &format!("pow {a}"));
+        assert_eq!(a.to_f64().to_bits(), fa.to_f64().to_bits(), "to_f64 {a}");
+        assert_eq!(a.to_i64(), fa.to_i64(), "to_i64 {a}");
+        assert_eq!(a.to_u64(), fa.to_u64(), "to_u64 {a}");
+        assert_eq!(a.to_i128(), fa.to_i128(), "to_i128 {a}");
+        assert_eq!(a.bits(), fa.bits(), "bits {a}");
+        assert_eq!(a.sign(), fa.sign(), "sign {a}");
+        assert_eq!(
+            (a.is_zero(), a.is_one(), a.is_negative(), a.is_positive()),
+            (fa.is_zero(), fa.is_one(), fa.is_negative(), fa.is_positive()),
+            "predicates {a}"
+        );
+        if !a.is_zero() {
+            // `fmt_chunked` is for non-zero magnitudes; canonical zero is inline.
+            assert_eq!(a.to_string(), fa.to_string(), "display");
+        }
+        assert_same(a, &a.to_string().parse().unwrap(), &format!("parse {a}"));
+    }
+
+    /// The values around which a form changes.
+    fn boundaries() -> Vec<i128> {
+        let two63 = 1i128 << 63;
+        let two64 = 1i128 << 64;
+        let mut values = vec![0, 1, 2, 3, 10, 1 << 31, (1 << 32) + 1, 3_037_000_500];
+        values.extend([i64::MAX as i128 - 1, i64::MAX as i128, two63, two63 + 1]);
+        values.extend([two64 - 1, two64, two64 + 1, 1 << 100]);
+        values.iter().flat_map(|&v| [v, -v]).collect()
+    }
+
+    #[test]
+    fn forms_agree_at_the_boundaries() {
+        let values = boundaries();
+        assert!(values.contains(&(i64::MIN as i128)));
+        for &x in &values {
+            let a = BigInt::from(x);
+            assert!(a.is_canonical());
+            assert_eq!(a.is_inline(), i64::try_from(x).is_ok(), "form of {x}");
+            assert_eq!(a.to_i128(), Some(x));
+            assert_eq!(a.to_string(), x.to_string());
+            for &y in &values {
+                let b = BigInt::from(y);
+                check_all_forms(&a, &b);
+                // Against machine arithmetic wherever that has the room.
+                if let Some(sum) = x.checked_add(y) {
+                    assert_eq!(&a + &b, BigInt::from(sum), "{x} + {y}");
+                }
+                if let Some(diff) = x.checked_sub(y) {
+                    assert_eq!(&a - &b, BigInt::from(diff), "{x} - {y}");
+                }
+                if let Some(product) = x.checked_mul(y) {
+                    assert_eq!(&a * &b, BigInt::from(product), "{x} * {y}");
+                }
+                if y != 0 {
+                    assert_eq!(a.div_rem(&b), (BigInt::from(x / y), BigInt::from(x % y)));
+                }
+                assert_eq!(a.cmp(&b), x.cmp(&y), "{x} <=> {y}");
+            }
+        }
+    }
+
+    #[test]
+    fn promotion_and_demotion_keep_the_form_canonical() {
+        let max = BigInt::from(i64::MAX);
+        let min = BigInt::from(i64::MIN);
+        // Promote by one, come back: inline again, equal, same hash.
+        let above = &max + &BigInt::one();
+        assert!(!above.is_inline());
+        let back = &above - &BigInt::one();
+        assert!(back.is_inline());
+        assert_same(&max, &back, "(i64::MAX + 1) - 1");
+        // `-i64::MIN` and `|i64::MIN|` are `2^63`: out of range, and negating
+        // that demotes again.
+        assert!(!(-&min).is_inline() && !min.abs().is_inline());
+        assert_eq!(-&min, above);
+        assert_same(&min, &-&above, "-(2^63)");
+        // `i64::MIN / -1` overflows the machine division.
+        assert_eq!(min.div_rem(&BigInt::from(-1i64)), (above.clone(), BigInt::zero()));
+        assert_eq!(min.gcd(&min), above);
+        // Products that overflow `i64` but not `i128`, and one that needs both limbs.
+        let product = &max * &max;
+        assert_eq!(product.to_i128(), Some(i64::MAX as i128 * i64::MAX as i128));
+        assert_same(&max, &(&product / &max), "(MAX * MAX) / MAX");
+        assert_eq!((&min * &min).to_i128(), Some(1i128 << 126));
+        assert_eq!((&product * &product).to_i128(), None);
+        // Conversions choose the form by value.
+        assert!(BigInt::from(i64::MAX as u64).is_inline());
+        assert!(!BigInt::from(i64::MAX as u64 + 1).is_inline());
+        assert!(BigInt::from(i64::MIN as i128).is_inline());
+        assert!(!BigInt::from(i64::MIN as i128 - 1).is_inline());
+        assert!(BigInt::from(7u128).is_inline() && BigInt::from(7usize).is_inline());
+    }
+
+    #[test]
+    fn parsing_is_chunked_without_changing_the_grammar() {
+        // 18 digits is the widest single chunk; 19 and 36/37 cross chunk edges.
+        for digits in [1usize, 17, 18, 19, 20, 35, 36, 37, 60] {
+            let text: String = (0..digits).map(|i| char::from(b'1' + (i % 9) as u8)).collect();
+            let mut expected = BigInt::zero();
+            for ch in text.chars() {
+                expected = &expected * &b(10) + b(ch.to_digit(10).unwrap() as i128);
+            }
+            assert_same(&expected, &text.parse().unwrap(), &text);
+            assert_same(&-&expected, &format!("-{text}").parse().unwrap(), &text);
+            assert_eq!(expected.to_string(), text);
+            // Leading zeros shift the chunk boundaries, not the value.
+            assert_same(&expected, &format!("+000{text}").parse().unwrap(), &text);
+        }
+        assert_eq!("9223372036854775807".parse::<BigInt>().unwrap(), b(i64::MAX as i128));
+        assert_eq!("-9223372036854775808".parse::<BigInt>().unwrap(), b(i64::MIN as i128));
+        assert!("-9223372036854775808".parse::<BigInt>().unwrap().is_inline());
+        assert!(!"9223372036854775808".parse::<BigInt>().unwrap().is_inline());
+        let reason = |s: &str| s.parse::<BigInt>().unwrap_err().reason;
+        assert_eq!(reason(""), "empty string");
+        assert_eq!(reason("  -  "), "empty string");
+        assert_eq!(reason("- 5"), "invalid digit ' '");
+        assert_eq!(reason("+"), "empty string");
+        assert_eq!(reason("-+5"), "invalid digit '+'");
+        assert_eq!(reason("12a4b"), "invalid digit 'a'");
+        assert_eq!(reason("1234567890123456789012345x"), "invalid digit 'x'");
+        assert_eq!(reason("١٢"), "invalid digit '١'");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn forms_agree_on_random_words(a in any::<i64>(), b in any::<i64>()) {
+            check_all_forms(&BigInt::from(a), &BigInt::from(b));
+        }
+
+        #[test]
+        fn forms_agree_on_wide_operands(a in any::<i128>(), b in any::<i64>(), c in any::<i64>()) {
+            // One wide operand, one that may be either: the mixed routes.
+            let wide = BigInt::from(a) * BigInt::from(c);
+            check_all_forms(&wide, &BigInt::from(b));
+            check_all_forms(&BigInt::from(b), &wide);
+        }
     }
 }

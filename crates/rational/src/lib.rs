@@ -10,10 +10,17 @@
 //!
 //! This crate provides the two numeric types everything else builds on:
 //!
-//! * [`BigInt`] — arbitrary-precision signed integers (sign + `u64` limbs);
+//! * [`BigInt`] — arbitrary-precision signed integers in one of two forms, an
+//!   inline `i64` or a sign plus `u64` limbs.  The form is canonical (a value
+//!   that fits `i64` is always inline), so equality, ordering and hashing are
+//!   by value; `+`, `-`, `*`, negation, `abs`, `div_rem` and `gcd` promote to
+//!   limbs only when the machine operation overflows, and a limb result that
+//!   fits again is demoted (see [`bigint`]);
 //! * [`Ratio`] — normalized exact rationals with the usual field operations,
 //!   ordering, floor/ceil, conversions and continued-fraction approximation of
-//!   `f64` values.
+//!   `f64` values.  The paper's data are small integer ratios, and an
+//!   operation whose four parts are inline runs on `i128`-widened machine
+//!   words with a `u64` gcd, allocation-free (see [`ratio`]).
 //!
 //! # Example
 //!

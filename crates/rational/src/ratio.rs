@@ -5,8 +5,24 @@
 //! workspace (LP solving, period computation, matching decomposition,
 //! reduction-tree extraction) manipulate `Ratio` values so that the schedules
 //! they produce are provably feasible, not feasible-up-to-rounding.
+//!
+//! # The small-word path
+//!
+//! When all four parts of an operation are inline [`BigInt`]s (each fits
+//! `i64`, which is the case for every operation the workspace's benchmarks
+//! perform), `+`, `-`, `*`, `/`, comparison, [`Ratio::new`] and
+//! [`Ratio::from_frac`] work on machine words and never touch the heap:
+//! cross products are widened to `i128` (two 63-bit factors, and the sum of
+//! two such products, always fit) and common factors are removed with a
+//! `u64` gcd *before* multiplying, as in Knuth, TAOCP vol. 2 §4.5.1 — for a
+//! sum, `g = gcd(b, d)` first, and when `g = 1` the result `(ad + cb) / bd`
+//! is already in lowest terms; for a product, `gcd(a, d)` and `gcd(c, b)` are
+//! cancelled crosswise.  A result part that outgrows `i64` is promoted to the
+//! limb form by `BigInt::from(i128)`; operands in limb form take the general
+//! route (`BigInt` products, then [`Ratio::new`]'s gcd and two divisions).
+//! Both routes produce the same canonical value.
 
-use crate::bigint::{BigInt, ParseBigIntError};
+use crate::bigint::{gcd_u64, BigInt, ParseBigIntError};
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter::Sum;
@@ -58,6 +74,9 @@ impl Ratio {
     /// Panics if `den` is zero.
     pub fn new(num: BigInt, den: BigInt) -> Self {
         assert!(!den.is_zero(), "rational with zero denominator");
+        if let (Some(n), Some(d)) = (num.as_small(), den.as_small()) {
+            return Ratio::reduced(n, d);
+        }
         let mut num = num;
         let mut den = den;
         if den.is_negative() {
@@ -80,7 +99,81 @@ impl Ratio {
     /// # Panics
     /// Panics if `d == 0`.
     pub fn from_frac(n: i64, d: i64) -> Self {
-        Ratio::new(BigInt::from(n), BigInt::from(d))
+        assert!(d != 0, "rational with zero denominator");
+        Ratio::reduced(n, d)
+    }
+
+    /// `n / d` for `d != 0` on machine words: sign to the numerator, common
+    /// factor out.  Only `i64::MIN` can make a part outgrow `i64`.
+    fn reduced(n: i64, d: i64) -> Ratio {
+        let g = gcd_u64(n.unsigned_abs(), d.unsigned_abs()) as i128;
+        let (n, d) = (n as i128 / g, d as i128 / g);
+        if d < 0 {
+            Ratio::lowest_terms(-n, -d)
+        } else {
+            Ratio::lowest_terms(n, d)
+        }
+    }
+
+    /// Wraps a numerator and a strictly positive denominator that are
+    /// already coprime; each part is stored inline when it fits `i64`.
+    #[inline]
+    fn lowest_terms(num: i128, den: i128) -> Ratio {
+        debug_assert!(den > 0);
+        Ratio { num: BigInt::from(num), den: BigInt::from(den) }
+    }
+
+    /// Numerator and denominator as machine words when both are inline.
+    #[inline]
+    fn small(&self) -> Option<(i64, i64)> {
+        Some((self.num.as_small()?, self.den.as_small()?))
+    }
+
+    /// `a, b, c, d` of `self = a/b` and `other = c/d` when all four are
+    /// inline: the gate of the small-word path.
+    #[inline]
+    fn small_parts(&self, other: &Ratio) -> Option<(i64, i64, i64, i64)> {
+        let ((a, b), (c, d)) = (self.small()?, other.small()?);
+        Some((a, b, c, d))
+    }
+
+    /// `a/b + c/d` on machine words (`b, d > 0`, both fractions in lowest
+    /// terms; `c` is widened so that a subtraction can pass `-c`).
+    ///
+    /// Knuth, TAOCP vol. 2 §4.5.1: with `g = gcd(b, d)`, the sum is
+    /// `t / (b/g · d)` for `t = a·(d/g) + c·(b/g)`, and the only factor `t`
+    /// can still share with that denominator divides `g`.  No `i128`
+    /// overflow: `|a|, |c| ≤ 2^63` and `b, d < 2^63` bound each product by
+    /// `2^126` and their sum by `2^127 - 2^64`.
+    fn add_small(a: i64, b: i64, c: i128, d: i64) -> Ratio {
+        let a = a as i128;
+        let g = gcd_u64(b as u64, d as u64);
+        if g == 1 {
+            return Ratio::lowest_terms(a * d as i128 + c * b as i128, b as i128 * d as i128);
+        }
+        let b_over_g = (b as u64 / g) as i128;
+        let t = a * (d as u64 / g) as i128 + c * b_over_g;
+        if t == 0 {
+            return Ratio::zero();
+        }
+        let g2 = gcd_u64((t.unsigned_abs() % g as u128) as u64, g);
+        Ratio::lowest_terms(t / g2 as i128, b_over_g * (d as u64 / g2) as i128)
+    }
+
+    /// `a/b · c/d` on machine words (`b, d > 0` and at most `2^63`, so that a
+    /// division can pass `|divisor numerator|`; both fractions in lowest
+    /// terms).  The common factors can only sit crosswise, and with them gone
+    /// the products (below `2^126`) are already coprime.
+    fn mul_small(a: i64, b: u64, c: i64, d: u64) -> Ratio {
+        if a == 0 || c == 0 {
+            return Ratio::zero();
+        }
+        let g_ad = gcd_u64(a.unsigned_abs(), d);
+        let g_cb = gcd_u64(c.unsigned_abs(), b);
+        Ratio::lowest_terms(
+            (a as i128 / g_ad as i128) * (c as i128 / g_cb as i128),
+            (b / g_cb) as i128 * (d / g_ad) as i128,
+        )
     }
 
     /// Builds the integer rational `n`.
@@ -129,7 +222,12 @@ impl Ratio {
     /// Panics if the value is zero.
     pub fn recip(&self) -> Ratio {
         assert!(!self.is_zero(), "reciprocal of zero");
-        Ratio::new(self.den.clone(), self.num.clone())
+        // Swapping coprime parts leaves them coprime: only the sign moves.
+        if self.num.is_negative() {
+            Ratio { num: -&self.den, den: -&self.num }
+        } else {
+            Ratio { num: self.den.clone(), den: self.num.clone() }
+        }
     }
 
     /// Largest integer `<= self`.
@@ -154,6 +252,9 @@ impl Ratio {
 
     /// Lossy conversion to `f64`.
     pub fn to_f64(&self) -> f64 {
+        if let Some((n, d)) = self.small() {
+            return n as f64 / d as f64;
+        }
         // Scale so that both operands fit comfortably in f64 range when they
         // are huge: shift both by the same power of two.
         let nb = self.num.bits() as i64;
@@ -284,6 +385,9 @@ impl PartialOrd for Ratio {
 impl Ord for Ratio {
     fn cmp(&self, other: &Self) -> Ordering {
         // a/b vs c/d (b, d > 0)  <=>  a*d vs c*b
+        if let Some((a, b, c, d)) = self.small_parts(other) {
+            return (a as i128 * d as i128).cmp(&(c as i128 * b as i128));
+        }
         (&self.num * &other.den).cmp(&(&other.num * &self.den))
     }
 }
@@ -305,6 +409,9 @@ impl Neg for Ratio {
 impl Add for &Ratio {
     type Output = Ratio;
     fn add(self, other: &Ratio) -> Ratio {
+        if let Some((a, b, c, d)) = self.small_parts(other) {
+            return Ratio::add_small(a, b, c as i128, d);
+        }
         Ratio::new(&self.num * &other.den + &other.num * &self.den, &self.den * &other.den)
     }
 }
@@ -312,6 +419,9 @@ impl Add for &Ratio {
 impl Sub for &Ratio {
     type Output = Ratio;
     fn sub(self, other: &Ratio) -> Ratio {
+        if let Some((a, b, c, d)) = self.small_parts(other) {
+            return Ratio::add_small(a, b, -(c as i128), d);
+        }
         Ratio::new(&self.num * &other.den - &other.num * &self.den, &self.den * &other.den)
     }
 }
@@ -319,6 +429,9 @@ impl Sub for &Ratio {
 impl Mul for &Ratio {
     type Output = Ratio;
     fn mul(self, other: &Ratio) -> Ratio {
+        if let Some((a, b, c, d)) = self.small_parts(other) {
+            return Ratio::mul_small(a, b as u64, c, d as u64);
+        }
         Ratio::new(&self.num * &other.num, &self.den * &other.den)
     }
 }
@@ -327,6 +440,10 @@ impl Div for &Ratio {
     type Output = Ratio;
     fn div(self, other: &Ratio) -> Ratio {
         assert!(!other.is_zero(), "division by zero rational");
+        if let Some((a, b, c, d)) = self.small_parts(other) {
+            // Multiply by `d/c` with the divisor's sign moved to `d`.
+            return Ratio::mul_small(a, b as u64, if c < 0 { -d } else { d }, c.unsigned_abs());
+        }
         Ratio::new(&self.num * &other.den, &self.den * &other.num)
     }
 }
@@ -429,8 +546,18 @@ where
 }
 
 #[cfg(test)]
+impl Ratio {
+    /// The same value with both parts in limb form (see
+    /// `BigInt::forced_limbs`): every operator sends it down the general route.
+    fn forced_limbs(&self) -> Ratio {
+        Ratio { num: self.num.forced_limbs(), den: self.den.forced_limbs() }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn r(n: i64, d: i64) -> Ratio {
         Ratio::from_frac(n, d)
@@ -566,5 +693,147 @@ mod tests {
     #[test]
     fn scale_helper() {
         assert_eq!(r(1, 3).scale(3, 2), r(1, 2));
+    }
+    /// Asserts that `limb`, a result of the general route, is the small-word
+    /// route's `small`: canonical parts, `==`, lowest terms, positive denominator.
+    fn assert_same(small: &Ratio, limb: &Ratio, what: &str) {
+        for part in [small.numer(), small.denom(), limb.numer(), limb.denom()] {
+            assert!(part.is_canonical(), "{what}: part {part:?} is not canonical");
+        }
+        assert_eq!(small, limb, "{what}");
+        assert!(small.denom().is_positive(), "{what}: denominator of {small}");
+        assert!(small.numer().gcd(small.denom()).is_one(), "{what}: {small} is not reduced");
+    }
+
+    /// Every operator on `x`, `y` through every mix of forms.
+    fn check_all_forms(x: &Ratio, y: &Ratio) {
+        let forms = |v: &Ratio| [v.clone(), v.forced_limbs()];
+        for (fx, fy) in forms(x).iter().flat_map(|fx| forms(y).map(|fy| (fx.clone(), fy))) {
+            let what = format!("{x} ? {y} as {fx:?}, {fy:?}");
+            assert_same(&(x + y), &(&fx + &fy), &format!("add {what}"));
+            assert_same(&(x - y), &(&fx - &fy), &format!("sub {what}"));
+            assert_same(&(x * y), &(&fx * &fy), &format!("mul {what}"));
+            if !y.is_zero() {
+                assert_same(&(x / y), &(&fx / &fy), &format!("div {what}"));
+            }
+            assert_eq!(x.cmp(y), fx.cmp(&fy), "cmp {what}");
+        }
+        // One-operand operations keep their operand's parts, so the forced
+        // operand's results are compared as values (`Display` encodes one).
+        let fx = x.forced_limbs();
+        assert_eq!((-x).to_string(), (-&fx).to_string(), "neg {x}");
+        assert_eq!(x.abs().to_string(), fx.abs().to_string(), "abs {x}");
+        assert_eq!(x.floor(), fx.floor(), "floor {x}");
+        assert_eq!(x.ceil(), fx.ceil(), "ceil {x}");
+        assert_eq!(x.to_f64().to_bits(), fx.to_f64().to_bits(), "to_f64 {x}");
+        if !x.is_zero() {
+            assert_eq!(x.recip().to_string(), fx.recip().to_string(), "recip {x}");
+            assert_same(&x.recip(), &(&Ratio::one() / x), &format!("recip {x} against 1/x"));
+            assert_eq!(x.to_string(), fx.to_string(), "display {x}");
+        }
+        assert_same(&-x, &(&Ratio::zero() - x), &format!("neg {x} against 0 - x"));
+        // `new` reduces unreduced inline and limb inputs alike.
+        let k = BigInt::from(6i64);
+        let unreduced = (x.numer() * &k, x.denom() * &k);
+        assert_same(x, &Ratio::new(unreduced.0.clone(), unreduced.1.clone()), "new");
+        assert_same(x, &Ratio::new(unreduced.0.forced_limbs(), unreduced.1.forced_limbs()), "new");
+        assert_same(x, &Ratio::new(-unreduced.0, -unreduced.1), "new, negative denominator");
+    }
+
+    /// Numerators and denominators around which a part changes form.
+    fn boundary_parts() -> Vec<i64> {
+        let mut parts = vec![1, 2, 3, 6, 1 << 31, 3_037_000_499, 3_037_000_500, i64::MAX - 2];
+        parts.extend([i64::MAX - 1, i64::MAX]);
+        parts.iter().flat_map(|&v| [v, -v]).chain([0, i64::MIN, i64::MIN + 1]).collect()
+    }
+
+    #[test]
+    fn forms_agree_at_the_boundaries() {
+        let parts = boundary_parts();
+        let mut values = Vec::new();
+        for &n in &parts {
+            for &d in parts.iter().filter(|&&d| d != 0) {
+                let value = Ratio::from_frac(n, d);
+                // `new` keeps parts that need no reduction, forced form and
+                // all, so this one is compared as a value.
+                let limbs =
+                    Ratio::new(BigInt::from(n).forced_limbs(), BigInt::from(d).forced_limbs());
+                assert_eq!(value.to_string(), limbs.to_string(), "from_frac({n}, {d})");
+                assert_same(&value, &Ratio::new(BigInt::from(n), BigInt::from(d)), "new");
+                values.push(value);
+            }
+        }
+        values.sort();
+        values.dedup();
+        // Every third value keeps the pair count near 10^4 and still mixes
+        // all the boundary numerators with all the boundary denominators.
+        let sample: Vec<&Ratio> = values.iter().step_by(3).collect();
+        for x in &sample {
+            for y in &sample {
+                check_all_forms(x, y);
+            }
+        }
+    }
+
+    #[test]
+    fn widening_is_exact_where_machine_words_overflow() {
+        let big = |v: i128| BigInt::from(v);
+        // Products that overflow `i64` but not `i128`.
+        let x = r(i64::MAX, 3) * r(i64::MAX - 1, 5);
+        let product = i64::MAX as i128 * (i64::MAX as i128 - 1);
+        assert_eq!(x, Ratio::new(big(product), big(15)));
+        assert!(!x.numer().is_inline() && x.denom().is_inline());
+        let y = r(1, i64::MAX) * r(1, i64::MAX);
+        assert_eq!(y.denom().to_i128(), Some(i64::MAX as i128 * i64::MAX as i128));
+        // ... and come back inline when a later operation cancels them.
+        let back = &x / &r(i64::MAX - 1, 5);
+        assert_same(&r(i64::MAX, 3), &back, "(MAX/3 · (MAX-1)/5) / ((MAX-1)/5)");
+        assert!(back.numer().is_inline());
+        // The widest sum there is: two numerators of `-2^63` over the two
+        // largest coprime denominators, `-2^63 · (2^64 - 4)`, 2^65 short of
+        // `i128::MIN`.  A third term no longer fits and takes the limb route.
+        let (p, q) = (r(i64::MIN, i64::MAX), r(i64::MIN, i64::MAX - 2));
+        let widest = &p + &q;
+        let numerator = (i64::MIN as i128) * ((1i128 << 64) - 4);
+        assert_eq!(widest.numer().to_i128(), Some(numerator));
+        assert_same(&widest, &(&p.forced_limbs() + &q.forced_limbs()), "widest sum");
+        let wider = &widest + &p;
+        assert_eq!(wider.numer().to_i128(), None);
+        assert_same(&wider, &(&widest.forced_limbs() + &p.forced_limbs()), "past i128");
+        assert_same(&q, &(&(&wider - &p) - &p), "and back");
+        // `i64::MIN` in every seat of a constructor, a reciprocal and a division.
+        assert_eq!(r(i64::MIN, i64::MIN), Ratio::one());
+        assert_eq!(r(1, i64::MIN), Ratio::new(big(-1), big(1 << 63)));
+        assert_eq!(r(i64::MIN, 1).recip(), r(1, i64::MIN));
+        assert_eq!(r(1, i64::MIN).recip(), r(i64::MIN, 1));
+        assert_eq!(&r(3, 1) / &r(i64::MIN, 1), Ratio::new(big(-3), big(1 << 63)));
+        assert_eq!((-r(i64::MIN, 1)).numer().to_i128(), Some(1 << 63));
+        assert_eq!(r(i64::MIN, 1).abs(), -r(i64::MIN, 1));
+    }
+
+    #[test]
+    fn both_types_stay_as_wide_as_the_limb_form_alone() {
+        assert!(std::mem::size_of::<BigInt>() <= 32);
+        assert!(std::mem::size_of::<Ratio>() <= 64);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn forms_agree_on_random_words(
+            a in any::<i64>(), b in any::<i64>(), c in any::<i64>(), d in any::<i64>(),
+        ) {
+            prop_assume!(b != 0 && d != 0);
+            check_all_forms(&Ratio::from_frac(a, b), &Ratio::from_frac(c, d));
+        }
+
+        #[test]
+        fn forms_agree_on_small_shared_factors(
+            a in -60i64..=60, b in 1i64..=60, c in -60i64..=60, d in 1i64..=60, k in 1i64..=12,
+        ) {
+            // Denominators with common factors: the `g > 1` branch of the sum.
+            check_all_forms(&Ratio::from_frac(a, b * k), &Ratio::from_frac(c, d * k));
+        }
     }
 }
