@@ -6,17 +6,18 @@
 //! warm-start outcome and fallback, timestamped from the moment the solver
 //! started, with consecutive pivots condensed into per-burst summaries
 //! (pass `--pivots` to see each pivot individually).  The default instance
-//! is the 200-node clustered scatter of the sweep's smallest size, which
-//! routes to the revised sparse simplex and therefore exercises the full
-//! event taxonomy of [`steady_lp::SolveEvent`].
+//! is the 200-node clustered scatter of the sweep's smallest size; like every
+//! instance it runs on the revised sparse simplex and then the exact check,
+//! so it exercises the full event taxonomy of [`steady_lp::SolveEvent`].  A
+//! failed check prints its reason on the fallback line.
 
 use std::io::Write;
 use std::time::Instant;
 
 use steady_core::{ReduceProblem, ScatterProblem, SteadyProblem};
 use steady_lp::{
-    Certificate, CertifyOptions, PivotKind, PivotRule, RecordingObserver, SolveEvent, SolvePhase,
-    SolveRecording, TimedEvent,
+    Certificate, CertifyOptions, FallbackCause, PivotKind, PivotRule, RecordingObserver,
+    SolveEvent, SolvePhase, SolveRecording, TimedEvent,
 };
 use steady_platform::generators::{
     clustered_reduce_instance, clustered_scatter_instance, ClusteredConfig,
@@ -100,11 +101,12 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let breakdown = explained.recording.breakdown();
     writeln!(
         out,
-        "breakdown          : phase1 {:.3} ms, phase2 {:.3} ms, dual {:.3} ms \
-         (refactor {:.3} ms, counted in-phase)",
+        "breakdown          : phase1 {:.3} ms, phase2 {:.3} ms, dual {:.3} ms, \
+         certify {:.3} ms (refactor {:.3} ms, counted in-phase)",
         ms(breakdown.phase1_nanos),
         ms(breakdown.phase2_nanos),
         ms(breakdown.dual_nanos),
+        ms(breakdown.certify_nanos),
         ms(breakdown.refactor_nanos),
     )?;
 
@@ -245,6 +247,10 @@ fn label(event: &SolveEvent) -> String {
         SolveEvent::WarmStart { outcome } => format!("warm start: {}", outcome.name()),
         SolveEvent::CrashStart { open_rows, covered } => {
             format!("crash basis: {covered} of {open_rows} zero-rhs artificial rows covered")
+        }
+        SolveEvent::CertifyStarted => "exact check of the float answer started".to_string(),
+        SolveEvent::Fallback { cause: FallbackCause::CertificationFailed { reason } } => {
+            format!("fell back to the exact simplex (certification-failed: {reason})")
         }
         SolveEvent::Fallback { cause } => {
             format!("fell back to the exact simplex ({})", cause.kind_name())

@@ -5,24 +5,24 @@
 //! ([`steady_platform::generators::clustered`]) is generated, the collective
 //! LP is formulated and solved through the certified pipeline with a
 //! recording observer tap ([`steady_lp::solve_certified_warm_observed`]) so
-//! each size also reports where its wall time went — per-phase milliseconds,
-//! refactorization time, degenerate/Bland pivot counts and peak eta-file
-//! length — and the answer is verified against
-//! the collective's own invariants.  The sizes in the default sweep all land
-//! above [`steady_lp::CertifyOptions::revised_threshold`], so this is the
-//! end-to-end exercise of the revised sparse simplex: per-size wall-clock
-//! time, pivots and basis refactorizations quantify how the sparse path
-//! scales where the dense tableau cannot.
+//! each size also reports where its wall time went — per-phase and certify
+//! milliseconds, refactorization time, degenerate/Bland pivot counts and
+//! peak eta-file length — and the answer is verified against the
+//! collective's own invariants.  Every size takes the pipeline's one route
+//! (revised `f64` simplex, then the exact check), so this is the end-to-end
+//! exercise of that route at scale: per-size wall-clock time, pivots, basis
+//! refactorizations and the certificate show how it scales, and whether the
+//! exact check still accepts the float answer there.
 //!
 //! `--out` writes a machine-readable `BENCH_scaling.json`; with
 //! `--budget-ms <N>` the run doubles as a CI gate that fails when any
 //! single size's solve exceeds the budget.
 
 use std::io::Write;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use steady_core::{ReduceProblem, ScatterProblem, SteadyProblem};
-use steady_lp::{routes_to_revised, Certificate, CertifyOptions, RecordingObserver};
+use steady_lp::{Certificate, CertifyOptions, RecordingObserver};
 use steady_platform::generators::{
     clustered_reduce_instance, clustered_scatter_instance, ClusteredConfig,
 };
@@ -41,17 +41,17 @@ struct SizeRecord {
     nodes: usize,
     vars: usize,
     constraints: usize,
-    solve_ms: u128,
+    solve: Duration,
     pivots: usize,
     phase1_pivots: usize,
     refactorizations: usize,
-    revised_route: bool,
     certificate: &'static str,
     throughput: String,
-    // Per-solve breakdown from the solver event stream (schema v2).
+    // Per-solve breakdown from the solver event stream (schema v3).
     phase1_ms: f64,
     phase2_ms: f64,
     dual_ms: f64,
+    certify_ms: f64,
     refactor_ms: f64,
     degenerate_pivots: usize,
     bland_pivots: usize,
@@ -71,7 +71,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let reduce = parsed.flag("reduce");
     let verify = !parsed.flag("no-verify");
     let json_path = parsed.value("out").map(str::to_owned);
-    let budget_ms: Option<u128> = match parsed.value("budget-ms") {
+    let budget_ms: Option<u64> = match parsed.value("budget-ms") {
         None => None,
         Some(raw) => Some(raw.parse().map_err(|_| {
             CliError::Usage(format!("--budget-ms expects milliseconds, got '{raw}'"))
@@ -111,25 +111,25 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         writeln!(
             out,
             "size {:>5}         : {} nodes, {} vars x {} rows, {} ms, {} pivots \
-             ({} phase 1), {} refactorizations, {} route, certificate {}",
+             ({} phase 1), {} refactorizations, certificate {}",
             record.requested,
             record.nodes,
             record.vars,
             record.constraints,
-            record.solve_ms,
+            record.solve.as_millis(),
             record.pivots,
             record.phase1_pivots,
             record.refactorizations,
-            if record.revised_route { "revised" } else { "dense" },
             record.certificate,
         )?;
         writeln!(
             out,
-            "                     breakdown: phase1 {:.1} ms, phase2 {:.1} ms, dual {:.1} ms \
-             (refactor {:.1} ms), {} degenerate, {} bland, peak eta {}",
+            "                     breakdown: phase1 {:.1} ms, phase2 {:.1} ms, dual {:.1} ms, \
+             certify {:.1} ms (refactor {:.1} ms), {} degenerate, {} bland, peak eta {}",
             record.phase1_ms,
             record.phase2_ms,
             record.dual_ms,
+            record.certify_ms,
             record.refactor_ms,
             record.degenerate_pivots,
             record.bland_pivots,
@@ -146,15 +146,16 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     if let Some(budget) = budget_ms {
         writeln!(out, "gate               : every solve must finish within {budget} ms")?;
         for r in &records {
-            if r.solve_ms > budget {
+            // Compared unrounded: a sub-millisecond solve still exceeds a
+            // zero budget.
+            if r.solve > Duration::from_millis(budget) {
                 return Err(CliError::Failed(format!(
-                    "size {} took {} ms, over the {} ms budget \
-                     ({} pivots on the {} route)",
+                    "size {} took {:.3} ms, over the {} ms budget ({} pivots, certificate {})",
                     r.requested,
-                    r.solve_ms,
+                    r.solve.as_secs_f64() * 1e3,
                     budget,
                     r.pivots,
-                    if r.revised_route { "revised" } else { "dense" },
+                    r.certificate,
                 )));
             }
         }
@@ -177,11 +178,10 @@ fn solve_one<P: SteadyProblem>(
     let sol = steady_lp::solve_certified_warm_observed(&lp, options, None, &mut recorder)
         .map_err(|e| CliError::Failed(format!("size {requested}: solve failed: {e}")))?;
     let elapsed = start.elapsed();
-    let solve_ms = elapsed.as_millis();
     let recording = recorder.finish();
     let breakdown = recording.breakdown();
-    // Self-consistency of the event stream: the phase buckets are carved
-    // out of the measured solve, so their sum can never exceed it.
+    // Self-consistency of the event stream: the phase and certify buckets
+    // are carved out of the measured solve, so their sum can never exceed it.
     if breakdown.phase_total_nanos() > elapsed.as_nanos() as u64 {
         return Err(CliError::Failed(format!(
             "size {requested}: phase breakdown ({} ns) exceeds the measured solve \
@@ -202,11 +202,10 @@ fn solve_one<P: SteadyProblem>(
         nodes,
         vars: lp.num_vars(),
         constraints: lp.num_constraints(),
-        solve_ms,
+        solve: elapsed,
         pivots: sol.iterations,
         phase1_pivots: sol.phase1_iterations,
         refactorizations: sol.refactorizations,
-        revised_route: routes_to_revised(&lp, options),
         certificate: match sol.certificate {
             Certificate::Optimal => "optimal",
             Certificate::ExactSimplex => "exact-simplex",
@@ -215,6 +214,7 @@ fn solve_one<P: SteadyProblem>(
         phase1_ms: breakdown.phase1_nanos as f64 / 1e6,
         phase2_ms: breakdown.phase2_nanos as f64 / 1e6,
         dual_ms: breakdown.dual_nanos as f64 / 1e6,
+        certify_ms: breakdown.certify_nanos as f64 / 1e6,
         refactor_ms: breakdown.refactor_nanos as f64 / 1e6,
         degenerate_pivots: recording.health.degenerate_pivots,
         bland_pivots: recording.health.bland_pivots,
@@ -248,7 +248,7 @@ fn render_json(
     records: &[SizeRecord],
 ) -> String {
     let mut json = format!(
-        "{{\"schema_version\":2,\"collective\":\"{collective}\",\
+        "{{\"schema_version\":3,\"collective\":\"{collective}\",\
          \"targets\":{targets},\"participants\":{participants},\"seed\":{seed},\"sizes\":["
     );
     for (i, r) in records.iter().enumerate() {
@@ -258,25 +258,25 @@ fn render_json(
         json.push_str(&format!(
             "{{\"requested\":{},\"nodes\":{},\"vars\":{},\"constraints\":{},\
              \"solve_ms\":{},\"pivots\":{},\"phase1_pivots\":{},\
-             \"refactorizations\":{},\"route\":\"{}\",\"certificate\":\"{}\",\
+             \"refactorizations\":{},\"certificate\":\"{}\",\
              \"throughput\":\"{}\",\
              \"phase1_ms\":{:.3},\"phase2_ms\":{:.3},\"dual_ms\":{:.3},\
-             \"refactor_ms\":{:.3},\"degenerate_pivots\":{},\"bland_pivots\":{},\
-             \"peak_eta\":{}}}",
+             \"certify_ms\":{:.3},\"refactor_ms\":{:.3},\"degenerate_pivots\":{},\
+             \"bland_pivots\":{},\"peak_eta\":{}}}",
             r.requested,
             r.nodes,
             r.vars,
             r.constraints,
-            r.solve_ms,
+            r.solve.as_millis(),
             r.pivots,
             r.phase1_pivots,
             r.refactorizations,
-            if r.revised_route { "revised" } else { "dense" },
             r.certificate,
             r.throughput,
             r.phase1_ms,
             r.phase2_ms,
             r.dual_ms,
+            r.certify_ms,
             r.refactor_ms,
             r.degenerate_pivots,
             r.bland_pivots,

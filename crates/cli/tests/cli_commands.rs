@@ -286,7 +286,7 @@ fn scaling_sweep_reports_and_writes_json() {
     let json = std::fs::read_to_string(&json_path).expect("json report written");
     std::fs::remove_file(&json_path).ok();
     for key in [
-        "\"schema_version\":2",
+        "\"schema_version\":3",
         "\"collective\":\"scatter\"",
         "\"requested\":60",
         "\"requested\":100",
@@ -298,6 +298,7 @@ fn scaling_sweep_reports_and_writes_json() {
         "\"phase1_ms\":",
         "\"phase2_ms\":",
         "\"dual_ms\":",
+        "\"certify_ms\":",
         "\"refactor_ms\":",
         "\"degenerate_pivots\":",
         "\"bland_pivots\":",
@@ -305,6 +306,8 @@ fn scaling_sweep_reports_and_writes_json() {
     ] {
         assert!(json.contains(key), "missing {key} in {json}");
     }
+    // One route at every size: schema 3 has no route key.
+    assert!(!json.contains("\"route\""), "{json}");
 
     // The reduce collective runs through the same sweep.
     let text = run_to_string(&[
@@ -593,8 +596,10 @@ fn explain_prints_an_annotated_timeline() {
     assert!(text.contains("annotated solve timeline (scatter)"), "{text}");
     assert!(text.contains("health             :"), "{text}");
     assert!(text.contains("breakdown          : phase1"), "{text}");
+    assert!(text.contains(" ms, certify "), "{text}");
     assert!(text.contains("timeline           :"), "{text}");
     assert!(text.contains("run started on the"), "{text}");
+    assert!(text.contains("exact check of the float answer started"), "{text}");
     assert!(text.contains("began"), "{text}");
     assert!(text.contains("pivots over"), "{text}");
 

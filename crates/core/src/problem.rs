@@ -61,8 +61,8 @@ pub struct SolveReport {
     pub warm_started: bool,
     /// Final basis, reusable to warm-start a structurally identical solve.
     pub basis: Option<SolvedBasis>,
-    /// Basis refactorizations performed by the revised sparse solver
-    /// (`0` whenever the LP ran on the dense tableau route).
+    /// Basis refactorizations performed by the revised sparse solver, over
+    /// the `f64` run and any exact fallback.
     pub refactorizations: usize,
     /// How the exact optimum was validated by the solving pipeline.
     pub certificate: Certificate,

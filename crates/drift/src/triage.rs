@@ -13,9 +13,13 @@
 //! | [`Triage::ResolveWarm`] | primal feasible, optimum moved | primal pivots from the old vertex |
 //! | [`Triage::ResolveCold`] | basis unusable (or none cached) | ordinary two-phase solve |
 //!
-//! Every outcome returns the **same exact rational optimum** as a cold
-//! solve — triage only changes how many pivots were spent, never the answer
-//! — so callers are free to cache bases aggressively.
+//! At every problem size the pivots run in `f64` — the dual simplex from the
+//! cached basis, or the revised simplex from the crash basis when none is
+//! cached — and the answer is then checked exactly
+//! ([`steady_lp::certify`]); only a rejected answer is re-solved in exact
+//! arithmetic.  So every outcome returns the **same exact rational optimum**
+//! as a cold solve — triage only changes how many pivots were spent, never
+//! the answer — and callers are free to cache bases aggressively.
 
 use steady_core::error::CoreError;
 use steady_core::problem::{SolvedBasis, SteadyProblem};

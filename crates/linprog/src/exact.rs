@@ -2,29 +2,36 @@
 //!
 //! The paper's schedule-construction step needs the LP solution as *exact
 //! rationals*: the period of the schedule is the least common multiple of the
-//! denominators (§3.1, §4.2).  Two ways of obtaining such a solution are
-//! provided:
+//! denominators (§3.1, §4.2).  Every solve, at every size, takes one route:
 //!
-//! * [`solve_exact`](crate::simplex::solve_exact) — run the simplex entirely
-//!   in rational arithmetic.  Robust but expensive for the larger instances
-//!   (the Figure-9 reduce LP has a few thousand variables).
-//! * [`solve_certified`] — run the simplex in `f64`, *rationalize* the primal
-//!   and dual solutions with continued fractions, and verify exactly that
-//!   (a) the primal is feasible, (b) the dual is feasible, and (c) the two
-//!   objective values coincide (strong duality).  When all three checks pass
-//!   the rational primal solution is a certified optimum, with the heavy
-//!   arithmetic done once instead of at every pivot.  When any check fails the
-//!   solver falls back to the exact simplex.
+//! 1. **Search in `f64`** with the revised sparse simplex
+//!    ([`crate::revised`]), from the triangular crash basis on a cold solve or
+//!    from the supplied basis on a warm one.
+//! 2. **Check exactly** with [`certify`]: *rationalize* the primal and dual
+//!    solutions with continued fractions and verify in exact arithmetic that
+//!    (a) the primal is feasible, (b) the dual is feasible, and (c) the two
+//!    objective values coincide (strong duality).  When all three checks pass
+//!    the rational primal solution is a certified optimum, with the heavy
+//!    arithmetic done once instead of at every pivot.
+//! 3. **Fall back** when the float run fails or a check fails: the revised
+//!    simplex re-solves in [`Ratio`] arithmetic, seeded from the basis the
+//!    float run ended on (usually already optimal), so its verdict is exact.
 //!
-//! The vertex solutions of the steady-state LPs have small denominators (they
-//! solve linear systems with small integer data), so the rationalization step
-//! recovers them exactly in practice — e.g. `2/9` for the Figure-9/10 reduce
-//! experiment.
+//! This is the float-search-then-exact-check design of Applegate, Cook, Dash
+//! & Espinoza, "Exact solutions to linear programming problems", *Oper. Res.
+//! Lett.* 35 (2007).  The vertex solutions of the steady-state LPs have small
+//! denominators (they solve linear systems with small integer data), so the
+//! rationalization step recovers them exactly in practice — e.g. `2/9` for
+//! the Figure-9/10 reduce experiment.
+//!
+//! The dual entry point ([`solve_certified_dual`]) searches with the dense
+//! `f64` dual simplex ([`crate::simplex`]) instead, then certifies and falls
+//! back the same way.
 
 use crate::instrument::{FallbackCause, NoopObserver, SolveEvent, SolveObserver};
 use crate::model::{LpProblem, Objective, Sense};
 use crate::revised::{self, RevisedOptions};
-use crate::simplex::{self, SimplexError, SimplexOptions, Solution, SolvedBasis};
+use crate::simplex::{self, DualOutcome, SimplexError, SimplexOptions, Solution, SolvedBasis};
 use steady_rational::Ratio;
 
 /// How the returned exact solution was validated.
@@ -45,8 +52,9 @@ pub struct CertifiedSolution {
     pub values: Vec<Ratio>,
     /// Exact objective value.
     pub objective: Ratio,
-    /// Exact dual values (empty when produced by the exact-simplex fallback
-    /// path and duals were not needed).
+    /// Exact dual values, one per constraint, in the sign convention
+    /// [`check_optimal`] verifies — on the certified path and on the exact
+    /// fallback alike.
     pub duals: Vec<Ratio>,
     /// How optimality was established.
     pub certificate: Certificate,
@@ -61,8 +69,8 @@ pub struct CertifiedSolution {
     /// structurally identical solve (`None` only for hand-built solutions).
     pub basis: Option<SolvedBasis>,
     /// Basis refactorizations performed by the revised sparse solver, summed
-    /// over the `f64` and exact runs behind this solution.  Always `0` on the
-    /// dense tableau route (it has no factorization to rebuild).
+    /// over the `f64` and exact runs behind this solution (the dense `f64`
+    /// dual search contributes none).
     pub refactorizations: usize,
 }
 
@@ -99,29 +107,17 @@ impl SolveTrace {
     }
 }
 
-/// Options controlling [`solve_certified`].
+/// Options controlling [`solve_certified`] and its siblings.  Every problem,
+/// whatever its size, takes the one route of the module docs.
 #[derive(Debug, Clone)]
 pub struct CertifyOptions {
     /// Maximum denominator used when rationalizing `f64` values.
     pub max_denominator: u64,
-    /// Underlying simplex options.
+    /// Pivot-rule options of every simplex run, `f64` and exact.
     pub simplex: SimplexOptions,
     /// If `true`, never fall back to the exact simplex; return an error
     /// instead.  Useful in benchmarks isolating the certification path.
     pub forbid_fallback: bool,
-    /// Dense-vs-revised routing split, compared against
-    /// `num_vars · max(num_constraints, 1)`.
-    ///
-    /// At or below the threshold the `f64` stage (and any exact fallback it
-    /// needs) runs on the dense tableau ([`crate::simplex`]); above it, on
-    /// the revised sparse simplex with an LU-factorized basis
-    /// ([`crate::revised`]), whose per-pivot work scales with the basis
-    /// nonzeros rather than the full `m · n` tableau.  Both routes use the
-    /// same pivot rules, so they certify the same exact optimum; the default
-    /// keeps every paper-scale workload (the Figure-9 reduce LP is ~10⁶) on
-    /// the dense path and reserves the sparse path for the thousand-node
-    /// platforms it was built for.
-    pub revised_threshold: usize,
 }
 
 impl Default for CertifyOptions {
@@ -130,7 +126,6 @@ impl Default for CertifyOptions {
             max_denominator: 1_000_000,
             simplex: SimplexOptions::default(),
             forbid_fallback: false,
-            revised_threshold: 4_000_000,
         }
     }
 }
@@ -196,9 +191,9 @@ pub fn solve_certified_warm(
 }
 
 /// [`solve_certified_warm`] with a [`SolveObserver`] tap on every run the
-/// pipeline executes — the `f64` attempt, any exact fallback run (preceded by
-/// a [`SolveEvent::Fallback`] naming the cause), and the warm-start install
-/// outcomes inside each.
+/// pipeline executes — the `f64` attempt, the [`SolveEvent::CertifyStarted`]
+/// marker, any exact fallback run (preceded by a [`SolveEvent::Fallback`]
+/// naming the cause), and the warm-start install outcomes inside each.
 ///
 /// Event-conservation caveat: when the `f64` run *errors out* mid-solve its
 /// already-emitted pivot events stay in the stream, while the returned
@@ -212,31 +207,29 @@ pub fn solve_certified_warm_observed<O: SolveObserver>(
     warm: Option<&SolvedBasis>,
     obs: &mut O,
 ) -> Result<CertifiedSolution, CertifyError> {
-    let sparse_route = routes_to_revised(problem, options);
-    let revised_opts =
-        RevisedOptions { simplex: options.simplex.clone(), ..RevisedOptions::default() };
-    let mut refactorizations = 0;
-
-    let float = if sparse_route {
-        revised::solve_revised_report_observed::<f64, O>(problem, warm, &revised_opts, obs).map(
-            |(sol, stats)| {
-                refactorizations += stats.refactorizations;
-                sol
-            },
-        )
-    } else {
-        match warm {
-            Some(basis) => simplex::solve_with_basis_options_observed::<f64, O>(
-                problem,
-                basis,
-                &options.simplex,
-                obs,
-            ),
-            None => simplex::solve_with_options_observed::<f64, O>(problem, &options.simplex, obs),
-        }
-    };
-    let float = match float {
-        Ok(float) => float,
+    // The one primal route, at every size: `revised<f64>` from the crash (or
+    // the supplied basis), then `certify`.  Measured on `cold_solve` (paper
+    // scale, 11 to 221 variables) at `--seconds 5 --seed 42` against the old
+    // three-way size split (p50 / p90 ≈ 159 / 850 µs):
+    //
+    // | variant                                  | p50    | p90      | CPU/op |
+    // |------------------------------------------|--------|----------|--------|
+    // | `revised<Ratio>` from the crash          | 133 µs | 2 448 µs |        |
+    // | `revised<f64>` + exact basis install     | 172 µs |          |        |
+    // | dense `f64` + `certify`                  | 106 µs |   880 µs | 293 µs |
+    // | `revised<f64>` + `certify` (this route)  | 110 µs |   832 µs | 274 µs |
+    //
+    // Exact search loses on the random-tree reduces (221 × 88: 1.4 to 5.8 ms
+    // each); an exact install costs 3 to 4 times what `certify` does at this
+    // size (58 against 16 µs on a 51 × 42 scatter); this route needs no size
+    // cut-off at any scale.
+    let (float, stats) = match revised::solve_revised_report_observed::<f64, O>(
+        problem,
+        warm,
+        &revised_options(options),
+        obs,
+    ) {
+        Ok(solved) => solved,
         // The f64 simplex is an accelerator, never an authority: round-off
         // can produce a spurious Unbounded (a near-zero pivot column read as
         // non-positive in the ratio test) or Infeasible verdict on a
@@ -247,120 +240,97 @@ pub fn solve_certified_warm_observed<O: SolveObserver>(
             if O::ENABLED {
                 obs.on_event(SolveEvent::Fallback { cause: FallbackCause::FloatFailed });
             }
-            let exact = if sparse_route {
-                let (sol, stats) = revised::solve_revised_report_observed::<Ratio, O>(
-                    problem,
-                    None,
-                    &revised_opts,
-                    obs,
-                )?;
-                refactorizations += stats.refactorizations;
-                sol
-            } else {
-                // Mirrors `solve_exact` (default options), as the unobserved
-                // path always has.
-                simplex::solve_with_options_observed::<Ratio, O>(
-                    problem,
-                    &SimplexOptions::default(),
-                    obs,
-                )?
-            };
-            return Ok(CertifiedSolution {
-                values: exact.values,
-                objective: exact.objective,
-                duals: exact.duals,
-                certificate: Certificate::ExactSimplex,
-                iterations: exact.iterations,
-                phase1_iterations: exact.phase1_iterations,
-                warm_started: false,
-                basis: Some(exact.basis),
-                refactorizations,
-            });
+            return exact_resolve(problem, options, None, 0, obs);
         }
         Err(e) => return Err(e.into()),
     };
-    match certify(problem, &float, options.max_denominator) {
-        Ok(mut sol) => {
-            sol.refactorizations = refactorizations;
-            Ok(sol)
-        }
+    certify_or_resolve(problem, options, &float, stats.refactorizations, obs)
+}
+
+/// The revised solver's options for a certified solve.
+fn revised_options(options: &CertifyOptions) -> RevisedOptions {
+    RevisedOptions { simplex: options.simplex.clone(), ..RevisedOptions::default() }
+}
+
+/// The exact fallback: `revised<Ratio>` seeded from the basis `float` ended
+/// on, or from the crash when the float run failed (`None`).  The revised
+/// solver itself retreats to a cold crash start when that basis is singular
+/// or infeasible for the data, so an infeasible float vertex cannot read as
+/// unbounded.  The float run's pivots and `float_refactorizations` are
+/// counted in.
+fn exact_resolve<O: SolveObserver>(
+    problem: &LpProblem,
+    options: &CertifyOptions,
+    float: Option<&Solution<f64>>,
+    float_refactorizations: usize,
+    obs: &mut O,
+) -> Result<CertifiedSolution, CertifyError> {
+    let (exact, stats) = revised::solve_revised_report_observed::<Ratio, O>(
+        problem,
+        float.map(|f| &f.basis),
+        &revised_options(options),
+        obs,
+    )?;
+    let (iterations, phase1_iterations, warm_started) =
+        float.map_or((0, 0, false), |f| (f.iterations, f.phase1_iterations, f.warm_started));
+    Ok(CertifiedSolution {
+        values: exact.values,
+        objective: exact.objective,
+        duals: exact.duals,
+        certificate: Certificate::ExactSimplex,
+        iterations: iterations + exact.iterations,
+        phase1_iterations: phase1_iterations + exact.phase1_iterations,
+        // Caller-perspective flag: did the *supplied* basis take?  The exact
+        // re-solve is always internally seeded from the f64 basis.
+        warm_started,
+        basis: Some(exact.basis),
+        refactorizations: float_refactorizations + stats.refactorizations,
+    })
+}
+
+/// The shared tail of both certified entry points: [`certify`] the float
+/// answer (behind a [`SolveEvent::CertifyStarted`] marker), or — unless
+/// fallback is forbidden — re-solve exactly from its basis.
+/// `refactorizations` is what the float run already spent.
+fn certify_or_resolve<O: SolveObserver>(
+    problem: &LpProblem,
+    options: &CertifyOptions,
+    float: &Solution<f64>,
+    refactorizations: usize,
+    obs: &mut O,
+) -> Result<CertifiedSolution, CertifyError> {
+    if O::ENABLED {
+        obs.on_event(SolveEvent::CertifyStarted);
+    }
+    match certify(problem, float, options.max_denominator) {
+        Ok(sol) => Ok(CertifiedSolution { refactorizations, ..sol }),
         Err(reason) => {
             if options.forbid_fallback {
                 return Err(CertifyError::CertificationFailed { reason });
             }
             if O::ENABLED {
                 obs.on_event(SolveEvent::Fallback {
-                    cause: FallbackCause::CertificationFailed { reason: reason.clone() },
+                    cause: FallbackCause::CertificationFailed { reason },
                 });
             }
-            // Seed the exact re-solve from the f64 basis (usually already
-            // the optimal vertex); if that start misbehaves — an infeasible
-            // float vertex can read as unbounded — re-solve exactly from
-            // scratch rather than surfacing the artifact.  (The revised
-            // solver folds that retreat-to-cold into one call.)
-            let exact = if sparse_route {
-                let (sol, stats) = revised::solve_revised_report_observed::<Ratio, O>(
-                    problem,
-                    Some(&float.basis),
-                    &revised_opts,
-                    obs,
-                )?;
-                refactorizations += stats.refactorizations;
-                sol
-            } else {
-                simplex::solve_with_basis_options_observed::<Ratio, O>(
-                    problem,
-                    &float.basis,
-                    &options.simplex,
-                    obs,
-                )
-                .or_else(|_| {
-                    // Mirrors `solve_exact` (default options).
-                    simplex::solve_with_options_observed::<Ratio, O>(
-                        problem,
-                        &SimplexOptions::default(),
-                        obs,
-                    )
-                })?
-            };
-            Ok(CertifiedSolution {
-                values: exact.values,
-                objective: exact.objective,
-                duals: exact.duals,
-                certificate: Certificate::ExactSimplex,
-                iterations: float.iterations + exact.iterations,
-                phase1_iterations: float.phase1_iterations + exact.phase1_iterations,
-                // Caller-perspective flag: did the *supplied* basis take?  The
-                // exact re-solve is always internally seeded from the f64 basis.
-                warm_started: float.warm_started,
-                basis: Some(exact.basis),
-                refactorizations,
-            })
+            exact_resolve(problem, options, Some(float), refactorizations, obs)
         }
     }
-}
-
-/// `true` when `problem` is large enough that [`solve_certified_warm`] routes
-/// it through the revised sparse simplex instead of the dense tableau (see
-/// [`CertifyOptions::revised_threshold`]).
-pub fn routes_to_revised(problem: &LpProblem, options: &CertifyOptions) -> bool {
-    problem.num_vars() * problem.num_constraints().max(1) > options.revised_threshold
 }
 
 /// [`solve_certified_warm`]'s **dual-simplex** sibling: the `f64` simplex
 /// resumes from `basis` via [`simplex::solve_dual_with_basis_options`], the
 /// rationalized optimum is certified exactly, and a failed certification
-/// falls back to the exact simplex seeded with the basis the float run ended
+/// falls back to `revised<Ratio>` seeded with the basis the float run ended
 /// on.
 ///
-/// The returned [`DualOutcome`](crate::simplex::DualOutcome) describes the
-/// float run (how the basis was used); the solution itself is exact on every
-/// path.
+/// The returned [`DualOutcome`] describes the float run (how the basis was
+/// used); the solution itself is exact on every path.
 pub fn solve_certified_dual(
     problem: &LpProblem,
     options: &CertifyOptions,
     basis: &SolvedBasis,
-) -> Result<(CertifiedSolution, crate::simplex::DualOutcome), CertifyError> {
+) -> Result<(CertifiedSolution, DualOutcome), CertifyError> {
     solve_certified_dual_observed(problem, options, basis, &mut NoopObserver)
 }
 
@@ -373,7 +343,7 @@ pub fn solve_certified_dual_observed<O: SolveObserver>(
     options: &CertifyOptions,
     basis: &SolvedBasis,
     obs: &mut O,
-) -> Result<(CertifiedSolution, crate::simplex::DualOutcome), CertifyError> {
+) -> Result<(CertifiedSolution, DualOutcome), CertifyError> {
     let attempt = simplex::solve_dual_with_basis_options_observed::<f64, O>(
         problem,
         basis,
@@ -392,51 +362,11 @@ pub fn solve_certified_dual_observed<O: SolveObserver>(
                 obs.on_event(SolveEvent::Fallback { cause: FallbackCause::DualFloatFailed });
             }
             let sol = solve_certified_warm_observed(problem, options, None, obs)?;
-            return Ok((sol, crate::simplex::DualOutcome::FellBack));
+            return Ok((sol, DualOutcome::FellBack));
         }
         Err(e) => return Err(e.into()),
     };
-    match certify(problem, &float, options.max_denominator) {
-        Ok(sol) => Ok((sol, outcome)),
-        Err(reason) => {
-            if options.forbid_fallback {
-                return Err(CertifyError::CertificationFailed { reason });
-            }
-            if O::ENABLED {
-                obs.on_event(SolveEvent::Fallback {
-                    cause: FallbackCause::CertificationFailed { reason: reason.clone() },
-                });
-            }
-            let exact = simplex::solve_with_basis_options_observed::<Ratio, O>(
-                problem,
-                &float.basis,
-                &options.simplex,
-                obs,
-            )
-            .or_else(|_| {
-                // Mirrors `solve_exact` (default options).
-                simplex::solve_with_options_observed::<Ratio, O>(
-                    problem,
-                    &SimplexOptions::default(),
-                    obs,
-                )
-            })?;
-            Ok((
-                CertifiedSolution {
-                    values: exact.values,
-                    objective: exact.objective,
-                    duals: exact.duals,
-                    certificate: Certificate::ExactSimplex,
-                    iterations: float.iterations + exact.iterations,
-                    phase1_iterations: float.phase1_iterations + exact.phase1_iterations,
-                    warm_started: float.warm_started,
-                    basis: Some(exact.basis),
-                    refactorizations: 0,
-                },
-                outcome,
-            ))
-        }
-    }
+    Ok((certify_or_resolve(problem, options, &float, 0, obs)?, outcome))
 }
 
 /// Rationalizes a floating-point solution and verifies optimality exactly.
@@ -722,17 +652,13 @@ mod tests {
         lp.set_objective(y, rat(1, 1));
         lp.add_constraint("a", expr(&[(x, rat(1, 1)), (y, rat(2, 1))]), Sense::Ge, rat(4, 1));
         lp.add_constraint("b", expr(&[(x, rat(3, 1)), (y, rat(1, 1))]), Sense::Ge, rat(6, 1));
-        // Both routes must certify from their own duals: a minimization's
-        // come out in its own sense, or `check_optimal` rejects them by sign
-        // and the answer is an uncertified exact re-solve.
-        let revised = CertifyOptions { revised_threshold: 0, ..Default::default() };
-        for options in [CertifyOptions::default(), revised] {
-            assert_eq!(routes_to_revised(&lp, &options), options.revised_threshold == 0);
-            let sol = solve_certified_with_options(&lp, &options).unwrap();
-            assert_eq!(sol.objective, rat(14, 5));
-            assert_eq!(sol.certificate, Certificate::Optimal);
-            assert_eq!(check_optimal(&lp, &sol.values, &sol.duals), Ok(rat(14, 5)));
-        }
+        // The route must certify from its own duals: a minimization's come
+        // out in its own sense, or `check_optimal` rejects them by sign and
+        // the answer is an uncertified exact re-solve.
+        let sol = solve_certified(&lp).unwrap();
+        assert_eq!(sol.objective, rat(14, 5));
+        assert_eq!(sol.certificate, Certificate::Optimal);
+        assert_eq!(check_optimal(&lp, &sol.values, &sol.duals), Ok(rat(14, 5)));
         // The exact solvers agree with that convention, dense and revised.
         let dense = simplex::solve_exact(&lp).unwrap();
         assert_eq!(check_optimal(&lp, &dense.values, &dense.duals), Ok(rat(14, 5)));

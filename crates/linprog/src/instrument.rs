@@ -5,7 +5,7 @@
 //! module makes them inspectable without touching their arithmetic: the
 //! solvers ([`crate::simplex`], [`crate::revised`], [`crate::exact`]) emit a
 //! [`SolveEvent`] at every phase transition, pivot, eta append,
-//! refactorization, warm-start install, cold crash start and
+//! refactorization, warm-start install, cold crash start, exact check and
 //! certified-pipeline fallback, into whatever [`SolveObserver`] the caller
 //! supplies.
 //!
@@ -247,6 +247,10 @@ pub enum SolveEvent {
         /// How many of them start on a real column instead.
         covered: usize,
     },
+    /// The certified pipeline is about to check the float answer exactly
+    /// ([`crate::exact::certify`]).  Closes the open phase: certify time is
+    /// its own [`PhaseBreakdown::certify_nanos`] bucket.
+    CertifyStarted,
     /// The certified pipeline fell back to the exact simplex.
     Fallback {
         /// Why the fast path was abandoned.
@@ -351,7 +355,8 @@ impl SolveHealth {
             | SolveEvent::PhaseStarted { .. }
             | SolveEvent::RefactorStarted { .. }
             | SolveEvent::WarmStart { .. }
-            | SolveEvent::CrashStart { .. } => {}
+            | SolveEvent::CrashStart { .. }
+            | SolveEvent::CertifyStarted => {}
         }
     }
 
@@ -504,30 +509,40 @@ pub struct SolveRecording {
 
 impl SolveRecording {
     /// Derives the wall-clock phase breakdown from the timeline: each
-    /// [`SolveEvent::PhaseStarted`] marker opens an interval that the next
-    /// phase/run marker (or the end of the solve) closes.  The phase buckets
-    /// are disjoint sub-intervals of the solve, so their sum never exceeds
+    /// [`SolveEvent::PhaseStarted`] or [`SolveEvent::CertifyStarted`] marker
+    /// opens an interval that the next phase/certify/run/fallback marker (or
+    /// the end of the solve) closes.  The buckets are disjoint sub-intervals
+    /// of the solve, so their sum never exceeds
     /// [`SolveRecording::total_nanos`].
     pub fn breakdown(&self) -> PhaseBreakdown {
         let mut out = PhaseBreakdown::default();
-        let mut open: Option<(SolvePhase, u64)> = None;
+        // `None` inside the pair is the certify bucket.
+        let mut open: Option<(Option<SolvePhase>, u64)> = None;
         let mut refactor_open: Option<u64> = None;
-        let close = |open: &mut Option<(SolvePhase, u64)>, now: u64, out: &mut PhaseBreakdown| {
-            if let Some((phase, since)) = open.take() {
-                let span = now.saturating_sub(since);
-                match phase {
-                    SolvePhase::Phase1 => out.phase1_nanos += span,
-                    SolvePhase::Phase2 => out.phase2_nanos += span,
-                    SolvePhase::DualRepair => out.dual_nanos += span,
+        let close =
+            |open: &mut Option<(Option<SolvePhase>, u64)>, now: u64, out: &mut PhaseBreakdown| {
+                if let Some((bucket, since)) = open.take() {
+                    let span = now.saturating_sub(since);
+                    match bucket {
+                        Some(SolvePhase::Phase1) => out.phase1_nanos += span,
+                        Some(SolvePhase::Phase2) => out.phase2_nanos += span,
+                        Some(SolvePhase::DualRepair) => out.dual_nanos += span,
+                        None => out.certify_nanos += span,
+                    }
                 }
-            }
-        };
+            };
         for e in &self.events {
             match &e.event {
-                SolveEvent::RunStarted { .. } => close(&mut open, e.at_nanos, &mut out),
+                SolveEvent::RunStarted { .. } | SolveEvent::Fallback { .. } => {
+                    close(&mut open, e.at_nanos, &mut out)
+                }
                 SolveEvent::PhaseStarted { phase } => {
                     close(&mut open, e.at_nanos, &mut out);
-                    open = Some((*phase, e.at_nanos));
+                    open = Some((Some(*phase), e.at_nanos));
+                }
+                SolveEvent::CertifyStarted => {
+                    close(&mut open, e.at_nanos, &mut out);
+                    open = Some((None, e.at_nanos));
                 }
                 SolveEvent::RefactorStarted { .. } => refactor_open = Some(e.at_nanos),
                 SolveEvent::RefactorFinished { .. } => {
@@ -543,26 +558,31 @@ impl SolveRecording {
     }
 }
 
-/// Where a solve's wall time went, by simplex phase.  `refactor_nanos` is
-/// time spent rebuilding LU factorizations and is *included* in the phase
-/// the rebuild happened in (it is reported separately, not additionally).
+/// Where a solve's wall time went, by simplex phase and exact check.
+/// `refactor_nanos` is time spent rebuilding LU factorizations and is
+/// *included* in the phase the rebuild happened in (it is reported
+/// separately, not additionally).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     /// Wall nanoseconds in phase 1 (feasibility search), all runs summed.
     pub phase1_nanos: u64,
-    /// Wall nanoseconds in phase 2 (optimization).
+    /// Wall nanoseconds in phase 2 (optimization); the exact check's marker
+    /// closes it, so it holds no certify time.
     pub phase2_nanos: u64,
     /// Wall nanoseconds in dual-simplex repair.
     pub dual_nanos: u64,
-    /// Wall nanoseconds inside LU refactorizations (subset of the above).
+    /// Wall nanoseconds in [`crate::exact::certify`]: rationalizing the float
+    /// answer and checking it exactly.
+    pub certify_nanos: u64,
+    /// Wall nanoseconds inside LU refactorizations (subset of the phases).
     pub refactor_nanos: u64,
 }
 
 impl PhaseBreakdown {
-    /// Sum of the disjoint phase buckets — by construction never more than
-    /// the total solve time they were carved from.
+    /// Sum of the disjoint buckets (phases and certify) — by construction
+    /// never more than the total solve time they were carved from.
     pub fn phase_total_nanos(&self) -> u64 {
-        self.phase1_nanos + self.phase2_nanos + self.dual_nanos
+        self.phase1_nanos + self.phase2_nanos + self.dual_nanos + self.certify_nanos
     }
 }
 
@@ -661,15 +681,32 @@ mod tests {
                     at_nanos: 40,
                     event: SolveEvent::PhaseStarted { phase: SolvePhase::Phase2 },
                 },
+                TimedEvent { at_nanos: 70, event: SolveEvent::CertifyStarted },
+                TimedEvent {
+                    at_nanos: 85,
+                    event: SolveEvent::Fallback {
+                        cause: FallbackCause::CertificationFailed { reason: "gap".into() },
+                    },
+                },
+                TimedEvent {
+                    at_nanos: 86,
+                    event: SolveEvent::RunStarted { path: SolvePath::Revised },
+                },
+                TimedEvent {
+                    at_nanos: 90,
+                    event: SolveEvent::PhaseStarted { phase: SolvePhase::Phase2 },
+                },
             ],
             truncated: 0,
             health: SolveHealth::default(),
         };
         let b = rec.breakdown();
         assert_eq!(b.phase1_nanos, 30);
-        assert_eq!(b.phase2_nanos, 60);
+        assert_eq!(b.phase2_nanos, 30 + 10);
+        assert_eq!(b.certify_nanos, 15);
         assert_eq!(b.dual_nanos, 0);
         assert_eq!(b.refactor_nanos, 5);
+        assert_eq!(b.phase_total_nanos(), 85);
         assert!(b.phase_total_nanos() <= rec.total_nanos);
     }
 

@@ -7,12 +7,18 @@
 //!
 //! * [`model`] — a small modelling layer ([`LpProblem`], [`LinearExpr`]) over
 //!   named non-negative rational variables;
-//! * [`simplex`] — a dense two-phase primal simplex, generic over the scalar
-//!   type, instantiated both for `f64` and for exact [`Ratio`] arithmetic;
-//! * [`exact`] — the certified solving pipeline: solve fast in `f64`,
-//!   rationalize the primal/dual pair with continued fractions, verify
-//!   feasibility and strong duality exactly, and fall back to the exact
-//!   simplex when certification fails.
+//! * [`revised`] — the revised simplex over a sparse LU-factorized basis,
+//!   generic over the scalar type, cold-starting from a triangular crash
+//!   basis;
+//! * [`exact`] — the certified solving pipeline, one route at every size:
+//!   search with `revised<f64>`, rationalize the primal/dual pair with
+//!   continued fractions, verify feasibility and strong duality exactly, and
+//!   re-solve on `revised<Ratio>` from the float basis when certification
+//!   fails;
+//! * [`simplex`] — the dense two-phase tableau, generic over the scalar type.
+//!   No primal solve runs on it: it is the `f64` dual simplex behind
+//!   [`solve_exact_dual_auto`], the basis reader behind [`ranging`], and the
+//!   tests' reference solver.
 //!
 //! # Example
 //!
@@ -51,10 +57,9 @@ pub mod simplex;
 pub mod sparse;
 
 pub use exact::{
-    certify, check_optimal, routes_to_revised, solve_certified, solve_certified_dual,
-    solve_certified_dual_observed, solve_certified_warm, solve_certified_warm_observed,
-    solve_certified_with_options, Certificate, CertifiedSolution, CertifyError, CertifyOptions,
-    SolveTrace,
+    certify, check_optimal, solve_certified, solve_certified_dual, solve_certified_dual_observed,
+    solve_certified_warm, solve_certified_warm_observed, solve_certified_with_options, Certificate,
+    CertifiedSolution, CertifyError, CertifyOptions, SolveTrace,
 };
 pub use instrument::{
     Chain, FallbackCause, HealthObserver, NoopObserver, PhaseBreakdown, PivotKind, PivotRule,
@@ -81,9 +86,10 @@ pub use sparse::CscMatrix;
 
 use steady_rational::Ratio;
 
-/// Solves a problem exactly, choosing the strategy by problem size: small
-/// problems go straight to the exact simplex, larger ones use the certified
-/// `f64` path with exact-simplex fallback.
+/// Solves a problem exactly with the certified pipeline's one route, at
+/// every size: the revised `f64` simplex from the crash basis, the exact
+/// [`certify`] check, and a `revised<Ratio>` re-solve when that check fails
+/// (see [`exact`]).
 ///
 /// This is the entry point used by the steady-state schedulers.
 pub fn solve_exact_auto(problem: &LpProblem) -> Result<CertifiedSolution, CertifyError> {
@@ -93,9 +99,9 @@ pub fn solve_exact_auto(problem: &LpProblem) -> Result<CertifiedSolution, Certif
 /// [`solve_exact_auto`], optionally warm-starting from a previously solved
 /// basis (see [`SolvedBasis`]).
 ///
-/// The strategy choice is identical to the cold path, so warm and cold
-/// solves of the same problem run the same arithmetic and return the same
-/// exact optimum — the basis only changes where the simplex *starts*.
+/// Warm and cold solves of the same problem take the same route and return
+/// the same exact optimum — the basis only changes where the `f64` search
+/// *starts*.
 pub fn solve_exact_auto_with(
     problem: &LpProblem,
     warm: Option<&SolvedBasis>,
@@ -111,27 +117,15 @@ pub fn solve_exact_auto_observed<O: SolveObserver>(
     warm: Option<&SolvedBasis>,
     obs: &mut O,
 ) -> Result<CertifiedSolution, CertifyError> {
-    if below_exact_simplex_limit(problem) {
-        let options = SimplexOptions::default();
-        let sol = match warm {
-            Some(basis) => simplex::solve_with_basis_options_observed::<Ratio, O>(
-                problem, basis, &options, obs,
-            )?,
-            None => simplex::solve_with_options_observed::<Ratio, O>(problem, &options, obs)?,
-        };
-        Ok(exact_simplex_certified(sol))
-    } else {
-        exact::solve_certified_warm_observed(problem, &CertifyOptions::default(), warm, obs)
-    }
+    exact::solve_certified_warm_observed(problem, &CertifyOptions::default(), warm, obs)
 }
 
 /// Solves `problem` exactly, resuming from `basis` with the **dual simplex**
 /// (see [`solve_dual_with_basis`]) and reporting how the basis was used.
 ///
-/// The size-based strategy split mirrors [`solve_exact_auto_with`]: small
-/// problems run the exact rational dual simplex directly; large ones run it
-/// in `f64`, certify the rationalized optimum, and fall back to the exact
-/// simplex seeded from the float basis when certification fails.  Every path
+/// At every size the dual simplex runs in `f64`, the rationalized optimum is
+/// certified, and a failed certification falls back to `revised<Ratio>`
+/// seeded from the float basis (see [`solve_certified_dual`]).  Every path
 /// returns the same exact optimum as a cold [`solve_exact_auto`] — the
 /// [`DualOutcome`] only describes how much work the basis saved.
 pub fn solve_exact_dual_auto(
@@ -148,40 +142,7 @@ pub fn solve_exact_dual_auto_observed<O: SolveObserver>(
     basis: &SolvedBasis,
     obs: &mut O,
 ) -> Result<(CertifiedSolution, DualOutcome), CertifyError> {
-    if below_exact_simplex_limit(problem) {
-        let (sol, outcome) = simplex::solve_dual_with_basis_options_observed::<Ratio, O>(
-            problem,
-            basis,
-            &SimplexOptions::default(),
-            obs,
-        )?;
-        Ok((exact_simplex_certified(sol), outcome))
-    } else {
-        exact::solve_certified_dual_observed(problem, &CertifyOptions::default(), basis, obs)
-    }
-}
-
-/// Problem-size split between the direct exact simplex and the certified
-/// `f64`-then-exact pipeline.
-fn below_exact_simplex_limit(problem: &LpProblem) -> bool {
-    const EXACT_SIMPLEX_LIMIT: usize = 2_000;
-    problem.num_vars() * problem.num_constraints().max(1) <= EXACT_SIMPLEX_LIMIT
-}
-
-/// Wraps an exact-simplex solution as a [`CertifiedSolution`] (optimal by
-/// construction).
-fn exact_simplex_certified(sol: Solution<Ratio>) -> CertifiedSolution {
-    CertifiedSolution {
-        values: sol.values,
-        objective: sol.objective,
-        duals: sol.duals,
-        certificate: Certificate::ExactSimplex,
-        iterations: sol.iterations,
-        phase1_iterations: sol.phase1_iterations,
-        warm_started: sol.warm_started,
-        basis: Some(sol.basis),
-        refactorizations: 0,
-    }
+    exact::solve_certified_dual_observed(problem, &CertifyOptions::default(), basis, obs)
 }
 
 /// Convenience: exact objective value of the solved problem, for callers that

@@ -2,11 +2,14 @@
 //!
 //! The same pivoting code is instantiated twice:
 //!
-//! * with `f64` — fast, used to locate the optimal vertex of the large
-//!   steady-state LPs (e.g. the Figure-9 reduce instance);
-//! * with [`steady_rational::Ratio`] — exact, used on small and medium
-//!   instances and as the reference implementation the floating-point result
-//!   is certified against (see [`crate::exact`]).
+//! * with `f64` — the dual simplex behind
+//!   [`solve_certified_dual`](crate::exact::solve_certified_dual), whose
+//!   answer is then certified exactly;
+//! * with [`steady_rational::Ratio`] — exact, the basis reader behind
+//!   [`crate::ranging`] and the tests' reference solver.
+//!
+//! No primal solve of the certified pipeline runs here: cold and warm solves
+//! take the revised simplex ([`crate::revised`]) at every size.
 //!
 //! The implementation is a classical dense tableau simplex: constraints are
 //! brought to equality standard form with slack/surplus/artificial variables,

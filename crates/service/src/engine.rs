@@ -604,9 +604,10 @@ struct StageMetrics {
     /// Pivots taken under Bland's anti-cycling rule per successful solve
     /// (non-zero samples mean pricing degraded off Dantzig's rule).
     solver_bland_pivots: Arc<Histogram>,
-    /// Peak eta-file length per successful solve (0 on the dense route).
+    /// Peak eta-file length per successful solve (0 when only the dense
+    /// `f64` dual simplex ran).
     solver_peak_eta: Arc<Histogram>,
-    /// Basis refactorizations per successful solve (0 on the dense route).
+    /// Basis refactorizations per successful solve.
     solver_refactorizations: Arc<Histogram>,
 }
 
@@ -2598,7 +2599,7 @@ mod tests {
             assert_eq!(h.count(), 1, "{name} must sample once per solve");
         }
         assert!(metrics.histogram("solver_pivots").unwrap().sum() > 0);
-        // The dense route (figure 2 is small) never refactorizes.
+        // Figure 2 takes a handful of pivots, far below the eta interval.
         assert_eq!(metrics.histogram("solver_refactorizations").unwrap().sum(), 0);
         let json = metrics.to_json();
         assert!(json.contains("\"solver_pivots\""), "{json}");

@@ -1,0 +1,60 @@
+//! The paper's LPs through the certified pipeline's one route: the revised
+//! `f64` simplex from the crash basis, then the exact check — no dense run,
+//! no phase 1, and a certificate rather than an exact re-solve.
+
+use steady_collectives::prelude::*;
+use steady_lp::{Certificate, RecordingObserver, SolveEvent, SolvePath};
+use steady_rational::Ratio;
+
+/// Figure 2's scatter LP and Figure 6's reduce LP, with their throughputs.
+fn paper_lps() -> [(&'static str, steady_lp::LpProblem, Ratio); 2] {
+    let scatter = ScatterProblem::from_instance(figure2()).unwrap();
+    let reduce = ReduceProblem::from_instance(figure6()).unwrap();
+    [
+        ("figure 2 scatter", scatter.formulate().0, rat(1, 2)),
+        ("figure 6 reduce", reduce.formulate().0, rat(1, 1)),
+    ]
+}
+
+#[test]
+fn figure2_and_figure6_take_one_revised_run_and_certify() {
+    for (name, lp, throughput) in paper_lps() {
+        let mut rec = RecordingObserver::unbounded();
+        let sol = steady_lp::solve_exact_auto_observed(&lp, None, &mut rec).unwrap();
+        let events = rec.finish().events;
+
+        let runs: Vec<SolvePath> = events
+            .iter()
+            .filter_map(|e| match e.event {
+                SolveEvent::RunStarted { path } => Some(path),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(runs, [SolvePath::Revised], "{name}: one revised run, no dense run");
+        assert_eq!(sol.certificate, Certificate::Optimal, "{name}");
+        assert_eq!(sol.phase1_iterations, 0, "{name}");
+        assert_eq!(sol.objective, throughput, "{name}");
+    }
+}
+
+#[test]
+fn certify_has_its_own_time_bucket() {
+    let [(name, lp, _), _] = paper_lps();
+    let mut rec = RecordingObserver::unbounded();
+    steady_lp::solve_exact_auto_observed(&lp, None, &mut rec).unwrap();
+    let recording = rec.finish();
+    let breakdown = recording.breakdown();
+
+    assert_eq!(
+        recording.events.iter().filter(|e| e.event == SolveEvent::CertifyStarted).count(),
+        1,
+        "{name}: one certify marker"
+    );
+    assert!(breakdown.certify_nanos > 0, "{name}: {breakdown:?}");
+    assert!(
+        breakdown.phase1_nanos + breakdown.phase2_nanos + breakdown.certify_nanos
+            <= recording.total_nanos,
+        "{name}: {breakdown:?} exceeds {} ns",
+        recording.total_nanos
+    );
+}
