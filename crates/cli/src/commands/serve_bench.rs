@@ -6,8 +6,7 @@
 //! fresh report is compared against a committed previous `BENCH_service.json`
 //! and the command fails when sustained queries/sec regresses by more than
 //! 20%.  `--snapshot` / `--preload` exercise the cache's warm-set
-//! persistence, and `--max-inflight-cold` / `--cold-queue` configure
-//! admission control.  With `--trace <file>` the service runs with per-query
+//! persistence.  With `--trace <file>` the service runs with per-query
 //! lifecycle tracing on and writes a Chrome trace-event JSON file (load it at
 //! <https://ui.perfetto.dev>) with one track per worker and per client.
 
@@ -31,8 +30,6 @@ const SPEC: OptionSpec = OptionSpec {
         "baseline",
         "snapshot",
         "preload",
-        "max-inflight-cold",
-        "cold-queue",
         "trace",
     ],
     flags: &["schedules"],
@@ -66,8 +63,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     };
     config.cache.capacity = parsed.usize_value("cache-capacity", config.cache.capacity)?;
     config.cache.shards = parsed.usize_value("shards", config.cache.shards)?;
-    config.max_inflight_cold = parsed.usize_value("max-inflight-cold", config.max_inflight_cold)?;
-    config.cold_queue = parsed.usize_value("cold-queue", config.cold_queue)?;
     let json_path = parsed.value("out").map(str::to_owned);
     let baseline_path = parsed.value("baseline").map(str::to_owned);
     let snapshot_path = parsed.value("snapshot").map(str::to_owned);

@@ -3,8 +3,8 @@
 //!
 //! Runs the load generator against a service with per-query tracing enabled
 //! and writes a Chrome trace-event JSON file: one track per worker thread
-//! (per-stage spans — queue wait, cache lookup, flight, gate wait, solve,
-//! publish — plus a synthetic gate-queue track) and one per client thread.
+//! (per-stage spans — cache lookup, queue wait, flight, solve, publish), one
+//! per caller thread that answered cache hits, and one per client thread.
 //! Load the file at <https://ui.perfetto.dev> or `chrome://tracing`.
 //!
 //! `--metrics` / `--prometheus` additionally print the service's metrics

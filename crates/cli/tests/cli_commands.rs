@@ -178,6 +178,19 @@ fn the_executor_switch_and_its_benchmark_are_gone() {
 }
 
 #[test]
+fn the_cold_solve_admission_flags_are_gone() {
+    for flag in ["max-inflight-cold", "cold-queue"] {
+        let option = format!("--{flag}");
+        match run_to_string(&["serve-bench", &option, "1"]).unwrap_err() {
+            CliError::Usage(message) => {
+                assert!(message.contains(&format!("unknown option {option}")))
+            }
+            other => panic!("{option}: expected a usage error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn serve_bench_reports_and_writes_json() {
     // Unique per process so concurrent test runs on one machine don't race.
     let json_path =
@@ -559,7 +572,7 @@ fn obs_overhead_reports_and_gates() {
     let json = std::fs::read_to_string(&path).expect("json report written");
     std::fs::remove_file(&path).ok();
     for key in [
-        "\"schema_version\":2",
+        "\"schema_version\":3",
         "\"qps_untraced\":",
         "\"qps_traced\":",
         "\"overhead_fraction\":",

@@ -1,6 +1,5 @@
 //! The serving engine: a worker pool with single-flight deduplication,
-//! drift-triaged solves, TTL revalidation and requeue-based admission
-//! control.
+//! drift-triaged solves, TTL revalidation and deadline shedding.
 //!
 //! A query's **front half** runs on the thread that asks
 //! ([`Service::query`] / [`Service::submit`]): validate, fingerprint, and
@@ -24,14 +23,7 @@
 //!    instead of stampeding the LP — *single-flight* deduplication — and a
 //!    solve that finished while the query sat in the lane is served from
 //!    the cache by the re-check under the table's lock;
-//! 3. passes the **admission gate**: at most
-//!    [`ServiceConfig::max_inflight_cold`] solves run concurrently; up to
-//!    [`ServiceConfig::cold_queue`] more are **requeued** into the gate's
-//!    pending queue — the worker returns to the lanes immediately, and a
-//!    slot-holder picks the job up when it releases its slot — and the
-//!    excess is *shed* with [`ServeError::Shed`] (a shed *revalidation*
-//!    falls back to its stale answer instead of an error);
-//! 4. solves through the **drift triage ladder**
+//! 3. solves through the **drift triage ladder**
 //!    ([`steady_drift::solve_steady_triaged`]) seeded with the cached
 //!    [`SolvedBasis`] of the query's structural class (same topology and
 //!    roles, any edge costs): a still-optimal basis re-prices with zero
@@ -53,6 +45,12 @@
 //! prefetch work is also cancellable in bulk ([`Service::cancel_prefetch`])
 //! and sheddable by deadline ([`ServiceConfig::demand_deadline`] puts a
 //! per-task deadline on the demand lane instead).
+//!
+//! That deadline is the engine's one way to shed: a demand query still
+//! queued when it passes (or cancelled in its lane) is never run.
+//! Its caller gets [`ServeError::Shed`] — unless the query was revalidating
+//! an expired entry, which is then served as-is
+//! ([`ServedVia::StaleFallback`]): stale data beats no data.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -68,7 +66,6 @@ use steady_sched::{Lane, LaneTask, NowFn, Running, Scheduler, ThreadPerWorker, W
 use crate::cache::{CacheConfig, CacheStats, Lookup, SolutionCache};
 use crate::fingerprint::Fingerprint;
 use crate::flight::{Flight, SingleFlight};
-use crate::gate::{Admission, ColdGate};
 use crate::ledger::PrefetchLedger;
 use crate::metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 use crate::obs::{caller_ring, Clock, QueryTrace, Ring, TraceSink, WallClock, INLINE_LANE};
@@ -116,22 +113,6 @@ pub struct ServiceConfig {
     /// Whether answers include an explicit periodic schedule (slower solves,
     /// richer answers).
     pub build_schedules: bool,
-    /// Maximum number of cold LP solves running concurrently (0 = unlimited).
-    /// Excess cold queries wait in a bounded queue or are shed.
-    pub max_inflight_cold: usize,
-    /// How many cold queries may wait for a solve slot when the gate is full
-    /// (only meaningful with `max_inflight_cold > 0`); arrivals beyond this
-    /// are shed with [`ServeError::Shed`].
-    ///
-    /// Waiting is **requeue-based**: a query that finds the gate full is
-    /// parked in the gate's pending queue and its worker immediately returns
-    /// to serving other traffic — a waiting cold query no longer occupies a
-    /// worker thread.  Slot-holders drain the queue as they finish, so under
-    /// a cold stampede up to `max_inflight_cold` workers are solving while
-    /// every other worker keeps serving cache hits, whatever this bound is.
-    /// Size it purely by how much cold *latency backlog* is acceptable: each
-    /// pending query waits for the jobs ahead of it in the queue.
-    pub cold_queue: usize,
     /// Cache time-to-live in **epochs** (see [`Service::advance_epoch`]):
     /// `None` means entries never expire; `Some(t)` keeps an entry fresh for
     /// `t` epochs beyond the one it was inserted in, after which lookups
@@ -164,9 +145,11 @@ pub struct ServiceConfig {
     pub solver_record_capacity: usize,
     /// Optional per-task deadline for the demand lane: a query still queued
     /// this long after submission is shed (counted in
-    /// [`ServiceStats::demand_timeouts`]) instead of run — bounding how
-    /// stale a response a backlogged service can return.  `None` (the
-    /// default) never sheds by age.
+    /// [`ServiceStats::demand_timeouts`]) instead of run — bounding how long
+    /// a backlogged service keeps a caller waiting.  A shed revalidation
+    /// serves its expired answer ([`ServedVia::StaleFallback`]); any other
+    /// shed query gets [`ServeError::Shed`].  `None` (the default) never
+    /// sheds by age.
     pub demand_deadline: Option<Duration>,
 }
 
@@ -176,8 +159,6 @@ impl Default for ServiceConfig {
             workers: 4,
             cache: CacheConfig::default(),
             build_schedules: false,
-            max_inflight_cold: 0,
-            cold_queue: 16,
             ttl: None,
             preload_from: None,
             tracing: false,
@@ -228,7 +209,7 @@ pub enum ServedVia {
     /// Parked on another query's in-flight solve (single-flight dedup).
     Coalesced,
     /// A TTL-expired entry served as-is because its revalidation was shed
-    /// by admission control — stale data beats no data.
+    /// (demand deadline passed, or cancelled) — stale data beats no data.
     StaleFallback,
 }
 
@@ -259,10 +240,10 @@ pub struct Served {
 pub enum ServeError {
     /// The query was invalid, the problem infeasible, or the solve failed.
     Failed(ServiceError),
-    /// The query needed a cold solve but the admission gate was saturated
-    /// (see [`ServiceConfig::max_inflight_cold`]): the service chose to shed
-    /// it rather than degrade cached traffic.  Retrying later is reasonable —
-    /// nothing is wrong with the query itself.
+    /// The query out-waited [`ServiceConfig::demand_deadline`] in the
+    /// demand lane, or was cancelled there, and had no expired answer to
+    /// fall back to: the service chose not to run it.  Retrying later is
+    /// reasonable — nothing is wrong with the query itself.
     Shed,
 }
 
@@ -270,7 +251,7 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Failed(e) => write!(f, "{e}"),
-            ServeError::Shed => write!(f, "shed under cold-solve overload"),
+            ServeError::Shed => write!(f, "shed: demand deadline passed or query cancelled"),
         }
     }
 }
@@ -323,10 +304,8 @@ pub struct ServiceStats {
     /// Solves that revalidated an expired entry (as opposed to answering a
     /// brand-new fingerprint).
     pub revalidations: u64,
-    /// Queries parked in the admission gate's pending queue instead of
-    /// blocking a worker (requeue-based admission).
-    pub requeued: u64,
-    /// Expired entries served as-is because their revalidation was shed.
+    /// Expired entries served as-is because their revalidation was shed
+    /// (demand deadline passed, or cancelled).
     pub stale_served: u64,
     /// Simplex pivots spent in warm-started solves.
     pub warm_pivots: u64,
@@ -336,7 +315,8 @@ pub struct ServiceStats {
     pub warm_solve_nanos: u64,
     /// Wall-clock nanoseconds spent in from-scratch solves.
     pub cold_solve_nanos: u64,
-    /// Queries shed by cold-solve admission control.
+    /// Demand queries answered `Err(Shed)`: shed by the demand deadline or
+    /// cancelled, with no expired answer to fall back to.
     pub shed: u64,
     /// Error responses delivered (bad query, infeasible problem or panicked
     /// solve; coalesced waiters on a failed solve count once each).
@@ -440,7 +420,6 @@ impl ServiceStats {
             dual_repairs: self.dual_repairs.saturating_sub(earlier.dual_repairs),
             expired: self.expired.saturating_sub(earlier.expired),
             revalidations: self.revalidations.saturating_sub(earlier.revalidations),
-            requeued: self.requeued.saturating_sub(earlier.requeued),
             stale_served: self.stale_served.saturating_sub(earlier.stale_served),
             warm_pivots: self.warm_pivots.saturating_sub(earlier.warm_pivots),
             cold_pivots: self.cold_pivots.saturating_sub(earlier.cold_pivots),
@@ -480,8 +459,8 @@ struct Missed {
     /// single-flight lock judges at the same one.
     epoch: u64,
     /// The expired answer this query revalidates, if any — served as the
-    /// fallback when the solve is shed, and the reason the leader's response
-    /// is labelled [`ServedVia::Revalidated`].
+    /// fallback when the query is shed before it runs, and the reason the
+    /// leader's response is labelled [`ServedVia::Revalidated`].
     stale: Option<Arc<Answer>>,
     /// When the lookup finished ([`Clock`] nanoseconds): the start of the
     /// queue wait.
@@ -489,9 +468,7 @@ struct Missed {
 }
 
 /// A validated, fingerprinted query that missed the cache (or found an
-/// expired entry) and needs the workers.  This is also the unit the
-/// admission gate queues on requeue: parking it costs a queue slot, not a
-/// worker thread.
+/// expired entry) and needs the workers.
 struct Job {
     query: Query,
     reply: Sender<ServeResult>,
@@ -503,10 +480,6 @@ struct Job {
     /// disabled path allocates nothing and costs one branch.
     trace: Option<QueryTrace>,
     missed: Missed,
-    /// When the job reached the admission gate (stamped on the way in); the
-    /// gate-wait histogram is the difference to the solve start, zero-ish
-    /// unless the gate queued.
-    gate_enter_nanos: u64,
 }
 
 /// A query parked on another query's in-flight solve.  The platform is kept
@@ -558,7 +531,7 @@ enum WorkItem {
 /// The per-stage latency histograms, always on (recording is one relaxed
 /// atomic add; see [`crate::metrics`]).  All samples are [`Clock`]
 /// nanoseconds.  Stage spans are adjacent — lookup → queue → flight →
-/// (gate) → solve → publish — so a query's stage samples sum to its
+/// solve → publish — so a query's stage samples sum to its
 /// end-to-end latency within clock resolution.  A cache hit is answered on
 /// its caller's thread and stops after the lookup: it samples `lookup`,
 /// `publish` and `e2e_hit`, and no queue or lane wait.
@@ -578,9 +551,6 @@ struct StageMetrics {
     lane_revalidation_wait: Arc<Histogram>,
     /// Prefetch-lane wait (see `lane_demand_wait`).
     lane_prefetch_wait: Arc<Histogram>,
-    /// Admission-gate wait: gate entry → solve start (solved queries; near
-    /// zero unless the gate queued the job).
-    gate_wait: Arc<Histogram>,
     /// Warm-started solves (triage reused or reseeded a basis).
     solve_warm: Arc<Histogram>,
     /// From-scratch solves.
@@ -619,7 +589,6 @@ impl StageMetrics {
             lane_demand_wait: registry.histogram("lane_demand_wait_nanos"),
             lane_revalidation_wait: registry.histogram("lane_revalidation_wait_nanos"),
             lane_prefetch_wait: registry.histogram("lane_prefetch_wait_nanos"),
-            gate_wait: registry.histogram("stage_gate_wait_nanos"),
             solve_warm: registry.histogram("stage_solve_warm_nanos"),
             solve_cold: registry.histogram("stage_solve_cold_nanos"),
             publish: registry.histogram("stage_publish_nanos"),
@@ -664,8 +633,6 @@ struct Shared {
     /// Winning basis per structural class (cost-blind fingerprint), used to
     /// triage every solve of a platform that differs only in edge costs.
     bases: Mutex<HashMap<u64, SolvedBasis>>,
-    /// Cold-solve admission control (see [`crate::gate`]).
-    gate: ColdGate<Job>,
     build_schedules: bool,
     /// Current cache epoch; advanced by [`Service::advance_epoch`].
     epoch: AtomicU64,
@@ -704,7 +671,6 @@ struct Shared {
     in_range: AtomicU64,
     dual_repairs: AtomicU64,
     revalidations: AtomicU64,
-    requeued: AtomicU64,
     stale_served: AtomicU64,
     warm_pivots: AtomicU64,
     cold_pivots: AtomicU64,
@@ -751,19 +717,6 @@ struct EngineWorker {
     shared: Arc<Shared>,
 }
 
-impl EngineWorker {
-    /// Replies to a demand job whose task never ran (deadline passed or lane
-    /// cancelled) with [`ServeError::Shed`] — the same contract as
-    /// admission-control shedding: nothing is wrong with the query, the
-    /// service chose not to run it.
-    fn shed_unrun(&self, worker: usize, job: Job, outcome: &'static str) {
-        let shared = &self.shared;
-        let end = shared.clock.now_nanos();
-        finish_trace_at(shared, Ring::Worker(worker), job.trace, outcome, end);
-        let _ = job.reply.send(Err(ServeError::Shed));
-    }
-}
-
 impl WorkerHooks<WorkItem> for EngineWorker {
     fn run(&self, worker: usize, task: LaneTask<WorkItem>) {
         let shared = &self.shared;
@@ -805,7 +758,7 @@ impl WorkerHooks<WorkItem> for EngineWorker {
 
     fn timed_out(&self, worker: usize, task: LaneTask<WorkItem>) {
         match task.payload {
-            WorkItem::Demand(job) => self.shed_unrun(worker, *job, "deadline"),
+            WorkItem::Demand(job) => shed(&self.shared, worker, *job, "deadline"),
             // An expired refresh or speculation is just dropped; the
             // scheduler already counted it.
             WorkItem::Revalidate(_) | WorkItem::Prefetch(_) => {}
@@ -814,7 +767,7 @@ impl WorkerHooks<WorkItem> for EngineWorker {
 
     fn cancelled(&self, worker: usize, task: LaneTask<WorkItem>) {
         match task.payload {
-            WorkItem::Demand(job) => self.shed_unrun(worker, *job, "cancelled"),
+            WorkItem::Demand(job) => shed(&self.shared, worker, *job, "cancelled"),
             WorkItem::Revalidate(_) | WorkItem::Prefetch(_) => {}
         }
     }
@@ -873,7 +826,6 @@ impl Service {
             cache: SolutionCache::new(&config.cache),
             flight: SingleFlight::new(),
             bases: Mutex::new(HashMap::new()),
-            gate: ColdGate::new(config.max_inflight_cold, config.cold_queue),
             build_schedules: config.build_schedules,
             epoch: AtomicU64::new(0),
             ttl: config.ttl,
@@ -896,7 +848,6 @@ impl Service {
             in_range: AtomicU64::new(0),
             dual_repairs: AtomicU64::new(0),
             revalidations: AtomicU64::new(0),
-            requeued: AtomicU64::new(0),
             stale_served: AtomicU64::new(0),
             warm_pivots: AtomicU64::new(0),
             cold_pivots: AtomicU64::new(0),
@@ -941,7 +892,7 @@ impl Service {
         // The lane wait starts where the lookup ended: no second clock read,
         // and `lane_demand_wait` is the same span as the queue stage.
         let enqueued_nanos = missed.lookup_done_nanos;
-        let job = Job { query, reply, submitted_nanos, trace, missed, gate_enter_nanos: 0 };
+        let job = Job { query, reply, submitted_nanos, trace, missed };
         let mut task = LaneTask::new(WorkItem::Demand(Box::new(job)), Lane::Demand, enqueued_nanos);
         if let Some(deadline) = self.demand_deadline {
             task = task.with_deadline(submitted_nanos.saturating_add(deadline.as_nanos() as u64));
@@ -1153,7 +1104,6 @@ impl Service {
             dual_repairs: gauge(&self.shared.dual_repairs),
             expired: cache.stale,
             revalidations: gauge(&self.shared.revalidations),
-            requeued: gauge(&self.shared.requeued),
             stale_served: gauge(&self.shared.stale_served),
             warm_pivots: gauge(&self.shared.warm_pivots),
             cold_pivots: gauge(&self.shared.cold_pivots),
@@ -1193,7 +1143,6 @@ impl Service {
         snap.push_counter("dual_repairs", stats.dual_repairs);
         snap.push_counter("expired", stats.expired);
         snap.push_counter("revalidations", stats.revalidations);
-        snap.push_counter("requeued", stats.requeued);
         snap.push_counter("stale_served", stats.stale_served);
         snap.push_counter("warm_pivots", stats.warm_pivots);
         snap.push_counter("cold_pivots", stats.cold_pivots);
@@ -1530,7 +1479,7 @@ enum Front {
     /// Answered without the workers: a fresh hit, or an invalid query's
     /// error.  The trace, if any, is sealed.
     Done(ServeResult),
-    /// A miss or an expired entry: flight → gate → solve are still to come.
+    /// A miss or an expired entry: flight → solve are still to come.
     Missed(Missed),
 }
 
@@ -1633,13 +1582,13 @@ fn look_up_refresh(shared: &Shared, worker: u32, query: Query, picked_up: u64) -
         Front::Missed(missed) => {
             let (reply, _nobody) = unbounded();
             let submitted_nanos = picked_up;
-            Some(Job { query, reply, submitted_nanos, trace, missed, gate_enter_nanos: 0 })
+            Some(Job { query, reply, submitted_nanos, trace, missed })
         }
     }
 }
 
 /// The back half of a query its front half could not answer: single-flight,
-/// then the admission gate, then (inline or after a requeue) the solve.
+/// then (for the leader) the solve.
 // lint: worker-entry
 fn serve_miss(shared: &Shared, worker: u32, job: Job) {
     let key = job.missed.fingerprint.0;
@@ -1650,14 +1599,14 @@ fn serve_miss(shared: &Shared, worker: u32, job: Job) {
     // lookup and the lock (the whole lane wait lies in between); a
     // still-stale entry reads as absent there (peek_fresh), because it must
     // be revalidated.
-    let mut job = match shared.flight.join_or_lead(
+    match shared.flight.join_or_lead(
         key,
         job,
         || shared.cache.peek_fresh(key, epoch, shared.ttl),
         |job| {
             let mut trace = job.trace;
             if let Some(t) = trace.as_mut() {
-                t.flight_done_nanos = shared.clock.now_nanos();
+                t.solve_start_nanos = shared.clock.now_nanos();
             }
             Waiter {
                 platform: job.query.platform,
@@ -1678,96 +1627,41 @@ fn serve_miss(shared: &Shared, worker: u32, job: Job) {
                 job.trace,
             );
             let _ = job.reply.send(Ok(served));
-            return;
         }
-        Flight::Parked => {
-            bump(&shared.coalesced);
-            return;
-        }
-        Flight::Leader(job) => job,
-    };
-
-    let flight_done = shared.clock.now_nanos();
-    if let Some(t) = job.trace.as_mut() {
-        t.flight_done_nanos = flight_done;
-    }
-    job.gate_enter_nanos = flight_done;
-
-    // Admission control: this query needs a solve.  Take a slot, park the
-    // job in the gate's pending queue (the worker is immediately free for
-    // the lanes — requeue-based admission), or shed.
-    match shared.gate.admit(job) {
-        Admission::Admitted(job) => run_solve_chain(shared, worker, job),
-        Admission::Queued => {
-            bump(&shared.requeued);
-        }
-        Admission::Shed(job) => shed(shared, worker, job),
+        Flight::Parked => bump(&shared.coalesced),
+        Flight::Leader(job) => solve_one(shared, worker, job),
     }
 }
 
-/// Sheds a solve the gate rejected, releasing every waiter that coalesced
-/// onto it — no solve for this key is going to happen.  A *revalidation*
-/// degrades gracefully: its expired answer is served as-is
-/// ([`ServedVia::StaleFallback`]) instead of failing the callers.
-fn shed(shared: &Shared, worker: u32, job: Job) {
-    let waiters = shared.flight.complete(job.missed.fingerprint.0);
+/// Sheds a demand job whose lane task never ran: its deadline passed or its
+/// lane was cancelled (`outcome` names which, for the trace).  A
+/// *revalidation* degrades gracefully — its expired answer is served as-is
+/// ([`ServedVia::StaleFallback`]) — and any other query gets
+/// [`ServeError::Shed`].  An unrun task never reached the single-flight
+/// table, so it leads no solve and has no waiters to release.
+fn shed(shared: &Shared, worker: usize, job: Job, outcome: &'static str) {
     let end = shared.clock.now_nanos();
-    let ring = Ring::Worker(worker as usize);
-    match &job.missed.stale {
+    let ring = Ring::Worker(worker);
+    let result = match &job.missed.stale {
         Some(answer) => {
-            bump_by(&shared.stale_served, 1 + waiters.len() as u64);
-            let serve_stale = |platform: &Platform| {
-                Ok(Served { answer: tailor(answer, platform), via: ServedVia::StaleFallback })
-            };
+            bump(&shared.stale_served);
             finish_trace_at(shared, ring, job.trace, "stale-fallback", end);
-            let _ = job.reply.send(serve_stale(&job.query.platform));
-            for waiter in waiters {
-                let Waiter { platform, reply, trace, .. } = waiter;
-                finish_coalesced_trace(shared, worker, trace, "stale-fallback", end);
-                let _ = reply.send(serve_stale(&platform));
-            }
+            let answer = tailor(answer, &job.query.platform);
+            Ok(Served { answer, via: ServedVia::StaleFallback })
         }
         None => {
-            bump_by(&shared.shed, 1 + waiters.len() as u64);
-            finish_trace_at(shared, ring, job.trace, "shed", end);
-            let _ = job.reply.send(Err(ServeError::Shed));
-            for waiter in waiters {
-                let Waiter { reply, trace, .. } = waiter;
-                finish_coalesced_trace(shared, worker, trace, "shed", end);
-                let _ = reply.send(Err(ServeError::Shed));
-            }
+            bump(&shared.shed);
+            finish_trace_at(shared, ring, job.trace, outcome, end);
+            Err(ServeError::Shed)
         }
-    }
+    };
+    let _ = job.reply.send(result);
 }
 
-/// Runs `first` while holding a gate slot, then keeps draining the gate's
-/// pending queue until it is empty — the slot transfers from job to job
-/// without ever being released in between, so queued jobs cannot be
-/// stranded.  Each job is individually contained: a panicking solve fails
-/// its own callers (via the in-flight guard) but the chain, and with it the
-/// slot, carries on.
-fn run_solve_chain(shared: &Shared, worker: u32, first: Job) {
-    let mut next = Some(first);
-    // The first job was admitted inline; everything taken over afterwards
-    // sat in the gate's pending queue, which its trace records.
-    let mut queued = false;
-    while let Some(mut job) = next.take() {
-        if queued {
-            if let Some(t) = job.trace.as_mut() {
-                t.gate_queued = true;
-            }
-        }
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            solve_one(shared, worker, job)
-        }));
-        queued = true;
-        next = shared.gate.release_or_takeover();
-    }
-}
-
-/// Solves one admitted job through the drift-triage ladder, publishes the
-/// answer and its basis, and fans the result out to every parked waiter.
-// lint: worker-entry
+/// Solves one led job through the drift-triage ladder, publishes the answer
+/// and its basis, and fans the result out to every parked waiter.  A panic
+/// here unwinds to the `catch_unwind` around [`serve_miss`], releasing the
+/// waiters through the in-flight guard on the way.
 fn solve_one(shared: &Shared, worker: u32, mut job: Job) {
     let Missed { fingerprint, ref stale, .. } = job.missed;
     let key = fingerprint.0;
@@ -1784,11 +1678,9 @@ fn solve_one(shared: &Shared, worker: u32, mut job: Job) {
     // topology and roles, possibly different costs), if any.
     let structural_key = job.query.structural_fingerprint().0;
     let prior = shared.bases.lock().get(&structural_key).cloned();
-    // One clock read bounds both the gate wait (ending here, inclusive of
-    // the ledger/basis bookkeeping above) and the solve span (starting
-    // here), so the two stages stay adjacent.
+    // The flight stage ends (inclusive of the ledger/basis bookkeeping
+    // above) where the solve span starts, so the two stay adjacent.
     let solve_begin = shared.clock.now_nanos();
-    shared.stage.gate_wait.record(solve_begin.saturating_sub(job.gate_enter_nanos));
     if let Some(t) = job.trace.as_mut() {
         t.solver = worker;
         t.solve_start_nanos = solve_begin;
@@ -2011,68 +1903,6 @@ mod tests {
     }
 
     #[test]
-    fn admission_gate_queues_or_sheds_cold_queries() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        use steady_platform::generators::{random_connected, RandomConfig};
-
-        let expensive = |seed: u64| {
-            let config = RandomConfig { nodes: 8, ..RandomConfig::default() };
-            let platform = random_connected(&config, &mut StdRng::seed_from_u64(seed));
-            let participants: Vec<NodeId> = platform.node_ids().collect();
-            Query {
-                platform,
-                collective: Collective::Reduce {
-                    participants,
-                    target: NodeId(0),
-                    size: rat(1, 1),
-                    task_cost: rat(1, 1),
-                },
-            }
-        };
-
-        // Queue mode: one solve slot, a queue deep enough for everyone — all
-        // four distinct cold queries must eventually be served, one at a time.
-        let service = Service::start(ServiceConfig {
-            workers: 4,
-            max_inflight_cold: 1,
-            cold_queue: 16,
-            ..ServiceConfig::default()
-        });
-        let responses: Vec<_> = (0..4).map(|i| service.submit(expensive(i))).collect();
-        for response in responses {
-            assert!(response.recv().unwrap().is_ok(), "queued cold queries are served");
-        }
-        let stats = service.stats();
-        assert_eq!(stats.solves, 4);
-        assert_eq!(stats.shed, 0);
-
-        // Shed mode: one slot, no queue — concurrent cold queries beyond the
-        // slot are shed with the distinct variant, not errors.
-        let service = Service::start(ServiceConfig {
-            workers: 4,
-            max_inflight_cold: 1,
-            cold_queue: 0,
-            ..ServiceConfig::default()
-        });
-        let responses: Vec<_> = (10..14).map(|i| service.submit(expensive(i))).collect();
-        let mut served = 0u64;
-        let mut shed = 0u64;
-        for response in responses {
-            match response.recv().unwrap() {
-                Ok(_) => served += 1,
-                Err(ServeError::Shed) => shed += 1,
-                Err(ServeError::Failed(e)) => panic!("unexpected failure: {e}"),
-            }
-        }
-        assert_eq!(served + shed, 4);
-        assert!(served >= 1, "the slot holder is always served");
-        let stats = service.stats();
-        assert_eq!(stats.shed, shed);
-        assert_eq!(stats.errors, 0, "shed responses are not errors");
-    }
-
-    #[test]
     fn expired_entries_revalidate_through_triage_not_eviction() {
         let service =
             Service::start(ServiceConfig { workers: 1, ttl: Some(0), ..ServiceConfig::default() });
@@ -2130,112 +1960,46 @@ mod tests {
 
     #[test]
     fn shed_revalidations_fall_back_to_the_stale_answer() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        use steady_platform::generators::{random_connected, RandomConfig};
+        // A zero demand deadline sheds every query that needs a worker: its
+        // deadline has passed by the time any worker vets it.  An expired
+        // entry's revalidation must degrade to serving the stale answer; a
+        // query with nothing to fall back to is shed.
+        let dir = std::env::temp_dir().join("steady-service-snapshot-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("stale_{}.json", std::process::id()));
+        let warm = Service::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+        let fresh = warm.query(figure2_query()).unwrap();
+        assert_eq!(warm.snapshot(&path).unwrap(), 1);
+        drop(warm);
 
-        // One solve slot, no queue: with the slot pinned by a slow cold
-        // solve, an expired entry's revalidation is shed — and must degrade
-        // to serving the stale answer rather than an error.
-        let service = Service::start(ServiceConfig {
-            workers: 2,
-            ttl: Some(0),
-            max_inflight_cold: 1,
-            cold_queue: 0,
-            ..ServiceConfig::default()
-        });
-        let quick = figure2_query();
-        let fresh = service.query(quick.clone()).unwrap();
-        assert_eq!(fresh.via, ServedVia::Solve);
-        // A worker replies before releasing its gate slot; give that release
-        // time to land so the slow solve below deterministically gets the
-        // slot rather than being shed by the transient occupancy.
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        service.advance_epoch(); // the quick answer is now expired
-
-        let slow = {
-            let config = RandomConfig { nodes: 8, ..RandomConfig::default() };
-            let platform = random_connected(&config, &mut StdRng::seed_from_u64(2));
-            let participants: Vec<NodeId> = platform.node_ids().collect();
-            Query {
-                platform,
-                collective: Collective::Reduce {
-                    participants,
-                    target: NodeId(0),
-                    size: rat(1, 1),
-                    task_cost: rat(1, 1),
-                },
+        let service = Service::start(
+            ServiceConfig {
+                workers: 2,
+                ttl: Some(0),
+                demand_deadline: Some(Duration::ZERO),
+                ..ServiceConfig::default()
             }
-        };
-        let slow_response = service.submit(slow);
-        // Wait until the slow solve has actually claimed the slot (its
-        // `solves` increment happens at solve start) rather than sleeping
-        // blind; the reduce LP then runs for orders of magnitude longer
-        // than the stale query below takes to arrive.
-        let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        while service.stats().solves < 2 {
-            assert!(Instant::now() < deadline, "slow solve never started");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+            .preload(&path),
+        );
+        std::fs::remove_file(&path).ok();
+        service.advance_epoch(); // the restored answer is now expired
 
-        let stale = service.query(quick).unwrap();
+        let stale = service.query(figure2_query()).unwrap();
         assert_eq!(stale.via, ServedVia::StaleFallback, "shed revalidation serves stale");
         assert_eq!(stale.answer.throughput, fresh.answer.throughput);
-        assert!(slow_response.recv().unwrap().is_ok());
-        let stats = service.stats();
-        assert_eq!(stats.stale_served, 1);
-        assert_eq!(stats.shed, 0, "a stale fallback is not a shed error");
-        assert_eq!(stats.errors, 0);
-    }
 
-    #[test]
-    fn requeued_cold_queries_do_not_park_workers() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        use steady_platform::generators::{random_connected, RandomConfig};
-
-        // One solve slot, a deep queue, and only TWO workers: four distinct
-        // cold queries are submitted at once.  Under the old blocking
-        // admission, workers would park on the gate and the test could only
-        // pass with workers >= queries; with requeue-based admission the
-        // jobs queue *by value* and the slot-holder drains them, while a
-        // cache hit sails through a free worker mid-stampede.
-        let service = Service::start(ServiceConfig {
-            workers: 2,
-            max_inflight_cold: 1,
-            cold_queue: 16,
-            ..ServiceConfig::default()
-        });
-        let warm = figure2_query();
-        let first = service.query(warm.clone()).unwrap();
-        assert_eq!(first.via, ServedVia::Solve);
-
-        let expensive = |seed: u64| {
-            let config = RandomConfig { nodes: 6, ..RandomConfig::default() };
-            let platform = random_connected(&config, &mut StdRng::seed_from_u64(seed));
-            let participants: Vec<NodeId> = platform.node_ids().collect();
-            Query {
-                platform,
-                collective: Collective::Reduce {
-                    participants,
-                    target: NodeId(0),
-                    size: rat(1, 1),
-                    task_cost: rat(1, 1),
-                },
-            }
-        };
-        let responses: Vec<_> = (20..24).map(|i| service.submit(expensive(i))).collect();
-        // While the stampede is queued behind one slot, hit traffic is
-        // served promptly by the worker the queue does NOT occupy.
-        let hit = service.query(warm).unwrap();
-        assert_eq!(hit.via, ServedVia::Cache);
-        for response in responses {
-            assert!(response.recv().unwrap().is_ok(), "queued cold queries are served");
+        let mut unseen = figure2_query();
+        if let Collective::Scatter { targets, .. } = &mut unseen.collective {
+            targets.truncate(1);
         }
+        assert!(matches!(service.query(unseen), Err(ServeError::Shed)));
+
         let stats = service.stats();
-        assert_eq!(stats.solves, 5);
-        assert_eq!(stats.shed, 0);
-        assert!(stats.requeued >= 1, "the stampede must have requeued: {stats:?}");
+        assert_eq!(stats.demand_timeouts, 2);
+        assert_eq!(stats.stale_served, 1);
+        assert_eq!(stats.shed, 1, "only the query without a fallback is a shed error");
+        assert_eq!(stats.solves, 0);
+        assert_eq!(stats.errors, 0);
     }
 
     #[test]
@@ -2571,7 +2335,7 @@ mod tests {
         let _ = service.query(figure2_query()).unwrap();
         let metrics = service.metrics();
         let json = metrics.to_json();
-        assert!(json.contains("\"schema_version\": 2"), "{json}");
+        assert!(json.contains("\"schema_version\": 3"), "{json}");
         assert!(json.contains("\"queries\": 1"), "{json}");
         assert!(json.contains("\"stage_queue_wait_nanos\""), "{json}");
         let prom = metrics.to_prometheus();

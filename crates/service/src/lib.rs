@@ -23,10 +23,8 @@
 //!   the **drift triage ladder** (`steady-drift`) seeded with the cached
 //!   simplex basis of its structural class — still-optimal bases re-price
 //!   with zero pivots, primal-infeasible ones are repaired by the dual
-//!   simplex; admission control bounds concurrent solves with a
-//!   **requeue-based** pending queue (waiting costs a queue slot, not a
-//!   worker thread; the overflow is shed, and shed *revalidations* fall
-//!   back to their stale answer);
+//!   simplex; an optional demand-lane deadline sheds queries that waited
+//!   too long (a shed *revalidation* falls back to its stale answer);
 //! * [`persist`] — **snapshot persistence**: the cache's
 //!   `fingerprint → throughput` entries *and* the per-structural-class basis
 //!   seeds round-trip through a JSON file, so a restarted service keeps its
@@ -76,7 +74,6 @@ pub mod cache;
 pub mod engine;
 pub mod fingerprint;
 pub mod flight;
-pub mod gate;
 pub mod ledger;
 pub mod loadgen;
 pub mod metrics;

@@ -286,7 +286,7 @@ impl LoadReport {
                 "\"hit_ratio\":{:.4},\"hits\":{},\"misses\":{},\"coalesced\":{},",
                 "\"solves\":{},\"warm_solves\":{},",
                 "\"triaged\":{},\"in_range\":{},\"dual_repairs\":{},",
-                "\"expired\":{},\"revalidations\":{},\"requeued\":{},\"stale_served\":{},",
+                "\"expired\":{},\"revalidations\":{},\"stale_served\":{},",
                 "\"mean_warm_pivots\":{:.2},\"mean_cold_pivots\":{:.2},",
                 "\"mean_warm_solve_micros\":{:.1},\"mean_cold_solve_micros\":{:.1},",
                 "\"shed\":{},\"errors\":{},\"evictions\":{}}}"
@@ -311,7 +311,6 @@ impl LoadReport {
             self.stats.dual_repairs,
             self.stats.expired,
             self.stats.revalidations,
-            self.stats.requeued,
             self.stats.stale_served,
             self.stats.mean_warm_pivots(),
             self.stats.mean_cold_pivots(),
@@ -325,7 +324,7 @@ impl LoadReport {
 
     /// Human-readable multi-line rendering of the report, ending with the
     /// per-stage latency breakdown table (where a query's time went:
-    /// lookup vs queue-wait vs gate-wait vs solve vs publish, with the
+    /// lookup vs queue-wait vs solve vs publish, with the
     /// end-to-end distributions split hit / warm / cold / coalesced; hits
     /// stop after the lookup, so the queue and lane rows count misses only).
     pub fn render(&self) -> String {
@@ -338,7 +337,7 @@ impl LoadReport {
              coalesced (dedup)  : {}\n\
              cold LP solves     : {} ({} warm-started, {} shed)\n\
              drift triage       : {} triaged — {} in-range, {} dual-repaired\n\
-             ttl / requeue      : {} expired, {} revalidated, {} requeued, {} stale-served\n\
+             ttl / stale        : {} expired, {} revalidated, {} stale-served\n\
              mean pivots        : {:.1} warm vs {:.1} cold\n\
              mean solve latency : {:.1} µs warm vs {:.1} µs cold\n\
              scheduler lanes    : {} demand timeouts, {} prefetch cancelled\n",
@@ -363,7 +362,6 @@ impl LoadReport {
             self.stats.dual_repairs,
             self.stats.expired,
             self.stats.revalidations,
-            self.stats.requeued,
             self.stats.stale_served,
             self.stats.mean_warm_pivots(),
             self.stats.mean_cold_pivots(),
@@ -381,13 +379,12 @@ impl LoadReport {
 /// increment: one row per lifecycle stage histogram, in lifecycle order, plus
 /// the end-to-end distributions split by how the query was served.
 pub fn stage_table(metrics: &MetricsSnapshot) -> String {
-    const ROWS: [(&str, &str); 13] = [
+    const ROWS: [(&str, &str); 12] = [
         ("cache lookup", "stage_lookup_nanos"),
         ("queue wait", "stage_queue_wait_nanos"),
         ("lane demand", "lane_demand_wait_nanos"),
         ("lane revalidate", "lane_revalidation_wait_nanos"),
         ("lane prefetch", "lane_prefetch_wait_nanos"),
-        ("gate wait", "stage_gate_wait_nanos"),
         ("solve (warm)", "stage_solve_warm_nanos"),
         ("solve (cold)", "stage_solve_cold_nanos"),
         ("publish", "stage_publish_nanos"),
@@ -577,7 +574,7 @@ impl DriftReport {
                 "\"solves\":{},\"triaged\":{},\"in_range\":{},\"dual_repairs\":{},",
                 "\"warm_solves\":{},\"cold_solves\":{},",
                 "\"triage_reuse_fraction\":{:.4},",
-                "\"expired\":{},\"revalidations\":{},\"requeued\":{},\"stale_served\":{},",
+                "\"expired\":{},\"revalidations\":{},\"stale_served\":{},",
                 "\"mean_warm_pivots\":{:.2},\"mean_cold_pivots\":{:.2},",
                 "\"hits\":{},\"verified\":{},\"errors\":{}}}"
             ),
@@ -595,7 +592,6 @@ impl DriftReport {
             self.triage_reuse_fraction(),
             self.stats.expired,
             self.stats.revalidations,
-            self.stats.requeued,
             self.stats.stale_served,
             self.stats.mean_warm_pivots(),
             self.stats.mean_cold_pivots(),
@@ -1265,7 +1261,7 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"schema_version\":2"));
+        assert!(json.contains("\"schema_version\":3"));
         assert!(json.contains("\"queries_per_second\":20.0"));
         assert!(json.contains("\"hit_ratio\":0.7000"));
         assert!(!report.render().is_empty());

@@ -378,8 +378,10 @@ impl MetricsRegistry {
 /// comparison.  Version 2 added the per-solver histograms
 /// (`solver_pivots`, `solver_degenerate_pivots`, `solver_bland_pivots`,
 /// `solver_peak_eta`, `solver_refactorizations`) and the solver-event
-/// overhead fields of `steady obs-overhead`.
-pub const METRICS_SCHEMA_VERSION: u64 = 2;
+/// overhead fields of `steady obs-overhead`.  Version 3 dropped the
+/// cold-solve admission gate's queue counter and wait histogram with the
+/// gate itself.
+pub const METRICS_SCHEMA_VERSION: u64 = 3;
 
 /// An owned snapshot of a [`MetricsRegistry`] (plus any caller-appended
 /// values), renderable as JSON or Prometheus text exposition.
@@ -631,7 +633,7 @@ mod tests {
         assert_eq!(snap.histogram("stage_solve_warm_nanos").unwrap().count(), 3);
 
         let json = snap.to_json();
-        assert!(json.contains("\"schema_version\": 2"), "{json}");
+        assert!(json.contains("\"schema_version\": 3"), "{json}");
         assert!(json.contains("\"queries\": 43"), "{json}");
         assert!(json.contains("\"stage_solve_warm_nanos\""), "{json}");
 

@@ -3,7 +3,7 @@
 //! Every query admitted by [`crate::engine::Service`] can carry a
 //! [`QueryTrace`] — a fixed-size, heap-free record of monotonic timestamps
 //! at each lifecycle edge (cache lookup → worker pickup → single-flight →
-//! admission gate → solve → publish), plus the triage rung and per-phase
+//! solve → publish), plus the triage rung and per-phase
 //! simplex pivot counts ([`steady_lp::SolveTrace`]) of the solve that
 //! answered it.  A cache hit is answered on the caller's thread and stops
 //! after the lookup: its trace has a lookup and a publish span and nothing
@@ -100,7 +100,7 @@ impl Clock for ManualClock {
 /// The lifecycle stages of a traced query, in order.  Each stage's span is
 /// the difference of two adjacent [`QueryTrace`] timestamps, so the stage
 /// durations **sum exactly** to the end-to-end latency.
-pub const STAGES: [&str; 6] = ["lookup", "queue", "flight", "gate", "solve", "publish"];
+pub const STAGES: [&str; 5] = ["lookup", "queue", "flight", "solve", "publish"];
 
 /// [`QueryTrace::lane`] of a query answered on its caller's thread — it never
 /// rode a scheduler lane.
@@ -109,7 +109,7 @@ pub const INLINE_LANE: &str = "inline";
 /// A heap-free record of one query's trip through the serving core.
 ///
 /// All timestamps are [`Clock`] nanoseconds.  Stages a query skips (a cache
-/// hit never reaches a worker, let alone the gate) keep their timestamps
+/// hit never reaches a worker, let alone a solve) keep their timestamps
 /// equal to the previous edge, so every span is well-defined and
 /// non-negative after [`QueryTrace::finish`] runs its monotone fix-up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,8 +119,8 @@ pub struct QueryTrace {
     /// Worker that admitted (dequeued) the query — for an [`INLINE_LANE`]
     /// trace, the caller-side ring of the thread that answered it.
     pub worker: u32,
-    /// Worker that solved/published — differs from `worker` when the
-    /// admission gate re-queued the solve to another worker.
+    /// Worker that solved/published — for a query parked on another's
+    /// in-flight solve, the leader's worker, which may differ from `worker`.
     pub solver: u32,
     /// Query reached the service (`Service::submit`).
     pub submitted_nanos: u64,
@@ -129,9 +129,8 @@ pub struct QueryTrace {
     pub lookup_done_nanos: u64,
     /// A worker dequeued it (misses and expired entries only).
     pub admitted_nanos: u64,
-    /// Single-flight join-or-lead resolved (parked, fed, or led).
-    pub flight_done_nanos: u64,
-    /// Solve began (for gate-queued queries this is after the gate wait).
+    /// Single-flight join-or-lead resolved (parked, fed, or led) — for the
+    /// leader, the moment its solve began.
     pub solve_start_nanos: u64,
     /// Solve finished.
     pub solve_done_nanos: u64,
@@ -144,8 +143,8 @@ pub struct QueryTrace {
     /// Cache lookup outcome: `"hit"`, `"stale"` or `"miss"`.
     pub lookup: &'static str,
     /// How the query was ultimately served (mirrors
-    /// [`crate::engine::ServedVia`], plus `"shed"` / `"error"` /
-    /// `"prefetch"`).
+    /// [`crate::engine::ServedVia`], plus `"error"`, `"prefetch"`, and
+    /// `"deadline"` / `"cancelled"` for a query shed before it ran).
     pub outcome: &'static str,
     /// Triage rung of the solve that answered (empty when no solve ran).
     pub triage: &'static str,
@@ -169,9 +168,6 @@ pub struct QueryTrace {
     /// Time the solver spent refactorizing the basis, nanoseconds (recorded
     /// solves only; *included* in the surrounding phase spans).
     pub solve_refactor_nanos: u64,
-    /// `true` when the admission gate queued the solve instead of running
-    /// it inline (the `gate` span is then a real wait).
-    pub gate_queued: bool,
 }
 
 impl QueryTrace {
@@ -185,7 +181,6 @@ impl QueryTrace {
             submitted_nanos: now,
             lookup_done_nanos: now,
             admitted_nanos: now,
-            flight_done_nanos: now,
             solve_start_nanos: now,
             solve_done_nanos: now,
             end_nanos: now,
@@ -201,7 +196,6 @@ impl QueryTrace {
             solve_phase2_nanos: 0,
             solve_dual_nanos: 0,
             solve_refactor_nanos: 0,
-            gate_queued: false,
         }
     }
 
@@ -239,7 +233,6 @@ impl QueryTrace {
         for stamp in [
             &mut self.lookup_done_nanos,
             &mut self.admitted_nanos,
-            &mut self.flight_done_nanos,
             &mut self.solve_start_nanos,
             &mut self.solve_done_nanos,
             &mut self.end_nanos,
@@ -253,12 +246,11 @@ impl QueryTrace {
 
     /// `(stage name, start, end)` for each of [`STAGES`], adjacent and
     /// gap-free: the spans sum exactly to `end_nanos - submitted_nanos`.
-    pub fn stages(&self) -> [(&'static str, u64, u64); 6] {
+    pub fn stages(&self) -> [(&'static str, u64, u64); 5] {
         [
             ("lookup", self.submitted_nanos, self.lookup_done_nanos),
             ("queue", self.lookup_done_nanos, self.admitted_nanos),
-            ("flight", self.admitted_nanos, self.flight_done_nanos),
-            ("gate", self.flight_done_nanos, self.solve_start_nanos),
+            ("flight", self.admitted_nanos, self.solve_start_nanos),
             ("solve", self.solve_start_nanos, self.solve_done_nanos),
             ("publish", self.solve_done_nanos, self.end_nanos),
         ]
@@ -461,8 +453,6 @@ pub struct ClientSpan {
 const SERVICE_PID: u32 = 1;
 /// Process id used for client tracks.
 const CLIENT_PID: u32 = 2;
-/// Synthetic thread id for the admission-gate queue track.
-const GATE_TID: u32 = 1000;
 /// Synthetic thread id of caller-side ring 0's track; ring `r` is
 /// `CALLER_TID_BASE + r`.
 const CALLER_TID_BASE: u32 = 2000;
@@ -523,8 +513,7 @@ fn push_solver_spans(out: &mut String, t: &QueryTrace, tid: u32, start: u64, end
 /// trace-event JSON — the format Perfetto and `chrome://tracing` load
 /// directly.  One track per service worker (pid 1), one per caller-side ring
 /// that sealed an [`INLINE_LANE`] trace (hits answered on callers' threads),
-/// one synthetic track for gate-queue waits, and one track per
-/// load-generator client (pid 2).
+/// and one track per load-generator client (pid 2).
 /// Solves recorded with solver events additionally carry nested
 /// `solver.phase1` / `solver.dual-repair` / `solver.phase2` child slices on
 /// the owning worker's track (see `push_solver_spans`).
@@ -545,10 +534,6 @@ pub fn chrome_trace_json(traces: &[QueryTrace], clients: &[ClientSpan]) -> Strin
     for &c in &callers {
         push_thread_name(&mut out, SERVICE_PID, CALLER_TID_BASE + c, &format!("caller-{c}"));
     }
-    // Always named, even when no trace happened to queue at the gate: a
-    // consistent track set lets Perfetto diffs and scripted consumers rely
-    // on the metadata regardless of what this particular drain captured.
-    push_thread_name(&mut out, SERVICE_PID, GATE_TID, "gate-queue");
     let mut client_ids: Vec<u32> = clients.iter().map(|c| c.client).collect();
     client_ids.sort_unstable();
     client_ids.dedup();
@@ -563,12 +548,9 @@ pub fn chrome_trace_json(traces: &[QueryTrace], clients: &[ClientSpan]) -> Strin
             }
             // An inline trace ran on its caller's thread from end to end.
             // Otherwise lookup/queue/flight are drawn on the admitting
-            // worker; solve/publish on the solver; a real gate wait sits on
-            // its own synthetic track so queue pressure is visible at a
-            // glance.
+            // worker; solve/publish on the solver.
             let tid = match stage {
                 _ if inline(t) => CALLER_TID_BASE + t.worker,
-                "gate" if t.gate_queued => GATE_TID,
                 "solve" | "publish" => t.solver,
                 _ => t.worker,
             };
@@ -649,14 +631,12 @@ mod tests {
             assert_eq!(window[0].2, window[1].1, "stages must be adjacent");
         }
 
-        // A full cold solve through the gate.
+        // A full cold solve.
         let mut t = QueryTrace::begin(2, 0);
         t.lookup_done_nanos = 10;
         t.admitted_nanos = 25;
-        t.flight_done_nanos = 30;
         t.solve_start_nanos = 400;
         t.solve_done_nanos = 900;
-        t.gate_queued = true;
         t.finish("solve-cold", 950);
         let sum: u64 = t.stages().iter().map(|&(_, s, e)| e - s).sum();
         assert_eq!(sum, 950);
@@ -723,12 +703,10 @@ mod tests {
         t.solver = 1;
         t.lookup_done_nanos = 2_000;
         t.admitted_nanos = 3_000;
-        t.flight_done_nanos = 4_000;
         t.solve_start_nanos = 10_000;
         t.solve_done_nanos = 20_000;
         t.lookup = "miss";
         t.triage = "resolve-cold";
-        t.gate_queued = true;
         t.finish("solve-cold", 21_000);
         let clients =
             [ClientSpan { client: 0, start_nanos: 500, end_nanos: 22_000, outcome: "solve-cold" }];
@@ -736,13 +714,20 @@ mod tests {
 
         assert!(json.starts_with("{\n\"traceEvents\": ["), "{json}");
         assert!(json.contains("\"thread_name\""), "{json}");
-        assert!(json.contains("\"gate-queue\""), "{json}");
         assert!(json.contains("\"worker-1\""), "{json}");
         assert!(json.contains("\"client-0\""), "{json}");
         assert!(json.contains("\"name\": \"solve\""), "{json}");
         assert!(json.contains("\"triage\": \"resolve-cold\""), "{json}");
-        // The gate wait sits on the synthetic gate track.
-        assert!(json.contains(&format!("\"tid\": {GATE_TID}")), "{json}");
+        // The flight span sits on the admitting worker, the solve on the
+        // solver.
+        assert!(
+            json.contains("\"name\": \"flight\", \"ph\": \"X\", \"pid\": 1, \"tid\": 0"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"name\": \"solve\", \"ph\": \"X\", \"pid\": 1, \"tid\": 1"),
+            "{json}"
+        );
         // Fractional-microsecond timestamps: 1000ns -> "1.000".
         assert!(json.contains("\"ts\": 1.000"), "{json}");
         assert!(json.contains("\"schema_version\": 1"), "{json}");
@@ -753,25 +738,12 @@ mod tests {
     }
 
     #[test]
-    fn gate_queue_track_is_named_even_without_gated_traces() {
-        let mut t = QueryTrace::begin(1, 100);
-        t.lookup_done_nanos = 110;
-        t.finish("cache", 120);
-        assert!(!t.gate_queued);
-        let json = chrome_trace_json(&[t], &[]);
-        assert!(json.contains("\"gate-queue\""), "{json}");
-        let empty = chrome_trace_json(&[], &[]);
-        assert!(empty.contains("\"gate-queue\""), "{empty}");
-    }
-
-    #[test]
     fn solver_sub_spans_nest_inside_the_solve_span() {
         let mut t = QueryTrace::begin(9, 0);
         t.worker = 2;
         t.solver = 2;
         t.lookup_done_nanos = 100;
         t.admitted_nanos = 200;
-        t.flight_done_nanos = 300;
         t.solve_start_nanos = 1_000;
         t.solve_done_nanos = 9_000;
         t.triage = "resolve-cold";
@@ -820,7 +792,7 @@ mod tests {
         t.finish("cache", 125);
         let json = chrome_trace_json(&[t], &[]);
         assert!(!json.contains("\"name\": \"solve\""), "{json}");
-        assert!(!json.contains("\"name\": \"gate\""), "{json}");
+        assert!(!json.contains("\"name\": \"flight\""), "{json}");
         assert!(!json.contains("\"name\": \"queue\""), "a hit never queues: {json}");
         assert!(json.contains("\"name\": \"lookup\""), "{json}");
         assert!(json.contains("\"name\": \"publish\""), "{json}");

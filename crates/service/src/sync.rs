@@ -20,7 +20,7 @@
 //!
 //! | rank | locks                                                        |
 //! |------|--------------------------------------------------------------|
-//! | 10   | admission/dispatch: single-flight `table`, gate `state`, scheduler `lanes` injector (`steady_sched::sync`) |
+//! | 10   | admission/dispatch: single-flight `table`, scheduler `lanes` injector (`steady_sched::sync`) |
 //! | 20   | side tables: `bases`, prefetch-ledger `keys`                  |
 //! | 25   | background-idle latch: the `pending` count its condvar waits on (`steady_sched::sync`) |
 //! | 30   | cache `shard` locks (and any `cache.` method call)            |

@@ -1,5 +1,7 @@
-//! Exhaustive interleaving checks for the serving core's eight riskiest
+//! Exhaustive interleaving checks for the serving core's riskiest
 //! protocols, run under the deterministic model checker (`shims/loom`).
+//! Protocols keep their numbers across revisions: number 2 (the cold-solve
+//! admission gate) is retired with the gate itself, so seven remain.
 //!
 //! Build and run with:
 //!
@@ -22,7 +24,6 @@ use loom::Builder;
 
 use steady_service::cache::{CacheConfig, Lookup, SolutionCache};
 use steady_service::flight::{Flight, SingleFlight};
-use steady_service::gate::{Admission, ColdGate};
 use steady_service::ledger::PrefetchLedger;
 use steady_service::obs::{Ring, TraceSink, CALLER_RINGS};
 use steady_service::recorder::{SolveFlightRecorder, SolveRecord};
@@ -102,51 +103,6 @@ fn single_flight_never_loses_a_waiter_or_solves_twice() {
             assert_eq!(reply.try_recv().ok(), Some(42), "a caller lost its wakeup");
         }
         assert!(!flight.contains(KEY), "the flight was never completed");
-    });
-}
-
-/// Protocol 2 — ColdGate admission: with one slot and a two-deep queue,
-/// every one of three competing jobs is either executed (directly or by
-/// slot takeover) or explicitly shed — never stranded in the queue — and
-/// whenever a job is parked, some slot-holder exists to pick it up.
-#[test]
-fn cold_gate_strands_no_job() {
-    explore("cold_gate", Builder::default(), || {
-        let gate = Arc::new(ColdGate::<u64>::new(1, 2));
-        let executed = Arc::new(AtomicU64::new(0));
-        let shed = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = (0..3)
-            .map(|i| {
-                let gate = Arc::clone(&gate);
-                let executed = Arc::clone(&executed);
-                let shed = Arc::clone(&shed);
-                thread::spawn(move || match gate.admit(i) {
-                    Admission::Admitted(_) => {
-                        // relaxed: test-only tallies, asserted after join.
-                        executed.fetch_add(1, Ordering::Relaxed);
-                        while gate.release_or_takeover().is_some() {
-                            executed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    Admission::Queued => {
-                        let (running, pending) = gate.load();
-                        assert!(
-                            pending == 0 || running > 0,
-                            "stranded: {pending} pending with no slot-holder"
-                        );
-                    }
-                    Admission::Shed(_) => {
-                        shed.fetch_add(1, Ordering::Relaxed);
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        let done = executed.load(Ordering::Relaxed) + shed.load(Ordering::Relaxed);
-        assert_eq!(done, 3, "a job was neither executed nor shed");
-        assert_eq!(gate.load(), (0, 0), "the gate leaked a slot or a pending job");
     });
 }
 

@@ -1,6 +1,7 @@
 //! Deterministic scheduler-lane semantics under a [`ManualClock`]: demand
-//! deadlines fire exactly when the (frozen, hand-advanced) clock says so,
-//! and cancelled prefetch tasks never publish to the cache.
+//! deadlines fire exactly when the (frozen, hand-advanced) clock says so
+//! (a shed revalidation serving its expired answer), and cancelled prefetch
+//! tasks never publish to the cache.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,6 +33,40 @@ fn demand_lane_timeouts_fire_on_the_manual_clock() {
     }
     let stats = service.stats();
     assert_eq!(stats.demand_timeouts, 3, "every demand task must time out");
+    assert_eq!(stats.shed, 3, "every shed reply is counted");
+    assert_eq!(stats.solves, 0, "a timed-out task must never solve");
+}
+
+/// The deadline sheds a revalidation too, but an expired entry is a better
+/// reply than an error: the caller gets the stale answer
+/// ([`ServedVia::StaleFallback`]), counted as served stale, not as shed.
+/// The entry is installed by a prefetch (that lane carries no deadline),
+/// then expired by advancing the epoch under a zero TTL.
+#[test]
+fn deadline_shed_revalidations_serve_the_expired_answer() {
+    let clock = Arc::new(ManualClock::new());
+    let service = Service::start_with_clock(
+        ServiceConfig {
+            workers: 1,
+            ttl: Some(0),
+            demand_deadline: Some(Duration::ZERO),
+            ..ServiceConfig::default()
+        },
+        Arc::clone(&clock) as Arc<dyn steady_service::Clock>,
+    );
+    let query = query_mix(1, 7).remove(0);
+    let job = steady_service::PrefetchJob { query: query.clone(), predicted_exit: false };
+    assert_eq!(service.schedule_prefetch([job]), 1);
+    assert!(service.await_prefetch_idle(Duration::from_secs(10)));
+    assert_eq!(service.stats().prefetched, 1, "the prefetch installed the entry");
+    service.advance_epoch();
+
+    let served = service.query(query).expect("a shed revalidation serves its stale answer");
+    assert_eq!(served.via, ServedVia::StaleFallback);
+    let stats = service.stats();
+    assert_eq!(stats.demand_timeouts, 1, "the revalidation was shed by its deadline");
+    assert_eq!(stats.stale_served, 1);
+    assert_eq!(stats.shed, 0, "a stale fallback is not a shed error");
     assert_eq!(stats.solves, 0, "a timed-out task must never solve");
 }
 

@@ -25,7 +25,7 @@
 //! | [`runtime`] | `steady-runtime` | Threaded message-passing execution with real payloads |
 //! | [`drift`] | `steady-drift` | Cost-drift models (bounded random walks) and basis-reuse triage: in-range re-pricing, dual-simplex repair, warm/cold resolve |
 //! | [`forecast`] | `steady-forecast` | Speculative pre-solving: exact drift envelopes, zero-pivot survival certification (`WillHold`/`MayExit`/`WillExit`), ranked presolve plans |
-//! | [`service`] | `steady-service` | Query serving: canonical fingerprints, sharded cache with TTL epochs and drift-aware eviction, single-flight worker pool, drift-triaged solves, idle-time prefetching, requeue admission, snapshot persistence |
+//! | [`service`] | `steady-service` | Query serving: canonical fingerprints, sharded cache with TTL epochs and drift-aware eviction, single-flight worker pool, drift-triaged solves, idle-time prefetching, deadline shedding with stale fallback, snapshot persistence |
 //!
 //! ## Quick start
 //!

@@ -371,7 +371,7 @@ fn lock_rank(name: &str) -> Option<u32> {
 /// lock reverses the documented order inside the callee.
 fn callee_rank(receiver: &str, method: &str) -> Option<u32> {
     match receiver {
-        "flight" | "gate" => Some(10),
+        "flight" => Some(10),
         "running" if matches!(method, "submit" | "counters" | "cancel_lane") => Some(10),
         "ledger" => Some(20),
         "idle" | "idle_latch" => Some(25),
