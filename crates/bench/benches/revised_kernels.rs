@@ -9,7 +9,7 @@
 //! steady-state collective LPs: strictly diagonally dominant sparse matrices
 //! (guaranteed nonsingular; what a basis looks like mid-solve) and row-permuted
 //! sparse *triangular* ones — the shape of the crash basis every cold revised
-//! solve factorizes first, whose cost no solver phase accounts for.
+//! solve factorizes first, in the solve breakdown's `install` bucket.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -110,8 +110,8 @@ fn bench(c: &mut Criterion) {
             b.iter(|| lu.btran(rhs.clone()))
         });
 
-        // The same three kernels over a crash-shaped basis: Markowitz should
-        // retire it singleton by singleton, with no fill.
+        // The same three kernels over a crash-shaped basis: the singleton
+        // pass retires all of it, with no fill and no Markowitz search.
         let tri = triangular_basis(m, &mut tri_rng);
         let tri_lu = SparseLu::factorize(&tri, &cols).expect("triangular basis factorizes");
         assert_eq!(tri_lu.nnz(), tri.nnz(), "a triangular basis factorizes without fill");

@@ -101,8 +101,9 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let breakdown = explained.recording.breakdown();
     writeln!(
         out,
-        "breakdown          : phase1 {:.3} ms, phase2 {:.3} ms, dual {:.3} ms, \
-         certify {:.3} ms (refactor {:.3} ms, counted in-phase)",
+        "breakdown          : install {:.3} ms, phase1 {:.3} ms, phase2 {:.3} ms, \
+         dual {:.3} ms, certify {:.3} ms (refactor {:.3} ms, counted in-phase)",
+        ms(breakdown.install_nanos),
         ms(breakdown.phase1_nanos),
         ms(breakdown.phase2_nanos),
         ms(breakdown.dual_nanos),

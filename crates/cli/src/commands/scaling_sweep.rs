@@ -5,8 +5,8 @@
 //! ([`steady_platform::generators::clustered`]) is generated, the collective
 //! LP is formulated and solved through the certified pipeline with a
 //! recording observer tap ([`steady_lp::solve_certified_warm_observed`]) so
-//! each size also reports where its wall time went — per-phase and certify
-//! milliseconds, refactorization time, degenerate/Bland pivot counts and
+//! each size also reports where its wall time went — install, per-phase and
+//! certify milliseconds, refactorization time, degenerate/Bland pivot counts and
 //! peak eta-file length — and the answer is verified against the
 //! collective's own invariants.  Every size takes the pipeline's one route
 //! (revised `f64` simplex, then the exact check), so this is the end-to-end
@@ -47,7 +47,8 @@ struct SizeRecord {
     refactorizations: usize,
     certificate: &'static str,
     throughput: String,
-    // Per-solve breakdown from the solver event stream (schema v3).
+    // Per-solve breakdown from the solver event stream (schema v4).
+    install_ms: f64,
     phase1_ms: f64,
     phase2_ms: f64,
     dual_ms: f64,
@@ -124,8 +125,10 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         )?;
         writeln!(
             out,
-            "                     breakdown: phase1 {:.1} ms, phase2 {:.1} ms, dual {:.1} ms, \
-             certify {:.1} ms (refactor {:.1} ms), {} degenerate, {} bland, peak eta {}",
+            "                     breakdown: install {:.1} ms, phase1 {:.1} ms, phase2 {:.1} ms, \
+             dual {:.1} ms, certify {:.1} ms (refactor {:.1} ms), {} degenerate, {} bland, \
+             peak eta {}",
+            record.install_ms,
             record.phase1_ms,
             record.phase2_ms,
             record.dual_ms,
@@ -180,8 +183,9 @@ fn solve_one<P: SteadyProblem>(
     let elapsed = start.elapsed();
     let recording = recorder.finish();
     let breakdown = recording.breakdown();
-    // Self-consistency of the event stream: the phase and certify buckets
-    // are carved out of the measured solve, so their sum can never exceed it.
+    // Self-consistency of the event stream: the install, phase and certify
+    // buckets are carved out of the measured solve, so their sum can never
+    // exceed it.
     if breakdown.phase_total_nanos() > elapsed.as_nanos() as u64 {
         return Err(CliError::Failed(format!(
             "size {requested}: phase breakdown ({} ns) exceeds the measured solve \
@@ -211,6 +215,7 @@ fn solve_one<P: SteadyProblem>(
             Certificate::ExactSimplex => "exact-simplex",
         },
         throughput,
+        install_ms: breakdown.install_nanos as f64 / 1e6,
         phase1_ms: breakdown.phase1_nanos as f64 / 1e6,
         phase2_ms: breakdown.phase2_nanos as f64 / 1e6,
         dual_ms: breakdown.dual_nanos as f64 / 1e6,
@@ -248,7 +253,7 @@ fn render_json(
     records: &[SizeRecord],
 ) -> String {
     let mut json = format!(
-        "{{\"schema_version\":3,\"collective\":\"{collective}\",\
+        "{{\"schema_version\":4,\"collective\":\"{collective}\",\
          \"targets\":{targets},\"participants\":{participants},\"seed\":{seed},\"sizes\":["
     );
     for (i, r) in records.iter().enumerate() {
@@ -259,7 +264,7 @@ fn render_json(
             "{{\"requested\":{},\"nodes\":{},\"vars\":{},\"constraints\":{},\
              \"solve_ms\":{},\"pivots\":{},\"phase1_pivots\":{},\
              \"refactorizations\":{},\"certificate\":\"{}\",\
-             \"throughput\":\"{}\",\
+             \"throughput\":\"{}\",\"install_ms\":{:.3},\
              \"phase1_ms\":{:.3},\"phase2_ms\":{:.3},\"dual_ms\":{:.3},\
              \"certify_ms\":{:.3},\"refactor_ms\":{:.3},\"degenerate_pivots\":{},\
              \"bland_pivots\":{},\"peak_eta\":{}}}",
@@ -273,6 +278,7 @@ fn render_json(
             r.refactorizations,
             r.certificate,
             r.throughput,
+            r.install_ms,
             r.phase1_ms,
             r.phase2_ms,
             r.dual_ms,

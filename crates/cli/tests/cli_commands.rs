@@ -295,11 +295,11 @@ fn scaling_sweep_reports_and_writes_json() {
     assert!(text.contains("solver scaling sweep (scatter)"), "{text}");
     assert!(text.contains("size    60"), "{text}");
     assert!(text.contains("size   100"), "{text}");
-    assert!(text.contains("breakdown: phase1"), "{text}");
+    assert!(text.contains("breakdown: install"), "{text}");
     let json = std::fs::read_to_string(&json_path).expect("json report written");
     std::fs::remove_file(&json_path).ok();
     for key in [
-        "\"schema_version\":3",
+        "\"schema_version\":4",
         "\"collective\":\"scatter\"",
         "\"requested\":60",
         "\"requested\":100",
@@ -308,6 +308,7 @@ fn scaling_sweep_reports_and_writes_json() {
         "\"refactorizations\":",
         "\"certificate\":",
         "\"throughput\":",
+        "\"install_ms\":",
         "\"phase1_ms\":",
         "\"phase2_ms\":",
         "\"dual_ms\":",
@@ -319,7 +320,7 @@ fn scaling_sweep_reports_and_writes_json() {
     ] {
         assert!(json.contains(key), "missing {key} in {json}");
     }
-    // One route at every size: schema 3 has no route key.
+    // One route at every size: since schema 3 there is no route key.
     assert!(!json.contains("\"route\""), "{json}");
 
     // The reduce collective runs through the same sweep.
@@ -608,7 +609,7 @@ fn explain_prints_an_annotated_timeline() {
         run_to_string(&["explain", "--size", "80", "--targets", "4", "--seed", "7"]).unwrap();
     assert!(text.contains("annotated solve timeline (scatter)"), "{text}");
     assert!(text.contains("health             :"), "{text}");
-    assert!(text.contains("breakdown          : phase1"), "{text}");
+    assert!(text.contains("breakdown          : install"), "{text}");
     assert!(text.contains(" ms, certify "), "{text}");
     assert!(text.contains("timeline           :"), "{text}");
     assert!(text.contains("run started on the"), "{text}");

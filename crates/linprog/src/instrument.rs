@@ -183,7 +183,9 @@ impl FallbackCause {
 /// to the `iterations` its report states.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolveEvent {
-    /// A solver run began on `path`.
+    /// A solver run began on `path`.  Opens the run's install interval,
+    /// [`PhaseBreakdown::install_nanos`], which the first phase or certify
+    /// marker closes.
     RunStarted {
         /// Which solver implementation executes the run.
         path: SolvePath,
@@ -509,40 +511,48 @@ pub struct SolveRecording {
 
 impl SolveRecording {
     /// Derives the wall-clock phase breakdown from the timeline: each
-    /// [`SolveEvent::PhaseStarted`] or [`SolveEvent::CertifyStarted`] marker
-    /// opens an interval that the next phase/certify/run/fallback marker (or
+    /// [`SolveEvent::RunStarted`], [`SolveEvent::PhaseStarted`] or
+    /// [`SolveEvent::CertifyStarted`] marker opens an interval (install,
+    /// phase or certify) that the next run/phase/certify/fallback marker (or
     /// the end of the solve) closes.  The buckets are disjoint sub-intervals
     /// of the solve, so their sum never exceeds
     /// [`SolveRecording::total_nanos`].
     pub fn breakdown(&self) -> PhaseBreakdown {
+        #[derive(Clone, Copy)]
+        enum Bucket {
+            Install,
+            Phase(SolvePhase),
+            Certify,
+        }
         let mut out = PhaseBreakdown::default();
-        // `None` inside the pair is the certify bucket.
-        let mut open: Option<(Option<SolvePhase>, u64)> = None;
+        let mut open: Option<(Bucket, u64)> = None;
         let mut refactor_open: Option<u64> = None;
-        let close =
-            |open: &mut Option<(Option<SolvePhase>, u64)>, now: u64, out: &mut PhaseBreakdown| {
-                if let Some((bucket, since)) = open.take() {
-                    let span = now.saturating_sub(since);
-                    match bucket {
-                        Some(SolvePhase::Phase1) => out.phase1_nanos += span,
-                        Some(SolvePhase::Phase2) => out.phase2_nanos += span,
-                        Some(SolvePhase::DualRepair) => out.dual_nanos += span,
-                        None => out.certify_nanos += span,
-                    }
+        let close = |open: &mut Option<(Bucket, u64)>, now: u64, out: &mut PhaseBreakdown| {
+            if let Some((bucket, since)) = open.take() {
+                let span = now.saturating_sub(since);
+                match bucket {
+                    Bucket::Install => out.install_nanos += span,
+                    Bucket::Phase(SolvePhase::Phase1) => out.phase1_nanos += span,
+                    Bucket::Phase(SolvePhase::Phase2) => out.phase2_nanos += span,
+                    Bucket::Phase(SolvePhase::DualRepair) => out.dual_nanos += span,
+                    Bucket::Certify => out.certify_nanos += span,
                 }
-            };
+            }
+        };
         for e in &self.events {
             match &e.event {
-                SolveEvent::RunStarted { .. } | SolveEvent::Fallback { .. } => {
-                    close(&mut open, e.at_nanos, &mut out)
+                SolveEvent::Fallback { .. } => close(&mut open, e.at_nanos, &mut out),
+                SolveEvent::RunStarted { .. } => {
+                    close(&mut open, e.at_nanos, &mut out);
+                    open = Some((Bucket::Install, e.at_nanos));
                 }
                 SolveEvent::PhaseStarted { phase } => {
                     close(&mut open, e.at_nanos, &mut out);
-                    open = Some((Some(*phase), e.at_nanos));
+                    open = Some((Bucket::Phase(*phase), e.at_nanos));
                 }
                 SolveEvent::CertifyStarted => {
                     close(&mut open, e.at_nanos, &mut out);
-                    open = Some((None, e.at_nanos));
+                    open = Some((Bucket::Certify, e.at_nanos));
                 }
                 SolveEvent::RefactorStarted { .. } => refactor_open = Some(e.at_nanos),
                 SolveEvent::RefactorFinished { .. } => {
@@ -564,6 +574,11 @@ impl SolveRecording {
 /// separately, not additionally).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
+    /// Wall nanoseconds from each run's start to its first phase or certify
+    /// marker, all runs summed: the standard form, the start basis (crash or
+    /// warm install), its factorization and first FTRAN — and, when phase 1
+    /// does not run, any artificial drive-out before phase 2.
+    pub install_nanos: u64,
     /// Wall nanoseconds in phase 1 (feasibility search), all runs summed.
     pub phase1_nanos: u64,
     /// Wall nanoseconds in phase 2 (optimization); the exact check's marker
@@ -579,10 +594,15 @@ pub struct PhaseBreakdown {
 }
 
 impl PhaseBreakdown {
-    /// Sum of the disjoint buckets (phases and certify) — by construction
-    /// never more than the total solve time they were carved from.
+    /// Sum of the disjoint buckets (install, phases and certify) — by
+    /// construction never more than the total solve time they were carved
+    /// from.
     pub fn phase_total_nanos(&self) -> u64 {
-        self.phase1_nanos + self.phase2_nanos + self.dual_nanos + self.certify_nanos
+        self.install_nanos
+            + self.phase1_nanos
+            + self.phase2_nanos
+            + self.dual_nanos
+            + self.certify_nanos
     }
 }
 
@@ -701,12 +721,14 @@ mod tests {
             health: SolveHealth::default(),
         };
         let b = rec.breakdown();
+        assert_eq!(b.install_nanos, 10 + 4);
         assert_eq!(b.phase1_nanos, 30);
         assert_eq!(b.phase2_nanos, 30 + 10);
         assert_eq!(b.certify_nanos, 15);
         assert_eq!(b.dual_nanos, 0);
         assert_eq!(b.refactor_nanos, 5);
-        assert_eq!(b.phase_total_nanos(), 85);
+        // Only the gap between the fallback and the next run is unaccounted.
+        assert_eq!(b.phase_total_nanos(), 99);
         assert!(b.phase_total_nanos() <= rec.total_nanos);
     }
 

@@ -9,18 +9,27 @@
 //! * the constraint matrix stays in read-only sparse storage
 //!   ([`crate::sparse::CscMatrix`]);
 //! * the basis matrix `B` is kept as a sparse LU factorization
-//!   ([`SparseLu`]) computed with Markowitz-style pivot ordering (pick the
-//!   entry minimizing the fill-in bound `(r−1)(c−1)`, with a relative
-//!   magnitude threshold for `f64` stability);
+//!   ([`SparseLu`]) in Markowitz pivot order (pick the entry minimizing the
+//!   fill-in bound `(r−1)(c−1)`, with a relative magnitude threshold for
+//!   `f64` stability).  Column singletons come first, retired in
+//!   `O(nnz log m)` straight off a row-wise copy of `B`; the Markowitz search
+//!   runs only on the nucleus they leave, which is empty for the crash basis;
 //! * each simplex iteration solves two triangular systems instead of
 //!   updating a tableau: FTRAN (`B w = A_j`, the entering column in the
-//!   basis frame) and BTRAN (`Bᵀ y = c_B`, the simplex multipliers used to
-//!   price all columns);
+//!   basis frame) and BTRAN (`Bᵀ y = c_B`, the simplex multipliers).  The
+//!   reduced costs `d_j = c_j − y·A_j` are kept between pivots, and only the
+//!   columns with an entry in a row whose `y` changed are re-priced;
 //! * a pivot appends a product-form *eta* update ([`Eta`]) rather than
 //!   refactorizing, and the factorization is rebuilt from scratch whenever
 //!   the eta file grows past [`RevisedOptions::refactor_interval`] updates
 //!   (or its fill outgrows the factors), which also refreshes the basic
 //!   values against accumulated `f64` round-off.
+//!
+//! Neither shortcut changes a number: the singleton pass takes exactly the
+//! pivots the Markowitz search would (a column singleton scores zero fill
+//! and ends the search), and a reduced cost whose operands did not change is
+//! bit for bit what recomputing it would give.  Factors and pivot sequences
+//! are those of a full search and a full pricing.
 //!
 //! **Same rules, different cold start.**  The solver replicates the dense
 //! tableau's pivot rules *exactly*: same standard form, same Dantzig/Bland
@@ -62,7 +71,8 @@ use crate::model::{LpProblem, Objective};
 use crate::scalar::Scalar;
 use crate::simplex::{clamp_nonneg, SimplexError, SimplexOptions, Solution, SolvedBasis};
 use crate::sparse::{ColKind, CscMatrix, StandardForm};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 /// Tunable parameters of the revised solver.
 #[derive(Debug, Clone)]
@@ -107,7 +117,17 @@ pub struct RevisedStats {
 /// surviving entries over not-yet-pivoted columns (`upper`).  [`Self::ftran`]
 /// and [`Self::btran`] replay those steps to solve `B x = b` and
 /// `Bᵀ y = c` in time proportional to the stored fill, never forming `B⁻¹`.
+///
+/// [`Self::factorize`] works in two passes over one Markowitz order.  The
+/// first retires column singletons, smallest basis position first, off a
+/// flat row-wise copy of `B`: a singleton step eliminates nothing, so its
+/// pivot row goes to `upper` as it stands and its `lower` is empty.  The
+/// second runs the Markowitz search over the nucleus the first leaves — none
+/// at all for a triangular basis such as the crash.  The factors are the
+/// ones the search alone would produce, bit for bit, because the search
+/// itself picks the smallest-position column singleton whenever one exists.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct SparseLu<S> {
     m: usize,
     pivot_row: Vec<usize>,
@@ -117,6 +137,55 @@ pub struct SparseLu<S> {
     lower: Vec<Vec<(usize, S)>>,
     /// Per step: `(col, value)` of the pivot row over unpivoted columns.
     upper: Vec<Vec<(usize, S)>>,
+    /// Stored nonzeros (pivots + both triangular factors), counted once.
+    nnz: usize,
+}
+
+/// Columns of a matrix stored row by row: row `r`'s entries sit at
+/// `start[r] .. start[r + 1]` of `label` / `val`, where the label is the
+/// index of the column in the list it was built from, in ascending order.
+struct RowWise<S> {
+    start: Vec<usize>,
+    label: Vec<usize>,
+    val: Vec<S>,
+}
+
+impl<S: Scalar> RowWise<S> {
+    /// The columns `cols` of `a`, by row; `label` `k` is `cols`' `k`-th.
+    fn of(a: &CscMatrix<S>, cols: impl Iterator<Item = usize> + Clone) -> Self {
+        let m = a.num_rows();
+        let mut start = vec![0usize; m + 1];
+        for col in cols.clone() {
+            for (r, _) in a.col(col) {
+                start[r + 1] += 1;
+            }
+        }
+        for r in 0..m {
+            start[r + 1] += start[r];
+        }
+        let mut next = start[..m].to_vec();
+        let mut label = vec![0; start[m]];
+        let mut val = vec![S::zero(); start[m]];
+        for (k, col) in cols.enumerate() {
+            for (r, v) in a.col(col) {
+                label[next[r]] = k;
+                val[next[r]] = v.clone();
+                next[r] += 1;
+            }
+        }
+        RowWise { start, label, val }
+    }
+
+    /// The labels of row `r`'s entries, ascending.
+    fn labels(&self, r: usize) -> &[usize] {
+        &self.label[self.start[r]..self.start[r + 1]]
+    }
+
+    /// Row `r`'s `(label, value)` entries, in ascending label order.
+    fn row(&self, r: usize) -> impl Iterator<Item = (usize, &S)> + '_ {
+        let span = self.start[r]..self.start[r + 1];
+        self.label[span.clone()].iter().copied().zip(&self.val[span])
+    }
 }
 
 /// Markowitz candidate-column budget per elimination step: examining the few
@@ -139,24 +208,133 @@ impl<S: Scalar> SparseLu<S> {
     /// a certificate, for `f64` the caller treats it as a numerical verdict
     /// and falls back.
     pub fn factorize(a: &CscMatrix<S>, basis_cols: &[usize]) -> Option<SparseLu<S>> {
-        let m = a.num_rows();
-        debug_assert_eq!(basis_cols.len(), m, "basis must have one column per row");
+        debug_assert_eq!(basis_cols.len(), a.num_rows(), "basis must have one column per row");
+        let b = RowWise::of(a, basis_cols.iter().copied());
+        let mut lu = SparseLu::empty(a.num_rows());
+        let active = lu.retire_singletons(a, basis_cols, &b)?;
+        lu.eliminate(&b, &active)?;
+        Some(lu)
+    }
+
+    /// [`Self::factorize`] by the Markowitz search alone: the reference the
+    /// singleton pass must reproduce.
+    #[cfg(test)]
+    fn factorize_by_search(a: &CscMatrix<S>, basis_cols: &[usize]) -> Option<SparseLu<S>> {
+        let b = RowWise::of(a, basis_cols.iter().copied());
+        let mut lu = SparseLu::empty(a.num_rows());
+        lu.eliminate(&b, &vec![true; a.num_rows()])?;
+        Some(lu)
+    }
+
+    fn empty(m: usize) -> Self {
+        SparseLu {
+            m,
+            pivot_row: Vec::with_capacity(m),
+            pivot_col: Vec::with_capacity(m),
+            pivot_val: Vec::with_capacity(m),
+            lower: Vec::with_capacity(m),
+            upper: Vec::with_capacity(m),
+            nnz: 0,
+        }
+    }
+
+    fn push_step(
+        &mut self,
+        row: usize,
+        pos: usize,
+        val: S,
+        lower: Vec<(usize, S)>,
+        upper: Vec<(usize, S)>,
+    ) {
+        self.nnz += 1 + lower.len() + upper.len();
+        self.pivot_row.push(row);
+        self.pivot_col.push(pos);
+        self.pivot_val.push(val);
+        self.lower.push(lower);
+        self.upper.push(upper);
+    }
+
+    /// The singleton pass: while some unpivoted position has exactly one
+    /// active row, pivot on the smallest such position.  `b` is the basis
+    /// by row, labelled by position.  Returns which rows are still active,
+    /// or `None` as soon as a position has no active row left (the basis is
+    /// singular).
+    ///
+    /// An active row holds entries only in unpivoted positions — a pivoted
+    /// singleton's one active row was its pivot row — so the pivot row's
+    /// other entries are its `upper` row, and retiring it only lowers the
+    /// counts of the positions it touches.
+    fn retire_singletons(
+        &mut self,
+        a: &CscMatrix<S>,
+        basis_cols: &[usize],
+        b: &RowWise<S>,
+    ) -> Option<Vec<bool>> {
+        let mut count = vec![0usize; self.m];
+        for &pos in &b.label {
+            count[pos] += 1;
+        }
+        if count.contains(&0) {
+            return None;
+        }
+        let mut singletons: BinaryHeap<Reverse<usize>> =
+            (0..self.m).filter(|&pos| count[pos] == 1).map(Reverse).collect();
+        let mut active = vec![true; self.m];
+        while let Some(Reverse(pj)) = singletons.pop() {
+            let pi = a
+                .col(basis_cols[pj])
+                .map(|(r, _)| r)
+                .find(|&r| active[r])
+                .expect("a singleton position has one active row");
+            active[pi] = false;
+            let mut pivot = None;
+            let mut upper = Vec::with_capacity(b.labels(pi).len() - 1);
+            for (pos, v) in b.row(pi) {
+                if pos == pj {
+                    pivot = Some(v.clone());
+                    continue;
+                }
+                upper.push((pos, v.clone()));
+                count[pos] -= 1;
+                match count[pos] {
+                    0 => return None,
+                    1 => singletons.push(Reverse(pos)),
+                    _ => {}
+                }
+            }
+            let pivot = pivot.expect("the pivot row holds the singleton");
+            self.push_step(pi, pj, pivot, Vec::new(), upper);
+        }
+        Some(active)
+    }
+
+    /// Markowitz elimination of the nucleus: the `active` rows of `b` over
+    /// the positions not yet pivoted.
+    fn eliminate(&mut self, b: &RowWise<S>, active: &[bool]) -> Option<()> {
+        let m = self.m;
+        if self.pivot_row.len() == m {
+            return Some(());
+        }
 
         // Active submatrix, row-wise: row -> { position -> value }.
         let mut rows: Vec<BTreeMap<usize, S>> = vec![BTreeMap::new(); m];
         // Position -> active rows holding a nonzero in that position.
         let mut col_rows: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); m];
-        for (pos, &col) in basis_cols.iter().enumerate() {
-            for (r, v) in a.col(col) {
+        for r in (0..m).filter(|&r| active[r]) {
+            for (pos, v) in b.row(r) {
                 rows[r].insert(pos, v.clone());
                 col_rows[pos].insert(r);
             }
         }
 
         // Bucket queue over column counts, for cheap lowest-count lookup.
+        let mut pivoted = vec![false; m];
+        for &pos in &self.pivot_col {
+            pivoted[pos] = true;
+        }
         let mut buckets: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); MAX_BUCKET + 1];
         let mut col_bucket: Vec<usize> = vec![0; m];
-        for pos in 0..m {
+        for pos in (0..m).filter(|&pos| !pivoted[pos]) {
             let b = col_rows[pos].len().min(MAX_BUCKET);
             buckets[b].insert(pos);
             col_bucket[pos] = b;
@@ -173,16 +351,7 @@ impl<S: Scalar> SparseLu<S> {
             }
         };
 
-        let mut lu = SparseLu {
-            m,
-            pivot_row: Vec::with_capacity(m),
-            pivot_col: Vec::with_capacity(m),
-            pivot_val: Vec::with_capacity(m),
-            lower: Vec::with_capacity(m),
-            upper: Vec::with_capacity(m),
-        };
-
-        for _step in 0..m {
+        for _step in self.pivot_row.len()..m {
             // An active column with no active nonzero certifies singularity.
             if !buckets[0].is_empty() {
                 return None;
@@ -266,13 +435,9 @@ impl<S: Scalar> SparseLu<S> {
             col_rows[pj].clear();
             buckets[col_bucket[pj]].remove(&pj);
 
-            lu.pivot_row.push(pi);
-            lu.pivot_col.push(pj);
-            lu.pivot_val.push(piv_val);
-            lu.lower.push(lower_k);
-            lu.upper.push(upper_k);
+            self.push_step(pi, pj, piv_val, lower_k, upper_k);
         }
-        Some(lu)
+        Some(())
     }
 
     /// Basis dimension.
@@ -282,9 +447,7 @@ impl<S: Scalar> SparseLu<S> {
 
     /// Stored nonzeros (pivots + both triangular factors).
     pub fn nnz(&self) -> usize {
-        self.m
-            + self.lower.iter().map(Vec::len).sum::<usize>()
-            + self.upper.iter().map(Vec::len).sum::<usize>()
+        self.nnz
     }
 
     /// FTRAN: solves `B x = b`.  `b` is indexed by matrix row, the returned
@@ -455,8 +618,27 @@ struct Revised<'a, S> {
     factors: Factors<S>,
     /// Current basic values `B⁻¹ b`, by position.
     xb: Vec<S>,
+    /// `A` by row, labelled by column: the columns a change in `y[r]`
+    /// re-prices.  Built at the first re-pricing, kept for the solve.
+    by_row: Option<RowWise<S>>,
     options: &'a RevisedOptions,
     stats: RevisedStats,
+}
+
+/// The reduced costs of one [`Revised::optimize`] call, carried from pivot
+/// to pivot together with the multipliers `y` they are priced at.
+struct Pricing<S> {
+    /// The current `y`; empty until the first pricing.
+    y: Vec<S>,
+    /// `d_j = c_j − y·A_j`, valid where `stale[j]` is unset.
+    d: Vec<S>,
+    stale: Vec<bool>,
+}
+
+impl<S: Scalar> Pricing<S> {
+    fn new(n: usize) -> Self {
+        Pricing { y: Vec::new(), d: vec![S::zero(); n], stale: vec![true; n] }
+    }
 }
 
 impl<'a, S: Scalar> Revised<'a, S> {
@@ -470,47 +652,69 @@ impl<'a, S: Scalar> Revised<'a, S> {
     ) -> Option<Self> {
         let factors = Factors::fresh(SparseLu::factorize(&sf.a, &basic)?);
         let xb = factors.ftran(sf.rhs.clone());
-        Some(Revised { sf, basic, factors, xb, options, stats: RevisedStats::default() })
+        Some(Revised {
+            sf,
+            basic,
+            factors,
+            xb,
+            by_row: None,
+            options,
+            stats: RevisedStats::default(),
+        })
     }
 
-    /// Simplex multipliers then reduced costs for every column:
-    /// `y = B⁻ᵀ c_B`, `d_j = c_j − y · A_j`.
-    fn reduced_costs(&self, costs: &[S]) -> Vec<S> {
+    /// Prices the current basis and picks the entering column by the dense
+    /// tableau's rule over the `allowed` columns: the first largest positive
+    /// reduced cost (Dantzig), or the first positive one (Bland).
+    ///
+    /// `y = B⁻ᵀ c_B` is solved afresh, but `d_j = c_j − y·A_j` is recomputed
+    /// only for a column the scan reaches while it is stale: never priced in
+    /// this `pricing`, or `y` changed in a row of `A_j` since it was.  Any
+    /// other `d_j` would be recomputed from the same operands in the same
+    /// order, so the kept value is the recomputed one, bit for bit.
+    fn price(
+        &mut self,
+        costs: &[S],
+        allowed: &[bool],
+        pricing: &mut Pricing<S>,
+        bland: bool,
+    ) -> Option<usize> {
         let cb: Vec<S> = self.basic.iter().map(|&j| costs[j].clone()).collect();
         let y = self.factors.btran(cb);
-        let mut reduced = Vec::with_capacity(self.sf.num_cols());
-        for (j, cost) in costs.iter().enumerate().take(self.sf.num_cols()) {
-            let mut d = cost.clone();
-            for (r, v) in self.sf.a.col(j) {
-                if !y[r].is_zero() {
-                    d = d.sub(&y[r].mul(v));
+        let (a, n) = (&self.sf.a, self.sf.num_cols());
+        if !pricing.y.is_empty() {
+            let by_row = self.by_row.get_or_insert_with(|| RowWise::of(a, 0..n));
+            for r in (0..y.len()).filter(|&r| y[r] != pricing.y[r]) {
+                for &j in by_row.labels(r) {
+                    pricing.stale[j] = true;
                 }
             }
-            reduced.push(d);
         }
-        reduced
-    }
+        pricing.y = y;
 
-    /// Entering-column choice; identical rule to the dense tableau
-    /// (first-encountered Dantzig maximum, or Bland's first positive).
-    fn choose_entering(reduced: &[S], allowed: &[bool], bland: bool) -> Option<usize> {
-        let mut best: Option<(usize, &S)> = None;
-        for (j, r) in reduced.iter().enumerate() {
-            if !allowed[j] {
-                continue;
+        let mut best: Option<usize> = None;
+        for j in (0..n).filter(|&j| allowed[j]) {
+            if pricing.stale[j] {
+                let mut d = costs[j].clone();
+                for (r, v) in a.col(j) {
+                    if !pricing.y[r].is_zero() {
+                        d = d.sub(&pricing.y[r].mul(v));
+                    }
+                }
+                pricing.d[j] = d;
+                pricing.stale[j] = false;
             }
-            if r.is_positive() {
+            let d = &pricing.d[j];
+            if d.is_positive() {
                 if bland {
                     return Some(j);
                 }
-                match &best {
-                    None => best = Some((j, r)),
-                    Some((_, rb)) if rb.lt(r) => best = Some((j, r)),
-                    _ => {}
+                if best.is_none_or(|b| pricing.d[b].lt(d)) {
+                    best = Some(j);
                 }
             }
         }
-        best.map(|(j, _)| j)
+        best
     }
 
     /// Ratio test over the FTRAN'd entering column; identical rule to the
@@ -596,10 +800,9 @@ impl<'a, S: Scalar> Revised<'a, S> {
     fn refactorize(&mut self) -> Result<(), SimplexError> {
         // In exact arithmetic the current basis is provably nonsingular, so
         // factorization cannot fail; in f64 a failure means round-off has
-        // degraded the basis beyond repair — surface the defensive backstop
-        // error and let the certified pipeline fall back to exact.
-        let lu = SparseLu::factorize(&self.sf.a, &self.basic)
-            .ok_or(SimplexError::IterationLimit { iterations: 0 })?;
+        // degraded the basis beyond repair — report it and let the certified
+        // pipeline fall back to exact.
+        let lu = SparseLu::factorize(&self.sf.a, &self.basic).ok_or(SimplexError::SingularBasis)?;
         self.factors = Factors::fresh(lu);
         self.xb = self.factors.ftran(self.sf.rhs.clone());
         self.stats.refactorizations += 1;
@@ -619,13 +822,13 @@ impl<'a, S: Scalar> Revised<'a, S> {
     ) -> Result<(), SimplexError> {
         let default_cap = 50 * (self.sf.num_rows() + self.sf.num_cols()) + 10_000;
         let cap = self.options.simplex.max_iterations.unwrap_or(default_cap);
+        let mut pricing = Pricing::new(self.sf.num_cols());
         loop {
             if *iterations > cap {
                 return Err(SimplexError::IterationLimit { iterations: *iterations });
             }
             let bland = *iterations >= self.options.simplex.bland_after;
-            let reduced = self.reduced_costs(costs);
-            let Some(col) = Self::choose_entering(&reduced, allowed, bland) else {
+            let Some(col) = self.price(costs, allowed, &mut pricing, bland) else {
                 return Ok(());
             };
             let w = self.factors.ftran(self.sf.a.col_dense(col));
@@ -1014,6 +1217,97 @@ mod tests {
         );
         assert!(SparseLu::<Ratio>::factorize(&a, &[0, 1]).is_none());
         assert!(SparseLu::<Ratio>::factorize(&a, &[0, 2]).is_some());
+    }
+
+    /// Sparse `m × m` bases drawn from a fixed linear congruential stream.
+    /// Column `j` of `A` has an entry in row `j mod m` and up to two more;
+    /// the basis takes `m` distinct columns in random order, or, one time in
+    /// eight, repeats one.  Triangular runs, nuclei of several sizes and
+    /// singular picks all occur.
+    fn random_bases<S: Scalar>(values: &[S]) -> Vec<(CscMatrix<S>, Vec<usize>)> {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        (0..1000)
+            .map(|_| {
+                let m = 1 + draw(16);
+                let columns = (0..m + 3)
+                    .map(|j| {
+                        let mut col: Vec<(usize, S)> = Vec::new();
+                        let extra: Vec<usize> = (0..draw(3)).map(|_| draw(m)).collect();
+                        for r in std::iter::once(j % m).chain(extra) {
+                            if col.iter().all(|&(row, _)| row != r) {
+                                col.push((r, values[draw(values.len())].clone()));
+                            }
+                        }
+                        col.sort_by_key(|&(r, _)| r);
+                        col
+                    })
+                    .collect();
+                let mut basis: Vec<usize> = (0..m + 3).collect();
+                for i in (1..basis.len()).rev() {
+                    basis.swap(i, draw(i + 1));
+                }
+                basis.truncate(m);
+                if m > 1 && draw(8) == 0 {
+                    basis[0] = basis[1];
+                }
+                (CscMatrix::from_columns(m, columns), basis)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn singleton_first_factors_are_the_search_factors_bit_for_bit() {
+        let floats = [1.0, -1.0, 0.5, 3.0, -250.0, 0.001, 7.25];
+        let (mut factorized, mut both_passes) = (0, 0);
+        for (a, basis) in random_bases::<f64>(&floats) {
+            let fast = SparseLu::factorize(&a, &basis);
+            assert_eq!(fast, SparseLu::factorize_by_search(&a, &basis), "basis {basis:?} of {a:?}");
+            let Some(lu) = fast else { continue };
+            factorized += 1;
+            // A first step that eliminates nothing was a singleton; a later
+            // one that eliminates something ran in the nucleus.
+            if lu.lower[0].is_empty() && lu.lower.iter().any(|l| !l.is_empty()) {
+                both_passes += 1;
+            }
+        }
+        assert!(factorized > 250, "only {factorized} of 1000 random bases factorize");
+        assert!(both_passes > 80, "only {both_passes} factorizations used both passes");
+
+        let ratios = [rat(1, 1), rat(-1, 1), rat(1, 2), rat(3, 1), rat(-250, 1), rat(1, 1000)];
+        for (a, basis) in random_bases::<Ratio>(&ratios) {
+            assert_eq!(
+                SparseLu::factorize(&a, &basis),
+                SparseLu::factorize_by_search(&a, &basis),
+                "basis {basis:?} of {a:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_singular_refactorization_is_reported_as_such() {
+        let mut lp = LpProblem::maximize();
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        lp.set_objective(x, rat(1, 1));
+        lp.add_constraint("a", expr(&[(x, rat(2, 1)), (y, rat(1, 1))]), Sense::Le, rat(1, 1));
+        lp.add_constraint("b", expr(&[(x, rat(1, 1)), (y, rat(3, 1))]), Sense::Le, rat(1, 1));
+        let sf = StandardForm::<f64>::build(&lp);
+        let options = RevisedOptions::default();
+        let mut solver = Revised::install(&sf, sf.init_basis.clone(), &options).unwrap();
+        // Round-off cannot be staged on demand; a repeated column is singular
+        // in any arithmetic.
+        solver.basic[1] = solver.basic[0];
+        assert_eq!(solver.refactorize(), Err(SimplexError::SingularBasis));
+        assert_eq!(
+            SimplexError::SingularBasis.to_string(),
+            "basis became numerically singular at refactorization"
+        );
     }
 
     #[test]

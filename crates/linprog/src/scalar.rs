@@ -9,7 +9,11 @@
 use steady_rational::Ratio;
 
 /// Field operations and sign tests required by the simplex tableau.
-pub trait Scalar: Clone + std::fmt::Debug {
+///
+/// `PartialEq` is exact equality, not the tolerant [`Scalar::is_zero`]
+/// world: the revised solver uses it to tell which simplex multipliers moved
+/// since the last pivot, and re-prices only the columns they touch.
+pub trait Scalar: Clone + std::fmt::Debug + PartialEq {
     /// Additive identity.
     fn zero() -> Self;
     /// Multiplicative identity.

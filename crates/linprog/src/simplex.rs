@@ -50,6 +50,10 @@ pub enum SimplexError {
         /// Number of pivots performed before giving up.
         iterations: usize,
     },
+    /// The revised solver could not refactorize its current basis: in `f64`,
+    /// round-off has made it numerically singular.  Exact arithmetic never
+    /// reports it; the certified pipeline falls back to an exact re-solve.
+    SingularBasis,
 }
 
 impl std::fmt::Display for SimplexError {
@@ -59,6 +63,9 @@ impl std::fmt::Display for SimplexError {
             SimplexError::Unbounded => write!(f, "linear program is unbounded"),
             SimplexError::IterationLimit { iterations } => {
                 write!(f, "simplex iteration limit exceeded after {iterations} pivots")
+            }
+            SimplexError::SingularBasis => {
+                write!(f, "basis became numerically singular at refactorization")
             }
         }
     }

@@ -11,12 +11,15 @@
 //! contract is the optimum, not the vertex: the `Ratio`-equal objective, a
 //! primal/dual pair that proves it, and a [`SolvedBasis`](steady_lp::SolvedBasis)
 //! the dense solver installs with zero pivots (and vice versa).
+//!
+//! Below the solver, the sparse LU itself is held to exact `B·ftran(b) = b`
+//! and `Bᵀ·btran(c) = c` on bases that exercise both of its passes.
 
 use proptest::prelude::*;
 use steady_lp::{
     check_optimal, solve_exact, solve_revised, solve_revised_report_observed,
-    solve_revised_with_basis, solve_with_basis, LinearExpr, LpProblem, RecordingObserver,
-    RevisedOptions, Sense, SolveEvent, SolvePhase,
+    solve_revised_with_basis, solve_with_basis, CscMatrix, LinearExpr, LpProblem,
+    RecordingObserver, RevisedOptions, Sense, SolveEvent, SolvePhase, SparseLu,
 };
 use steady_rational::{rat, Ratio};
 
@@ -192,8 +195,124 @@ fn build_flow(desc: &FlowLp) -> LpProblem {
     lp
 }
 
+/// A basis in the two shapes `SparseLu::factorize` takes apart: a chain of
+/// `t` columns, each with a diagonal entry and a link into the row of the one
+/// before (so the chain retires singleton by singleton), then a `k × k`
+/// nucleus that is column diagonally dominant (so it is nonsingular) and may
+/// reach into the chain's rows.  Rows and basis positions are shuffled.
+#[derive(Debug, Clone)]
+struct ChainBasis {
+    /// The basis columns, then one empty column.
+    columns: Vec<Vec<(usize, Ratio)>>,
+    /// Column of each basis position.
+    basis: Vec<usize>,
+    /// A right-hand side for FTRAN and one for BTRAN.
+    b: Vec<Ratio>,
+    c: Vec<Ratio>,
+}
+
+/// The permutation that sorts `keys` (ties by index).
+fn argsort(keys: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by_key(|&i| (keys[i], i));
+    order
+}
+
+fn chain_basis_strategy() -> impl Strategy<Value = ChainBasis> {
+    (0usize..8, 0usize..=5).prop_flat_map(|(t, k)| {
+        let t = if k == 0 { t.max(1) } else { t };
+        let m = t + k;
+        let shuffles = (
+            proptest::collection::vec(any::<u64>(), m),
+            proptest::collection::vec(any::<u64>(), m),
+        );
+        let chain = (
+            proptest::collection::vec((1i64..5, any::<bool>()), t),
+            proptest::collection::vec(-3i64..=3, t),
+        );
+        let nucleus = (
+            proptest::collection::vec(-3i64..=3, k * k),
+            proptest::collection::vec(-2i64..=2, k * t),
+        );
+        let sides =
+            (proptest::collection::vec(-5i64..=5, m), proptest::collection::vec(-5i64..=5, m));
+        (shuffles, chain, nucleus, sides).prop_map(
+            move |((row_keys, pos_keys), (diag, link), (off, reach), (b, c))| {
+                let row = argsort(&row_keys);
+                let mut columns: Vec<Vec<(usize, Ratio)>> = Vec::with_capacity(m + 1);
+                for j in 0..t {
+                    let (d, negative) = diag[j];
+                    let mut col = vec![(row[j], rat(if negative { -d } else { d }, 1))];
+                    if j > 0 && link[j] != 0 {
+                        col.push((row[j - 1], rat(link[j], 1)));
+                    }
+                    columns.push(col);
+                }
+                for q in 0..k {
+                    let mut col: Vec<(usize, Ratio)> = (0..t)
+                        .filter(|&i| reach[q * t + i] != 0)
+                        .map(|i| (row[i], rat(reach[q * t + i], 1)))
+                        .collect();
+                    let weight: i64 =
+                        (0..k).filter(|&i| i != q).map(|i| off[q * k + i].abs()).sum();
+                    for i in 0..k {
+                        let v = if i == q { weight + 1 } else { off[q * k + i] };
+                        if v != 0 {
+                            col.push((row[t + i], rat(v, 1)));
+                        }
+                    }
+                    columns.push(col);
+                }
+                for col in &mut columns {
+                    col.sort_by_key(|&(r, _)| r);
+                }
+                columns.push(Vec::new());
+                let to_ratios = |v: Vec<i64>| v.into_iter().map(|x| rat(x, 1)).collect();
+                ChainBasis { columns, basis: argsort(&pos_keys), b: to_ratios(b), c: to_ratios(c) }
+            },
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn lu_solves_chain_and_nucleus_bases_exactly(desc in chain_basis_strategy()) {
+        let m = desc.basis.len();
+        let a = CscMatrix::from_columns(m, desc.columns.clone());
+        let lu = SparseLu::factorize(&a, &desc.basis).expect("nonsingular by construction");
+        prop_assert_eq!(lu.dim(), m);
+
+        // B · ftran(b) == b, column by column.
+        let x = lu.ftran(desc.b.clone());
+        let mut bx = vec![Ratio::zero(); m];
+        for (pos, &col) in desc.basis.iter().enumerate() {
+            for (r, v) in a.col(col) {
+                bx[r] = &bx[r] + &(v * &x[pos]);
+            }
+        }
+        prop_assert_eq!(&bx, &desc.b);
+
+        // Bᵀ · btran(c) == c, one basis column at a time.
+        let y = lu.btran(desc.c.clone());
+        let bty: Vec<Ratio> = desc
+            .basis
+            .iter()
+            .map(|&col| a.col(col).fold(Ratio::zero(), |acc, (r, v)| &acc + &(v * &y[r])))
+            .collect();
+        prop_assert_eq!(&bty, &desc.c);
+
+        // The empty column, or any column twice, makes the basis singular.
+        let mut with_zero = desc.basis.clone();
+        with_zero[m / 2] = m;
+        prop_assert!(SparseLu::factorize(&a, &with_zero).is_none());
+        if m > 1 {
+            let mut repeated = desc.basis.clone();
+            repeated[0] = repeated[m - 1];
+            prop_assert!(SparseLu::factorize(&a, &repeated).is_none());
+        }
+    }
 
     #[test]
     fn revised_matches_dense_bit_for_bit(desc in random_lp_strategy()) {

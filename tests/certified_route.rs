@@ -3,7 +3,8 @@
 //! no phase 1, and a certificate rather than an exact re-solve.
 
 use steady_collectives::prelude::*;
-use steady_lp::{Certificate, RecordingObserver, SolveEvent, SolvePath};
+use steady_lp::{Certificate, CertifyOptions, RecordingObserver, SolveEvent, SolvePath};
+use steady_platform::generators::{clustered_scatter_instance, ClusteredConfig};
 use steady_rational::Ratio;
 
 /// Figure 2's scatter LP and Figure 6's reduce LP, with their throughputs.
@@ -50,11 +51,27 @@ fn certify_has_its_own_time_bucket() {
         1,
         "{name}: one certify marker"
     );
+    assert!(breakdown.install_nanos > 0, "{name}: {breakdown:?}");
     assert!(breakdown.certify_nanos > 0, "{name}: {breakdown:?}");
     assert!(
-        breakdown.phase1_nanos + breakdown.phase2_nanos + breakdown.certify_nanos
+        breakdown.install_nanos
+            + breakdown.phase1_nanos
+            + breakdown.phase2_nanos
+            + breakdown.certify_nanos
             <= recording.total_nanos,
         "{name}: {breakdown:?} exceeds {} ns",
         recording.total_nanos
     );
+}
+
+/// The pivot path of the 200-node scatter `steady explain` shows by default:
+/// a change to pricing or to the factorization that moves a single pivot
+/// fails here.
+#[test]
+fn the_200_node_scatter_takes_44_pivots_and_no_refactorization() {
+    let instance = clustered_scatter_instance(&ClusteredConfig::with_total_nodes(200), 8, 42);
+    let (lp, _) = ScatterProblem::from_instance(instance).unwrap().formulate();
+    let sol = steady_lp::solve_certified_warm(&lp, &CertifyOptions::default(), None).unwrap();
+    assert_eq!(sol.certificate, Certificate::Optimal);
+    assert_eq!((sol.iterations, sol.phase1_iterations, sol.refactorizations), (44, 0, 0));
 }
