@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use steady_bench::{print_header, star_scatter};
-use steady_lp::{solve_certified, solve_exact, solve_f64};
+use steady_lp::{solve_exact, solve_exact_auto, solve_f64};
 
 fn reproduce() {
     print_header("Ablation A3 — exact simplex vs f64 + exact certification");
@@ -15,7 +15,7 @@ fn reproduce() {
         let problem = star_scatter(leaves);
         let (lp, _) = problem.build_lp();
         let exact = solve_exact(&lp).expect("exact solves");
-        let certified = solve_certified(&lp).expect("certified solves");
+        let certified = solve_exact_auto(&lp).expect("certified solves");
         assert_eq!(exact.objective, certified.objective);
         println!(
             "{:<24} {:>8} {:>8} {:>14} {:>14}",
@@ -42,7 +42,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| solve_f64(lp).expect("solves"))
         });
         group.bench_with_input(BenchmarkId::new("f64_plus_certify", leaves), &lp, |b, lp| {
-            b.iter(|| solve_certified(lp).expect("solves"))
+            b.iter(|| solve_exact_auto(lp).expect("solves"))
         });
     }
     group.finish();

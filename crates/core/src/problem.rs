@@ -93,7 +93,7 @@ pub fn solve_steady<P: SteadyProblem>(problem: &P) -> Result<P::Solution, CoreEr
 /// basis kept from a structurally identical solve, and reports the cost.
 ///
 /// Warm and cold solves return the same exact optimum — an unusable basis is
-/// silently discarded (see [`steady_lp::solve_with_basis`]) — so a caller
+/// silently discarded (see [`steady_lp::solve_certified_warm`]) — so a caller
 /// can cache bases as aggressively as it likes without risking correctness.
 pub fn solve_steady_warm<P: SteadyProblem>(
     problem: &P,

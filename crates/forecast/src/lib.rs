@@ -16,9 +16,7 @@
 //!   still optimal there (a future query would triage `InRange` for free)
 //!   or it is not (the solve would need repair pivots) — edge costs sit in
 //!   the *constraint matrix* of the collective LPs, which no single-axis
-//!   sensitivity interval can bound jointly, so certification is per state
-//!   (the single-axis predictors, [`steady_lp::objective_ranging`] and
-//!   [`steady_lp::rhs_ranging`], cover the one-coefficient case);
+//!   sensitivity interval can bound jointly, so certification is per state;
 //! * [`Forecaster::forecast`] walks the envelope best-first by exact
 //!   `k`-step probability, classifies the class
 //!   ([`ClassFate::WillHold`] / [`ClassFate::MayExit`] /

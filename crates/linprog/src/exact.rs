@@ -24,9 +24,9 @@
 //! rationalization step recovers them exactly in practice — e.g. `2/9` for
 //! the Figure-9/10 reduce experiment.
 //!
-//! The dual entry point ([`solve_certified_dual`]) searches with the dense
-//! `f64` dual simplex ([`crate::simplex`]) instead, then certifies and falls
-//! back the same way.
+//! The dual entry point ([`solve_exact_dual_auto`](crate::solve_exact_dual_auto))
+//! searches with the dense `f64` dual simplex ([`crate::simplex`]) instead,
+//! then certifies and falls back the same way.
 
 use crate::instrument::{FallbackCause, NoopObserver, SolveEvent, SolveObserver};
 use crate::model::{LpProblem, Objective, Sense};
@@ -107,8 +107,8 @@ impl SolveTrace {
     }
 }
 
-/// Options controlling [`solve_certified`] and its siblings.  Every problem,
-/// whatever its size, takes the one route of the module docs.
+/// Options controlling [`solve_certified_warm`] and its siblings.  Every
+/// problem, whatever its size, takes the one route of the module docs.
 #[derive(Debug, Clone)]
 pub struct CertifyOptions {
     /// Maximum denominator used when rationalizing `f64` values.
@@ -162,21 +162,8 @@ impl From<SimplexError> for CertifyError {
 }
 
 /// Solves `problem` and returns an exact solution, preferring the fast
-/// `f64`-then-certify path and falling back to the exact rational simplex.
-pub fn solve_certified(problem: &LpProblem) -> Result<CertifiedSolution, CertifyError> {
-    solve_certified_with_options(problem, &CertifyOptions::default())
-}
-
-/// [`solve_certified`] with explicit options.
-pub fn solve_certified_with_options(
-    problem: &LpProblem,
-    options: &CertifyOptions,
-) -> Result<CertifiedSolution, CertifyError> {
-    solve_certified_warm(problem, options, None)
-}
-
-/// [`solve_certified_with_options`], optionally resuming the `f64` simplex
-/// from a previously solved basis.
+/// `f64`-then-certify path and falling back to the exact rational simplex,
+/// optionally resuming the `f64` simplex from a previously solved basis.
 ///
 /// The warm basis seeds the floating-point solve; when certification fails
 /// and the exact rational simplex must re-solve, it is seeded with the
@@ -318,27 +305,17 @@ fn certify_or_resolve<O: SolveObserver>(
     }
 }
 
-/// [`solve_certified_warm`]'s **dual-simplex** sibling: the `f64` simplex
-/// resumes from `basis` via [`simplex::solve_dual_with_basis_options`], the
-/// rationalized optimum is certified exactly, and a failed certification
-/// falls back to `revised<Ratio>` seeded with the basis the float run ended
-/// on.
+/// [`solve_certified_warm_observed`]'s **dual-simplex** sibling: the `f64`
+/// simplex resumes from `basis` via
+/// [`simplex::solve_dual_with_basis_options_observed`], the rationalized
+/// optimum is certified exactly, and a failed certification falls back to
+/// `revised<Ratio>` seeded with the basis the float run ended on.
 ///
 /// The returned [`DualOutcome`] describes the float run (how the basis was
-/// used); the solution itself is exact on every path.
-pub fn solve_certified_dual(
-    problem: &LpProblem,
-    options: &CertifyOptions,
-    basis: &SolvedBasis,
-) -> Result<(CertifiedSolution, DualOutcome), CertifyError> {
-    solve_certified_dual_observed(problem, options, basis, &mut NoopObserver)
-}
-
-/// [`solve_certified_dual`] with a [`SolveObserver`] tap on every run the
-/// pipeline executes (same event semantics and conservation caveat as
-/// [`solve_certified_warm_observed`]; the `f64`-error fallback here emits
-/// [`FallbackCause::DualFloatFailed`]).
-pub fn solve_certified_dual_observed<O: SolveObserver>(
+/// used); the solution itself is exact on every path.  Events follow the
+/// semantics and conservation caveat of [`solve_certified_warm_observed`];
+/// the `f64`-error fallback here emits [`FallbackCause::DualFloatFailed`].
+pub(crate) fn solve_certified_dual_observed<O: SolveObserver>(
     problem: &LpProblem,
     options: &CertifyOptions,
     basis: &SolvedBasis,
@@ -484,6 +461,7 @@ fn check_dual_feasible(problem: &LpProblem, duals: &[Ratio]) -> Result<(), Strin
 mod tests {
     use super::*;
     use crate::model::{LinearExpr, LpProblem, Sense};
+    use crate::solve_exact_auto;
     use steady_rational::rat;
 
     fn expr(terms: &[(crate::model::VarId, Ratio)]) -> LinearExpr {
@@ -507,7 +485,7 @@ mod tests {
 
     #[test]
     fn certified_simple() {
-        let sol = solve_certified(&sample_lp()).unwrap();
+        let sol = solve_exact_auto(&sample_lp()).unwrap();
         assert_eq!(sol.objective, rat(12, 1));
         assert_eq!(sol.certificate, Certificate::Optimal);
         assert_eq!(sol.values, vec![rat(4, 1), rat(0, 1)]);
@@ -532,13 +510,18 @@ mod tests {
         lp.add_constraint("cap", expr(&[(x, tiny.clone())]), Sense::Le, rat(1, 1));
 
         let bound = Ratio::new(BigInt::from(10i64).pow(400), BigInt::from(1i64));
-        let sol = solve_certified(&lp).expect("the exact stage overrules the float verdict");
+        let sol = solve_exact_auto(&lp).expect("the exact stage overrules the float verdict");
         assert_eq!(sol.objective, bound);
         assert_eq!(sol.certificate, Certificate::ExactSimplex);
 
-        let basis = solve_certified(&lp).unwrap().basis.expect("certified solves carry a basis");
-        let (dual_sol, _) = solve_certified_dual(&lp, &CertifyOptions::default(), &basis)
-            .expect("the dual entry point falls back instead of erroring");
+        let basis = solve_exact_auto(&lp).unwrap().basis.expect("certified solves carry a basis");
+        let (dual_sol, _) = solve_certified_dual_observed(
+            &lp,
+            &CertifyOptions::default(),
+            &basis,
+            &mut NoopObserver,
+        )
+        .expect("the dual entry point falls back instead of erroring");
         assert_eq!(dual_sol.objective, bound);
     }
 
@@ -552,7 +535,7 @@ mod tests {
         lp.set_objective(y, rat(1, 1));
         lp.add_constraint("a", expr(&[(x, rat(2, 1)), (y, rat(1, 1))]), Sense::Le, rat(1, 1));
         lp.add_constraint("b", expr(&[(x, rat(1, 1)), (y, rat(3, 1))]), Sense::Le, rat(1, 1));
-        let sol = solve_certified(&lp).unwrap();
+        let sol = solve_exact_auto(&lp).unwrap();
         assert_eq!(sol.values, vec![rat(2, 5), rat(1, 5)]);
         assert_eq!(sol.objective, rat(3, 5));
         assert_eq!(sol.certificate, Certificate::Optimal);
@@ -568,7 +551,7 @@ mod tests {
         lp.add_constraint("flow", expr(&[(x, rat(1, 1)), (y, rat(-1, 1))]), Sense::Eq, rat(0, 1));
         lp.add_constraint("capx", expr(&[(x, rat(3, 1))]), Sense::Le, rat(1, 1));
         lp.add_constraint("link", expr(&[(z, rat(1, 1)), (y, rat(-1, 1))]), Sense::Le, rat(0, 1));
-        let sol = solve_certified(&lp).unwrap();
+        let sol = solve_exact_auto(&lp).unwrap();
         assert_eq!(sol.objective, rat(1, 3));
     }
 
@@ -580,7 +563,7 @@ mod tests {
         lp.add_constraint("lo", expr(&[(x, rat(1, 1))]), Sense::Ge, rat(5, 1));
         lp.add_constraint("hi", expr(&[(x, rat(1, 1))]), Sense::Le, rat(3, 1));
         assert!(matches!(
-            solve_certified(&lp),
+            solve_exact_auto(&lp),
             Err(CertifyError::Simplex(SimplexError::Infeasible))
         ));
     }
@@ -631,14 +614,14 @@ mod tests {
         lp.add_constraint("a", expr(&[(x, rat(2, 1)), (y, rat(1, 1))]), Sense::Le, rat(1, 1));
         lp.add_constraint("b", expr(&[(x, rat(1, 1)), (y, rat(3, 1))]), Sense::Le, rat(1, 1));
         let opts = CertifyOptions { max_denominator: 1, ..Default::default() };
-        let sol = solve_certified_with_options(&lp, &opts).unwrap();
+        let sol = solve_certified_warm(&lp, &opts, None).unwrap();
         assert_eq!(sol.certificate, Certificate::ExactSimplex);
         assert_eq!(sol.objective, rat(3, 5));
 
         let strict =
             CertifyOptions { max_denominator: 1, forbid_fallback: true, ..Default::default() };
         assert!(matches!(
-            solve_certified_with_options(&lp, &strict),
+            solve_certified_warm(&lp, &strict, None),
             Err(CertifyError::CertificationFailed { .. })
         ));
     }
@@ -655,7 +638,7 @@ mod tests {
         // The route must certify from its own duals: a minimization's come
         // out in its own sense, or `check_optimal` rejects them by sign and
         // the answer is an uncertified exact re-solve.
-        let sol = solve_certified(&lp).unwrap();
+        let sol = solve_exact_auto(&lp).unwrap();
         assert_eq!(sol.objective, rat(14, 5));
         assert_eq!(sol.certificate, Certificate::Optimal);
         assert_eq!(check_optimal(&lp, &sol.values, &sol.duals), Ok(rat(14, 5)));

@@ -9,7 +9,8 @@
 //!   named non-negative rational variables;
 //! * [`revised`] — the revised simplex over a sparse LU-factorized basis,
 //!   generic over the scalar type, cold-starting from a triangular crash
-//!   basis;
+//!   basis; its exact install and one pricing pass are also the forecaster's
+//!   survival probe, [`basis_still_optimal`];
 //! * [`exact`] — the certified solving pipeline, one route at every size:
 //!   search with `revised<f64>`, rationalize the primal/dual pair with
 //!   continued fractions, verify feasibility and strong duality exactly, and
@@ -17,13 +18,12 @@
 //!   fails;
 //! * [`simplex`] — the dense two-phase tableau, generic over the scalar type.
 //!   No primal solve runs on it: it is the `f64` dual simplex behind
-//!   [`solve_exact_dual_auto`], the basis reader behind [`ranging`], and the
-//!   tests' reference solver.
+//!   [`solve_exact_dual_auto`] and the tests' reference solver.
 //!
 //! # Example
 //!
 //! ```
-//! use steady_lp::{LpProblem, LinearExpr, Sense, solve_certified};
+//! use steady_lp::{LpProblem, LinearExpr, Sense, solve_exact_auto};
 //! use steady_rational::rat;
 //!
 //! // maximize x + y  subject to  2x + y <= 1,  x + 3y <= 1,  x, y >= 0
@@ -39,7 +39,7 @@
 //! c2.add_term(x, rat(1, 1)).add_term(y, rat(3, 1));
 //! lp.add_constraint("c2", c2, Sense::Le, rat(1, 1));
 //!
-//! let sol = solve_certified(&lp).unwrap();
+//! let sol = solve_exact_auto(&lp).unwrap();
 //! assert_eq!(sol.objective, rat(3, 5));          // exact optimum
 //! assert_eq!(sol.values, vec![rat(2, 5), rat(1, 5)]);
 //! ```
@@ -50,15 +50,13 @@
 pub mod exact;
 pub mod instrument;
 pub mod model;
-pub mod ranging;
 pub mod revised;
 pub mod scalar;
 pub mod simplex;
 pub mod sparse;
 
 pub use exact::{
-    certify, check_optimal, solve_certified, solve_certified_dual, solve_certified_dual_observed,
-    solve_certified_warm, solve_certified_warm_observed, solve_certified_with_options, Certificate,
+    certify, check_optimal, solve_certified_warm, solve_certified_warm_observed, Certificate,
     CertifiedSolution, CertifyError, CertifyOptions, SolveTrace,
 };
 pub use instrument::{
@@ -67,24 +65,17 @@ pub use instrument::{
     SolvePhase, SolveRecording, TimedEvent, WarmOutcome,
 };
 pub use model::{Constraint, LinearExpr, LpProblem, Objective, Sense, VarId};
-pub use ranging::{
-    basis_still_optimal, objective_ranging, rhs_ranging, CostRange, RangingError, RhsRange,
-};
 pub use revised::{
-    solve_revised, solve_revised_report, solve_revised_report_observed, solve_revised_with_basis,
-    solve_revised_with_basis_options, solve_revised_with_options, Eta, RevisedOptions,
-    RevisedStats, SparseLu,
+    basis_still_optimal, solve_revised, solve_revised_report_observed, solve_revised_with_basis,
+    Eta, RevisedOptions, RevisedStats, SparseLu,
 };
 pub use scalar::Scalar;
 pub use simplex::{
-    solve_dual_with_basis, solve_dual_with_basis_options, solve_dual_with_basis_options_observed,
-    solve_exact, solve_f64, solve_with_basis, solve_with_basis_options,
-    solve_with_basis_options_observed, solve_with_options, solve_with_options_observed,
-    DualOutcome, LpStatus, SimplexError, SimplexOptions, Solution, SolvedBasis,
+    solve_dual_with_basis, solve_dual_with_basis_options_observed, solve_exact, solve_f64,
+    solve_with_basis, solve_with_options_observed, DualOutcome, LpStatus, SimplexError,
+    SimplexOptions, Solution, SolvedBasis,
 };
 pub use sparse::CscMatrix;
-
-use steady_rational::Ratio;
 
 /// Solves a problem exactly with the certified pipeline's one route, at
 /// every size: the revised `f64` simplex from the crash basis, the exact
@@ -93,25 +84,17 @@ use steady_rational::Ratio;
 ///
 /// This is the entry point used by the steady-state schedulers.
 pub fn solve_exact_auto(problem: &LpProblem) -> Result<CertifiedSolution, CertifyError> {
-    solve_exact_auto_with(problem, None)
+    solve_exact_auto_observed(problem, None, &mut NoopObserver)
 }
 
 /// [`solve_exact_auto`], optionally warm-starting from a previously solved
-/// basis (see [`SolvedBasis`]).
+/// basis (see [`SolvedBasis`]), with a [`SolveObserver`] tap on every run the
+/// strategy executes (see [`instrument`]).
 ///
 /// Warm and cold solves of the same problem take the same route and return
 /// the same exact optimum — the basis only changes where the `f64` search
-/// *starts*.
-pub fn solve_exact_auto_with(
-    problem: &LpProblem,
-    warm: Option<&SolvedBasis>,
-) -> Result<CertifiedSolution, CertifyError> {
-    solve_exact_auto_observed(problem, warm, &mut NoopObserver)
-}
-
-/// [`solve_exact_auto_with`] with a [`SolveObserver`] tap on every run the
-/// strategy executes (see [`instrument`]).  The observer cannot influence the
-/// solve; with [`NoopObserver`] this is the uninstrumented pipeline.
+/// *starts*.  The observer cannot influence the solve; with [`NoopObserver`]
+/// this is the uninstrumented pipeline.
 pub fn solve_exact_auto_observed<O: SolveObserver>(
     problem: &LpProblem,
     warm: Option<&SolvedBasis>,
@@ -125,7 +108,7 @@ pub fn solve_exact_auto_observed<O: SolveObserver>(
 ///
 /// At every size the dual simplex runs in `f64`, the rationalized optimum is
 /// certified, and a failed certification falls back to `revised<Ratio>`
-/// seeded from the float basis (see [`solve_certified_dual`]).  Every path
+/// seeded from the float basis.  Every path
 /// returns the same exact optimum as a cold [`solve_exact_auto`] — the
 /// [`DualOutcome`] only describes how much work the basis saved.
 pub fn solve_exact_dual_auto(
@@ -145,12 +128,6 @@ pub fn solve_exact_dual_auto_observed<O: SolveObserver>(
     exact::solve_certified_dual_observed(problem, &CertifyOptions::default(), basis, obs)
 }
 
-/// Convenience: exact objective value of the solved problem, for callers that
-/// only need the optimal throughput.
-pub fn optimal_value(problem: &LpProblem) -> Result<Ratio, CertifyError> {
-    Ok(solve_exact_auto(problem)?.objective)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,6 +141,5 @@ mod tests {
         lp.add_constraint("cap", LinearExpr::var(x), Sense::Le, rat(7, 3));
         let sol = solve_exact_auto(&lp).unwrap();
         assert_eq!(sol.objective, rat(7, 3));
-        assert_eq!(optimal_value(&lp).unwrap(), rat(7, 3));
     }
 }

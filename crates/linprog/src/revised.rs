@@ -47,7 +47,7 @@
 //! supplied basis was always held to.
 //!
 //! What is and is not bit-identical to the dense solve, instantiated over
-//! [`Ratio`](steady_rational::Ratio):
+//! [`Ratio`]:
 //!
 //! * a **warm start** from a supplied basis, and a **cold solve of an LP
 //!   with no zero-rhs artificial row** (the crash then *is* the identity
@@ -61,7 +61,8 @@
 //! Both are property-tested in `tests/proptest_revised.rs`, so the revised
 //! path slots into the certified pipeline ([`crate::exact`]) and the
 //! warm-start world ([`SolvedBasis`]) without weakening any exactness
-//! guarantee.
+//! guarantee.  An exact install followed by one pricing pass, with no pivot,
+//! is also the forecaster's survival probe ([`basis_still_optimal`]).
 
 use crate::instrument::{
     NoopObserver, PivotKind, PivotRule, RefactorReason, SolveEvent, SolveObserver, SolvePath,
@@ -73,6 +74,7 @@ use crate::simplex::{clamp_nonneg, SimplexError, SimplexOptions, Solution, Solve
 use crate::sparse::{ColKind, CscMatrix, StandardForm};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use steady_rational::Ratio;
 
 /// Tunable parameters of the revised solver.
 #[derive(Debug, Clone)]
@@ -1005,68 +1007,32 @@ impl<'a, S: Scalar> Revised<'a, S> {
     }
 }
 
-/// Shape compatibility of a basis with a standard form — the same predicate
-/// the dense path applies before attempting a warm install.
-fn basis_compatible<S: Scalar>(basis: &SolvedBasis, sf: &StandardForm<S>) -> bool {
-    basis.cols.len() == sf.num_rows()
-        && basis.num_cols == sf.num_cols()
-        && basis.n_structural == sf.n_structural
-        && basis.cols.iter().all(|&c| c < basis.num_cols)
-        && {
-            let mut sorted = basis.cols.clone();
-            sorted.sort_unstable();
-            sorted.windows(2).all(|w| w[0] != w[1])
-        }
-}
-
 /// Solves `problem` with the revised simplex and default options.
 pub fn solve_revised<S: Scalar>(problem: &LpProblem) -> Result<Solution<S>, SimplexError> {
-    solve_revised_with_options(problem, &RevisedOptions::default())
-}
-
-/// [`solve_revised`] with explicit options.
-pub fn solve_revised_with_options<S: Scalar>(
-    problem: &LpProblem,
-    options: &RevisedOptions,
-) -> Result<Solution<S>, SimplexError> {
-    solve_revised_report(problem, None, options).map(|(sol, _)| sol)
+    solve_revised_report_observed(problem, None, &RevisedOptions::default(), &mut NoopObserver)
+        .map(|(sol, _)| sol)
 }
 
 /// Solves `problem`, resuming from a previously solved basis.
 ///
-/// Same contract as the dense [`crate::simplex::solve_with_basis`]: a basis
-/// that is incompatible, singular for this data, or primal infeasible is
-/// silently discarded and the solve falls back to the ordinary cold
-/// two-phase method, so the result is identical either way.
+/// The contract of every warm start ([`crate::solve_certified_warm`]): a
+/// basis that is incompatible, singular for this data, or primal infeasible
+/// is silently discarded and the solve falls back to the ordinary cold
+/// start, so the result is identical either way.
 pub fn solve_revised_with_basis<S: Scalar>(
     problem: &LpProblem,
     basis: &SolvedBasis,
 ) -> Result<Solution<S>, SimplexError> {
-    solve_revised_with_basis_options(problem, basis, &RevisedOptions::default())
-}
-
-/// [`solve_revised_with_basis`] with explicit options.
-pub fn solve_revised_with_basis_options<S: Scalar>(
-    problem: &LpProblem,
-    basis: &SolvedBasis,
-    options: &RevisedOptions,
-) -> Result<Solution<S>, SimplexError> {
-    solve_revised_report(problem, Some(basis), options).map(|(sol, _)| sol)
+    let options = RevisedOptions::default();
+    solve_revised_report_observed(problem, Some(basis), &options, &mut NoopObserver)
+        .map(|(sol, _)| sol)
 }
 
 /// The fully instrumented entry point: optional warm basis, explicit
-/// options, and the solve's [`RevisedStats`] alongside the solution.
-pub fn solve_revised_report<S: Scalar>(
-    problem: &LpProblem,
-    warm: Option<&SolvedBasis>,
-    options: &RevisedOptions,
-) -> Result<(Solution<S>, RevisedStats), SimplexError> {
-    solve_revised_report_observed(problem, warm, options, &mut NoopObserver)
-}
-
-/// [`solve_revised_report`] with a [`crate::instrument::SolveObserver`] tap on
-/// the run: run start, warm-start install outcome, phases, pivots, eta
-/// appends and refactorizations.  The observer cannot influence the solve.
+/// options, the solve's [`RevisedStats`] alongside the solution, and a
+/// [`crate::instrument::SolveObserver`] tap on the run: run start,
+/// warm-start install outcome, phases, pivots, eta appends and
+/// refactorizations.  The observer cannot influence the solve.
 pub fn solve_revised_report_observed<S: Scalar, O: SolveObserver>(
     problem: &LpProblem,
     warm: Option<&SolvedBasis>,
@@ -1081,7 +1047,8 @@ pub fn solve_revised_report_observed<S: Scalar, O: SolveObserver>(
     if let Some(basis) = warm {
         // An incompatible, singular or primal-infeasible basis is silently
         // discarded, like the dense fallback.
-        let installed = basis_compatible(basis, &sf)
+        let installed = basis
+            .fits(sf.num_rows(), sf.num_cols(), sf.n_structural)
             .then(|| Revised::install(&sf, basis.cols.clone(), options))
             .flatten()
             .filter(|solver| solver.xb.iter().all(|b| !b.is_negative()));
@@ -1114,12 +1081,42 @@ fn cold_start<S: Scalar, O: SolveObserver>(
         .run(problem, false, obs)
 }
 
+/// Exact zero-pivot survival probe: `true` when `basis` installs on
+/// `problem` and is already optimal for its data — i.e. a triaged solve
+/// would answer `InRange` by re-pricing alone.
+///
+/// This is the certification primitive of the steady-state forecaster: cost
+/// drift moves *constraint coefficients* of the collective LPs, which no
+/// single-axis interval can bound jointly, so candidate platforms inside the
+/// drift envelope are certified one by one.  Each probe is one exact LU
+/// factorization, one FTRAN for the basic values and one BTRAN and pricing
+/// pass for the reduced costs, never a pivot.
+pub fn basis_still_optimal(problem: &LpProblem, basis: &SolvedBasis) -> bool {
+    let sf = StandardForm::<Ratio>::build(problem);
+    if !basis.fits(sf.num_rows(), sf.num_cols(), sf.n_structural) {
+        return false;
+    }
+    let options = RevisedOptions::default();
+    let Some(mut solver) = Revised::install(&sf, basis.cols.clone(), &options) else {
+        return false;
+    };
+    // Primal feasible, with every basic artificial exactly at zero.
+    let feasible = solver
+        .xb
+        .iter()
+        .zip(&solver.basic)
+        .all(|(v, &j)| !v.is_negative() && (sf.kinds[j] != ColKind::Artificial || v.is_zero()));
+    // Dual feasible: no column phase 2 may enter prices positive.
+    let allowed: Vec<bool> = sf.kinds.iter().map(|k| *k != ColKind::Artificial).collect();
+    feasible && solver.price(&sf.costs, &allowed, &mut Pricing::new(sf.num_cols()), true).is_none()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{LinearExpr, LpProblem, Sense};
     use crate::simplex;
-    use steady_rational::{rat, Ratio};
+    use steady_rational::rat;
 
     fn expr(terms: &[(crate::model::VarId, Ratio)]) -> LinearExpr {
         let mut e = LinearExpr::new();
@@ -1537,7 +1534,9 @@ mod tests {
         }
         let baseline = solve_revised::<Ratio>(&lp).unwrap();
         let tight = RevisedOptions { refactor_interval: 2, ..Default::default() };
-        let (sol, stats) = solve_revised_report::<Ratio>(&lp, None, &tight).unwrap();
+        let (sol, stats) =
+            solve_revised_report_observed::<Ratio, _>(&lp, None, &tight, &mut NoopObserver)
+                .unwrap();
         assert_eq!(sol.values, baseline.values);
         assert_eq!(sol.objective, baseline.objective);
         assert_eq!(sol.basis, baseline.basis);
@@ -1557,5 +1556,122 @@ mod tests {
         lp.add_constraint("b", expr(&[(x, rat(1, 1)), (y, rat(3, 1))]), Sense::Le, rat(1, 1));
         let sol = solve_revised::<f64>(&lp).unwrap();
         assert!((sol.objective - 0.6).abs() < 1e-9);
+    }
+
+    /// maximize `c_x·x + 2y` s.t. `x + y <= b1`, `x + 3y <= b2`; at
+    /// `(3, 4, 6)` the optimum is `(4, 0)` with basis `{x, s2}`.
+    fn sample_lp(c_x: i64, b1: i64, b2: i64) -> LpProblem {
+        let mut lp = LpProblem::maximize();
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        lp.set_objective(x, rat(c_x, 1));
+        lp.set_objective(y, rat(2, 1));
+        lp.add_constraint("c1", expr(&[(x, rat(1, 1)), (y, rat(1, 1))]), Sense::Le, rat(b1, 1));
+        lp.add_constraint("c2", expr(&[(x, rat(1, 1)), (y, rat(3, 1))]), Sense::Le, rat(b2, 1));
+        lp
+    }
+
+    #[test]
+    fn probe_accepts_the_sample_optimum_and_rejects_a_drifted_objective() {
+        let basis = simplex::solve_exact(&sample_lp(3, 4, 6)).unwrap().basis;
+        let holds = |c_x, b1, b2| basis_still_optimal(&sample_lp(c_x, b1, b2), &basis);
+        assert!(holds(3, 4, 6));
+        // c_x may drop to 2, where the vertex (3, 1) ties, and no further.
+        assert!(holds(2, 4, 6));
+        assert!(!holds(1, 4, 6));
+        // x = b1 and s2 = b2 - b1 stay non-negative for b1 in [0, 6] and b2
+        // down to 4.
+        assert!(holds(3, 0, 6));
+        assert!(holds(3, 6, 6));
+        assert!(!holds(3, 7, 6));
+        assert!(holds(3, 4, 4));
+        assert!(!holds(3, 4, 3));
+    }
+
+    #[test]
+    fn foreign_and_suboptimal_bases_are_rejected() {
+        let lp = sample_lp(3, 4, 6);
+        let foreign = SolvedBasis { cols: vec![0, 1, 2], num_cols: 9, n_structural: 3 };
+        assert!(!basis_still_optimal(&lp, &foreign));
+        // The all-slack basis is feasible but not optimal.
+        let slack = SolvedBasis { cols: vec![2, 3], num_cols: 4, n_structural: 2 };
+        assert!(!basis_still_optimal(&lp, &slack));
+    }
+
+    #[test]
+    fn minimization_optimum_holds_to_the_ends_of_its_cost_ranges() {
+        // minimize c_x·x + c_y·y s.t. x + 2y >= 4, 3x + y >= 6: at (1, 1)
+        // the optimum is (8/5, 6/5), optimal while c_x / c_y lies in [1/2, 3].
+        let lp = |c_x: Ratio, c_y: Ratio| {
+            let mut lp = LpProblem::minimize();
+            let x = lp.add_var("x");
+            let y = lp.add_var("y");
+            lp.set_objective(x, c_x);
+            lp.set_objective(y, c_y);
+            lp.add_constraint("a", expr(&[(x, rat(1, 1)), (y, rat(2, 1))]), Sense::Ge, rat(4, 1));
+            lp.add_constraint("b", expr(&[(x, rat(3, 1)), (y, rat(1, 1))]), Sense::Ge, rat(6, 1));
+            lp
+        };
+        let basis = simplex::solve_exact(&lp(rat(1, 1), rat(1, 1))).unwrap().basis;
+        let holds = |c_x, c_y| basis_still_optimal(&lp(c_x, c_y), &basis);
+        assert!(holds(rat(1, 1), rat(1, 1)));
+        for (inside, outside) in [(rat(1, 2), rat(49, 100)), (rat(3, 1), rat(301, 100))] {
+            assert!(holds(inside.clone(), rat(1, 1)));
+            assert!(!holds(outside.clone(), rat(1, 1)));
+        }
+        for (inside, outside) in [(rat(1, 3), rat(33, 100)), (rat(2, 1), rat(201, 100))] {
+            assert!(holds(rat(1, 1), inside));
+            assert!(!holds(rat(1, 1), outside));
+        }
+    }
+
+    #[test]
+    fn negated_rows_keep_the_basis_to_the_ends_of_their_rhs_ranges() {
+        // maximize x s.t. -x <= b0 (i.e. x >= -b0), x <= b1: at (-2, 5) the
+        // optimum is x = 5, with the floor's surplus 5 + b0 basic.
+        let lp = |b0: Ratio, b1: Ratio| {
+            let mut lp = LpProblem::maximize();
+            let x = lp.add_var("x");
+            lp.set_objective(x, rat(1, 1));
+            lp.add_constraint("neg", expr(&[(x, rat(-1, 1))]), Sense::Le, b0);
+            lp.add_constraint("cap", expr(&[(x, rat(1, 1))]), Sense::Le, b1);
+            lp
+        };
+        let basis = simplex::solve_exact(&lp(rat(-2, 1), rat(5, 1))).unwrap().basis;
+        let holds = |b0, b1| basis_still_optimal(&lp(b0, b1), &basis);
+        // The floor may drop to -5, where it meets the cap, and not below.
+        assert!(holds(rat(-5, 1), rat(5, 1)));
+        assert!(!holds(rat(-51, 10), rat(5, 1)));
+        // It may rise to just under 0; at 0 the row is no longer negated, so
+        // the standard form loses its artificial and the basis no longer fits.
+        assert!(holds(rat(-1, 100), rat(5, 1)));
+        assert!(!holds(rat(0, 1), rat(5, 1)));
+        // The cap binds: it may shrink to 2, and not below.
+        assert!(holds(rat(-2, 1), rat(2, 1)));
+        assert!(!holds(rat(-2, 1), rat(19, 10)));
+    }
+
+    #[test]
+    fn redundant_equality_rows_are_pinned() {
+        // x + y == b1 and x + y == b2: the duplicate keeps a basic artificial
+        // at zero, so neither rhs may move off 2 on its own.
+        let lp = |b1: Ratio, b2: Ratio| {
+            let mut lp = LpProblem::maximize();
+            let x = lp.add_var("x");
+            let y = lp.add_var("y");
+            lp.set_objective(x, rat(1, 1));
+            lp.add_constraint("e1", expr(&[(x, rat(1, 1)), (y, rat(1, 1))]), Sense::Eq, b1);
+            lp.add_constraint("e2", expr(&[(x, rat(1, 1)), (y, rat(1, 1))]), Sense::Eq, b2);
+            lp
+        };
+        let basis = simplex::solve_exact(&lp(rat(2, 1), rat(2, 1))).unwrap().basis;
+        assert!(basis_still_optimal(&lp(rat(2, 1), rat(2, 1)), &basis));
+        for moved in [rat(1999, 1000), rat(2001, 1000)] {
+            assert!(!basis_still_optimal(&lp(moved.clone(), rat(2, 1)), &basis));
+            assert!(!basis_still_optimal(&lp(rat(2, 1), moved), &basis));
+        }
+        // {x, y} fits the standard form but is singular.
+        let singular = SolvedBasis { cols: vec![0, 1], num_cols: 4, n_structural: 2 };
+        assert!(!basis_still_optimal(&lp(rat(2, 1), rat(2, 1)), &singular));
     }
 }

@@ -3,10 +3,9 @@
 //! The same pivoting code is instantiated twice:
 //!
 //! * with `f64` — the dual simplex behind
-//!   [`solve_certified_dual`](crate::exact::solve_certified_dual), whose
-//!   answer is then certified exactly;
-//! * with [`steady_rational::Ratio`] — exact, the basis reader behind
-//!   [`crate::ranging`] and the tests' reference solver.
+//!   [`solve_exact_dual_auto`](crate::solve_exact_dual_auto), whose answer
+//!   is then certified exactly;
+//! * with [`steady_rational::Ratio`] — exact, the tests' reference solver.
 //!
 //! No primal solve of the certified pipeline runs here: cold and warm solves
 //! take the revised simplex ([`crate::revised`]) at every size.
@@ -79,9 +78,10 @@ impl std::error::Error for SimplexError {}
 /// variables first, then slacks, then artificials) into `m` *basic* columns —
 /// one per constraint row, recorded here in row order — and the rest, which
 /// are non-basic at zero.  It is the piece of solver state worth keeping
-/// between solves: [`solve_with_basis`] resumes the simplex from a previously
-/// optimal basis, which on a problem that differs only in its numeric data
-/// (e.g. perturbed edge costs) is usually optimal or near-optimal already.
+/// between solves: [`solve_certified_warm`](crate::solve_certified_warm)
+/// resumes the simplex from a previously optimal basis, which on a problem
+/// that differs only in its numeric data (e.g. perturbed edge costs) is
+/// usually optimal or near-optimal already.
 ///
 /// # Invariants
 ///
@@ -89,7 +89,7 @@ impl std::error::Error for SimplexError {}
 ///   basis was extracted from, and `cols[i]` is the column basic in row `i`.
 /// * Every entry is unique and `< num_cols`; `num_cols` and `n_structural`
 ///   describe the standard form (total columns / structural prefix) and are
-///   used by [`solve_with_basis`] to reject a basis from a *structurally
+///   used by every warm install to reject a basis from a *structurally
 ///   different* problem before attempting to install it.
 /// * A basis is advisory, never load-bearing: installing it on a compatible
 ///   problem yields a starting vertex, after which the simplex re-optimizes
@@ -108,6 +108,20 @@ pub struct SolvedBasis {
 }
 
 impl SolvedBasis {
+    /// Shape check before any install: one column per row, the same
+    /// standard form, and in-range, duplicate-free columns.
+    pub(crate) fn fits(&self, rows: usize, num_cols: usize, n_structural: usize) -> bool {
+        self.cols.len() == rows
+            && self.num_cols == num_cols
+            && self.n_structural == n_structural
+            && self.cols.iter().all(|&c| c < num_cols)
+            && {
+                let mut sorted = self.cols.clone();
+                sorted.sort_unstable();
+                sorted.windows(2).all(|w| w[0] != w[1])
+            }
+    }
+
     /// Serializes the basis as a single JSON object
     /// (`{"cols":[...],"num_cols":N,"n_structural":K}`).
     pub fn to_json(&self) -> String {
@@ -201,7 +215,7 @@ impl Default for SimplexOptions {
 
 /// Solves `problem` with the default options.
 pub fn solve<S: Scalar>(problem: &LpProblem) -> Result<Solution<S>, SimplexError> {
-    solve_with_options(problem, &SimplexOptions::default())
+    solve_with_options_observed(problem, &SimplexOptions::default(), &mut NoopObserver)
 }
 
 /// Solves `problem` in `f64` arithmetic.
@@ -214,18 +228,10 @@ pub fn solve_exact(problem: &LpProblem) -> Result<Solution<Ratio>, SimplexError>
     solve(problem)
 }
 
-/// Solves `problem` with explicit options.
-pub fn solve_with_options<S: Scalar>(
-    problem: &LpProblem,
-    options: &SimplexOptions,
-) -> Result<Solution<S>, SimplexError> {
-    solve_with_options_observed(problem, options, &mut NoopObserver)
-}
-
-/// [`solve_with_options`] with a [`SolveObserver`] tap on the run.  The
-/// observer receives phase and pivot events but cannot influence the solve;
-/// instantiated with [`NoopObserver`] this compiles to the uninstrumented
-/// solver.
+/// Solves `problem` with explicit options and a [`SolveObserver`] tap on the
+/// run.  The observer receives phase and pivot events but cannot influence
+/// the solve; instantiated with [`NoopObserver`] this compiles to the
+/// uninstrumented solver.
 pub fn solve_with_options_observed<S: Scalar, O: SolveObserver>(
     problem: &LpProblem,
     options: &SimplexOptions,
@@ -252,44 +258,16 @@ pub fn solve_with_basis<S: Scalar>(
     problem: &LpProblem,
     basis: &SolvedBasis,
 ) -> Result<Solution<S>, SimplexError> {
-    solve_with_basis_options(problem, basis, &SimplexOptions::default())
-}
-
-/// [`solve_with_basis`] with explicit options.
-pub fn solve_with_basis_options<S: Scalar>(
-    problem: &LpProblem,
-    basis: &SolvedBasis,
-    options: &SimplexOptions,
-) -> Result<Solution<S>, SimplexError> {
-    solve_with_basis_options_observed(problem, basis, options, &mut NoopObserver)
-}
-
-/// [`solve_with_basis_options`] with a [`SolveObserver`] tap on the run
-/// (including the warm-start install outcome).
-pub fn solve_with_basis_options_observed<S: Scalar, O: SolveObserver>(
-    problem: &LpProblem,
-    basis: &SolvedBasis,
-    options: &SimplexOptions,
-    obs: &mut O,
-) -> Result<Solution<S>, SimplexError> {
-    if O::ENABLED {
-        obs.on_event(SolveEvent::RunStarted { path: SolvePath::Dense });
-    }
+    let options = SimplexOptions::default();
     let mut tableau = Tableau::<S>::build(problem);
-    if basis_compatible(basis, &tableau)
+    if basis.fits(tableau.num_rows(), tableau.num_cols(), tableau.n_structural)
         && tableau.install_basis(&basis.cols)
         && tableau.rhs.iter().all(|b| !b.is_negative())
     {
-        if O::ENABLED {
-            obs.on_event(SolveEvent::WarmStart { outcome: WarmOutcome::Installed });
-        }
-        return tableau.run(problem, options, true, obs);
-    }
-    if O::ENABLED {
-        obs.on_event(SolveEvent::WarmStart { outcome: WarmOutcome::Rejected });
+        return tableau.run(problem, &options, true, &mut NoopObserver);
     }
     // The install pivoted the tableau partway; rebuild and solve cold.
-    Tableau::<S>::build(problem).run(problem, options, false, obs)
+    Tableau::<S>::build(problem).run(problem, &options, false, &mut NoopObserver)
 }
 
 /// How [`solve_dual_with_basis`] ended up using the supplied basis.
@@ -346,20 +324,16 @@ pub fn solve_dual_with_basis<S: Scalar>(
     problem: &LpProblem,
     basis: &SolvedBasis,
 ) -> Result<(Solution<S>, DualOutcome), SimplexError> {
-    solve_dual_with_basis_options(problem, basis, &SimplexOptions::default())
+    solve_dual_with_basis_options_observed(
+        problem,
+        basis,
+        &SimplexOptions::default(),
+        &mut NoopObserver,
+    )
 }
 
-/// [`solve_dual_with_basis`] with explicit options.
-pub fn solve_dual_with_basis_options<S: Scalar>(
-    problem: &LpProblem,
-    basis: &SolvedBasis,
-    options: &SimplexOptions,
-) -> Result<(Solution<S>, DualOutcome), SimplexError> {
-    solve_dual_with_basis_options_observed(problem, basis, options, &mut NoopObserver)
-}
-
-/// [`solve_dual_with_basis_options`] with a [`SolveObserver`] tap on the run.
-/// The emitted [`SolveEvent::WarmStart`] outcome mirrors the returned
+/// [`solve_dual_with_basis`] with explicit options and a [`SolveObserver`]
+/// tap on the run.  The emitted [`SolveEvent::WarmStart`] outcome mirrors the returned
 /// [`DualOutcome`] (it is emitted as soon as the outcome is known, so fallback
 /// runs are observed *after* their `fell-back` marker).
 pub fn solve_dual_with_basis_options_observed<S: Scalar, O: SolveObserver>(
@@ -372,7 +346,9 @@ pub fn solve_dual_with_basis_options_observed<S: Scalar, O: SolveObserver>(
         obs.on_event(SolveEvent::RunStarted { path: SolvePath::Dense });
     }
     let mut tableau = Tableau::<S>::build(problem);
-    if !basis_compatible(basis, &tableau) || !tableau.install_basis(&basis.cols) {
+    if !basis.fits(tableau.num_rows(), tableau.num_cols(), tableau.n_structural)
+        || !tableau.install_basis(&basis.cols)
+    {
         if O::ENABLED {
             obs.on_event(SolveEvent::WarmStart { outcome: WarmOutcome::FellBack });
         }
@@ -485,20 +461,6 @@ pub fn solve_dual_with_basis_options_observed<S: Scalar, O: SolveObserver>(
             Ok((sol, DualOutcome::FellBack))
         }
     }
-}
-
-/// Shape compatibility of a basis with a freshly built tableau: same row
-/// count, same standard form, in-range and duplicate-free columns.
-fn basis_compatible<S: Scalar>(basis: &SolvedBasis, tableau: &Tableau<S>) -> bool {
-    basis.cols.len() == tableau.num_rows()
-        && basis.num_cols == tableau.num_cols()
-        && basis.n_structural == tableau.n_structural
-        && basis.cols.iter().all(|&c| c < basis.num_cols)
-        && {
-            let mut sorted = basis.cols.clone();
-            sorted.sort_unstable();
-            sorted.windows(2).all(|w| w[0] != w[1])
-        }
 }
 
 pub(crate) use crate::sparse::ColKind;
@@ -1117,79 +1079,6 @@ impl<S: Scalar> Tableau<S> {
     }
 }
 
-/// The pieces of an exact optimal tableau that post-optimal sensitivity
-/// analysis ([`crate::ranging`]) reads: the pivoted rows, the basis
-/// assignment, the reduced-cost row, the mask of columns eligible to enter
-/// (non-artificial), and — for rhs ranging — the basic values, the column
-/// that formed each row's initial identity (so `B⁻¹ e_i` can be read off),
-/// the rhs-negation record and which rows keep a basic artificial.
-pub(crate) struct OptimalTableau {
-    /// Pivoted tableau rows over all standard-form columns.
-    pub rows: Vec<Vec<Ratio>>,
-    /// Basic column of each row.
-    pub basis: Vec<usize>,
-    /// `true` for columns allowed to enter (non-artificial).
-    pub allowed: Vec<bool>,
-    /// Reduced cost of every column w.r.t. the maximization-form objective.
-    pub reduced: Vec<Ratio>,
-    /// Number of structural columns.
-    pub n_structural: usize,
-    /// Value of the basic variable of each row (`B⁻¹ b`, all `>= 0`).
-    pub rhs: Vec<Ratio>,
-    /// Column that formed the initial identity of row `i`: its pivoted
-    /// column now holds `B⁻¹ e_i`.
-    pub init_col: Vec<usize>,
-    /// Whether the original constraint was negated during rhs normalization.
-    pub negated: Vec<bool>,
-    /// `true` for rows whose basic column is an artificial (stuck at zero in
-    /// a redundant row).
-    pub basic_artificial: Vec<bool>,
-}
-
-/// Outcome of installing a basis for ranging purposes.
-pub(crate) enum InstallVerdict {
-    /// The basis is optimal for the problem; the tableau is usable.
-    Optimal(Box<OptimalTableau>),
-    /// The basis does not fit the problem's standard form or is singular.
-    Unusable,
-    /// The basis installed but is not optimal for this data.
-    NotOptimal,
-}
-
-/// Installs `basis` on a fresh exact tableau of `problem` and verifies it is
-/// optimal (primal feasible, no positive artificial, dual feasible).
-pub(crate) fn install_for_ranging(problem: &LpProblem, basis: &SolvedBasis) -> InstallVerdict {
-    let mut tableau = Tableau::<Ratio>::build(problem);
-    if !basis_compatible(basis, &tableau) || !tableau.install_basis(&basis.cols) {
-        return InstallVerdict::Unusable;
-    }
-    let feasible = tableau.rhs.iter().all(|b| !b.is_negative())
-        && (0..tableau.num_rows()).all(|i| {
-            tableau.kinds[tableau.basis[i]] != ColKind::Artificial || tableau.rhs[i].is_zero()
-        });
-    if !feasible {
-        return InstallVerdict::NotOptimal;
-    }
-    let allowed: Vec<bool> = tableau.kinds.iter().map(|k| *k != ColKind::Artificial).collect();
-    let reduced = tableau.reduced_cost_row(&tableau.costs);
-    if tableau.choose_entering(&reduced, &allowed, false).is_some() {
-        return InstallVerdict::NotOptimal;
-    }
-    let basic_artificial: Vec<bool> =
-        tableau.basis.iter().map(|&col| tableau.kinds[col] == ColKind::Artificial).collect();
-    InstallVerdict::Optimal(Box::new(OptimalTableau {
-        rows: tableau.rows,
-        basis: tableau.basis,
-        allowed,
-        reduced,
-        n_structural: tableau.n_structural,
-        rhs: tableau.rhs,
-        init_col: tableau.init_col,
-        negated: tableau.negated,
-        basic_artificial,
-    }))
-}
-
 /// Clamp tiny negative values (f64 round-off) to zero; exact scalars pass through.
 pub(crate) fn clamp_nonneg<S: Scalar>(v: S) -> S {
     if v.is_negative() || v.is_zero() {
@@ -1652,6 +1541,36 @@ mod tests {
         assert!(matches!(outcome, DualOutcome::PrimalReoptimized { pivots } if pivots >= 1));
         assert!(sol.warm_started);
         assert_eq!(sol.objective, rat(12, 1));
+    }
+
+    #[test]
+    fn inside_rhs_nudges_reprice_with_zero_pivots_and_outside_ones_do_not() {
+        // The sample optimum's basis {x, s2} reads x = b1 and s2 = 6 - b1,
+        // so it stays optimal while b1 lies in [0, 6].
+        let cold = solve_exact(&sample_lp()).unwrap();
+        let with_b1 = |b1: i64| {
+            let mut lp = LpProblem::maximize();
+            let x = lp.add_var("x");
+            let y = lp.add_var("y");
+            lp.set_objective(x, rat(3, 1));
+            lp.set_objective(y, rat(2, 1));
+            lp.add_constraint("c1", expr(&[(x, rat(1, 1)), (y, rat(1, 1))]), Sense::Le, rat(b1, 1));
+            lp.add_constraint("c2", expr(&[(x, rat(1, 1)), (y, rat(3, 1))]), Sense::Le, rat(6, 1));
+            lp
+        };
+
+        // Inside: b1 = 5 re-prices StillOptimal, and the objective moves by
+        // the row's dual price.
+        let (warm, outcome) = solve_dual_with_basis::<Ratio>(&with_b1(5), &cold.basis).unwrap();
+        assert_eq!(outcome, DualOutcome::StillOptimal);
+        assert_eq!(warm.iterations, 0);
+        assert_eq!(warm.objective, &cold.objective + &cold.duals[0]);
+
+        // Outside: b1 = 7 drives s2 negative, which only a dual pivot repairs.
+        let outside = with_b1(7);
+        let (repaired, outcome) = solve_dual_with_basis::<Ratio>(&outside, &cold.basis).unwrap();
+        assert!(matches!(outcome, DualOutcome::DualRepaired { pivots } if pivots >= 1));
+        assert_eq!(repaired.objective, solve_exact(&outside).unwrap().objective);
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! * the exact solution is feasible,
 //! * the exact and floating objectives agree up to tolerance,
 //! * the certified solution equals the exact-simplex solution's objective,
-//! * the exact solution is at least as good as a sample of feasible points.
+//! * the exact solution is at least as good as a sample of feasible points;
+//! * perturbations the zero-pivot survival probe accepts keep the basis
+//!   optimal, and the ones it rejects cost repair pivots.
 
 use proptest::prelude::*;
 use steady_lp::{
-    objective_ranging, rhs_ranging, solve_certified, solve_dual_with_basis, solve_exact, solve_f64,
-    DualOutcome, LinearExpr, LpProblem, Sense, SimplexError,
+    basis_still_optimal, solve_dual_with_basis, solve_exact, solve_exact_auto, solve_f64,
+    solve_revised_with_basis, DualOutcome, LinearExpr, LpProblem, Sense, SimplexError,
 };
 use steady_rational::{rat, Ratio};
 
@@ -94,6 +96,49 @@ fn rebuild_with_rhs(lp: &LpProblem, rhs: &[Ratio]) -> LpProblem {
     out
 }
 
+/// `lp` with every objective coefficient and every rhs multiplied by a
+/// positive rational factor, cycling through the given `(n, d)` pairs.
+fn scale(lp: &LpProblem, cost_scales: &[(i64, i64)], rhs_scales: &[(i64, i64)]) -> LpProblem {
+    let mut scaled = lp.clone();
+    let vars: Vec<_> = scaled.vars().collect();
+    for (j, v) in vars.into_iter().enumerate() {
+        let (n, d) = cost_scales[j % cost_scales.len()];
+        let c = scaled.objective_coeff(v) * &rat(n, d);
+        scaled.set_objective(v, c);
+    }
+    let rhs: Vec<Ratio> = lp
+        .constraints()
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let (n, d) = rhs_scales[i % rhs_scales.len()];
+            &c.rhs * &rat(n, d)
+        })
+        .collect();
+    rebuild_with_rhs(&scaled, &rhs)
+}
+
+/// Candidate values near `current`, on its side of zero: the perturbations
+/// the ranging properties hand to the survival probe.
+fn ladder(current: &Ratio) -> Vec<Ratio> {
+    let scaled =
+        [(1, 4), (1, 2), (3, 4), (5, 4), (3, 2), (2, 1), (4, 1)].map(|(n, d)| current * &rat(n, d));
+    let shifted = [rat(1, 2), rat(1, 1), rat(10, 1)].map(|delta| current + &delta);
+    scaled.into_iter().chain(shifted).collect()
+}
+
+/// `lp` rebuilt once per [`ladder`] value of constraint `i`'s rhs.
+fn rhs_nudges(lp: &LpProblem, i: usize) -> Vec<LpProblem> {
+    ladder(&lp.constraints()[i].rhs)
+        .into_iter()
+        .map(|target| {
+            let mut rhs: Vec<Ratio> = lp.constraints().iter().map(|c| c.rhs.clone()).collect();
+            rhs[i] = target;
+            rebuild_with_rhs(lp, &rhs)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -112,7 +157,7 @@ proptest! {
     fn certified_matches_exact(desc in random_lp_strategy()) {
         let lp = build(&desc);
         let exact = solve_exact(&lp).unwrap();
-        let certified = solve_certified(&lp).unwrap();
+        let certified = solve_exact_auto(&lp).unwrap();
         prop_assert_eq!(certified.objective, exact.objective);
         prop_assert!(lp.check_feasible(&certified.values).is_ok());
     }
@@ -158,24 +203,7 @@ proptest! {
         // cold solve, whatever reuse path it ends up taking.
         let base = build(&desc);
         let basis = solve_exact(&base).unwrap().basis;
-
-        let mut perturbed = base.clone();
-        let vars: Vec<_> = perturbed.vars().collect();
-        for (j, v) in vars.into_iter().enumerate() {
-            let (n, d) = cost_scales[j % cost_scales.len()];
-            let scaled = perturbed.objective_coeff(v) * &rat(n, d);
-            perturbed.set_objective(v, scaled);
-        }
-        let rescaled_rhs: Vec<Ratio> = perturbed
-            .constraints()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let (n, d) = rhs_scales[i % rhs_scales.len()];
-                &c.rhs * &rat(n, d)
-            })
-            .collect();
-        let rebuilt = rebuild_with_rhs(&perturbed, &rescaled_rhs);
+        let rebuilt = scale(&base, &cost_scales, &rhs_scales);
 
         let cold = solve_exact(&rebuilt).unwrap();
         let (warm, outcome) = solve_dual_with_basis::<Ratio>(&rebuilt, &basis).unwrap();
@@ -241,31 +269,26 @@ proptest! {
         desc in random_lp_strategy(),
         pick in 0usize..4,
     ) {
-        // Sensitivity ranging: nudging one objective coefficient to a point
-        // strictly inside its computed range must keep the old optimal
-        // vertex optimal, verified by an independent cold re-solve.
+        // Every nudge of one objective coefficient that the survival probe
+        // accepts must keep the old optimal vertex optimal, verified by an
+        // independent cold re-solve.
         let lp = build(&desc);
         let cold = solve_exact(&lp).unwrap();
-        let ranges = objective_ranging(&lp, &cold.basis).unwrap();
-        let j = pick % lp.num_vars();
-        let v = lp.vars().nth(j).unwrap();
-        let current = lp.objective_coeff(v).clone();
-        prop_assert!(ranges[j].contains(&current), "own coefficient outside its range");
-        // Midpoint between the coefficient and its nearest finite bound.
-        let target = match (&ranges[j].lower, &ranges[j].upper) {
-            (_, Some(hi)) => &(&current + hi) / &rat(2, 1),
-            (Some(lo), None) => &(&current + lo) / &rat(2, 1),
-            (None, None) => current.clone(),
-        };
-        prop_assert!(ranges[j].contains(&target));
-        let mut nudged = lp.clone();
-        nudged.set_objective(v, target);
-        let re = solve_exact(&nudged).unwrap();
-        prop_assert_eq!(
-            nudged.objective_value(&cold.values),
-            re.objective,
-            "the old vertex must still be optimal inside the range"
-        );
+        prop_assert!(basis_still_optimal(&lp, &cold.basis), "the optimum fails its own probe");
+        let v = lp.vars().nth(pick % lp.num_vars()).unwrap();
+        for target in ladder(lp.objective_coeff(v)) {
+            let mut nudged = lp.clone();
+            nudged.set_objective(v, target);
+            if !basis_still_optimal(&nudged, &cold.basis) {
+                continue;
+            }
+            let re = solve_exact(&nudged).unwrap();
+            prop_assert_eq!(
+                nudged.objective_value(&cold.values),
+                re.objective,
+                "the old vertex must still be optimal where the probe holds"
+            );
+        }
     }
 
     #[test]
@@ -273,39 +296,27 @@ proptest! {
         desc in random_lp_strategy(),
         pick in 0usize..16,
     ) {
-        // rhs ranging: nudging one right-hand side to the midpoint between
-        // its current value and its nearest finite bound must keep the
-        // installed basis optimal — the dual warm start re-prices it with
-        // zero pivots and the answer still equals an independent cold solve.
+        // Every nudge of one right-hand side that the survival probe accepts
+        // must keep the installed basis optimal: the dual warm start
+        // re-prices it with zero pivots and the answer still equals an
+        // independent cold solve.
         let mut lp = build(&desc);
         augment_with_eq_and_ge(&mut lp);
         let cold = solve_exact(&lp).unwrap();
-        let ranges = rhs_ranging(&lp, &cold.basis).unwrap();
         let i = pick % lp.num_constraints();
-        let current = lp.constraints()[i].rhs.clone();
-        prop_assert!(ranges[i].contains(&current), "own rhs outside its range: {:?}", ranges[i]);
-        let target = match (&ranges[i].lower, &ranges[i].upper) {
-            (_, Some(hi)) => &(&current + hi) / &rat(2, 1),
-            (Some(lo), None) => &(&current + lo) / &rat(2, 1),
-            (None, None) => current.clone(),
-        };
-        prop_assert!(ranges[i].contains(&target));
-
-        let rhs: Vec<Ratio> = lp
-            .constraints()
-            .iter()
-            .enumerate()
-            .map(|(ci, c)| if ci == i { target.clone() } else { c.rhs.clone() })
-            .collect();
-        let rebuilt = rebuild_with_rhs(&lp, &rhs);
-        let (warm, outcome) = solve_dual_with_basis::<Ratio>(&rebuilt, &cold.basis).unwrap();
-        prop_assert!(
-            matches!(outcome, DualOutcome::StillOptimal),
-            "inside-range rhs nudge was not re-priced in place: {outcome:?}"
-        );
-        prop_assert_eq!(warm.iterations, 0, "an in-range reprice must spend zero pivots");
-        let re = solve_exact(&rebuilt).unwrap();
-        prop_assert_eq!(warm.objective, re.objective);
+        for rebuilt in rhs_nudges(&lp, i) {
+            if !basis_still_optimal(&rebuilt, &cold.basis) {
+                continue;
+            }
+            let (warm, outcome) = solve_dual_with_basis::<Ratio>(&rebuilt, &cold.basis).unwrap();
+            prop_assert!(
+                matches!(outcome, DualOutcome::StillOptimal),
+                "a probed rhs nudge was not re-priced in place: {outcome:?}"
+            );
+            prop_assert_eq!(warm.iterations, 0, "an in-range reprice must spend zero pivots");
+            let re = solve_exact(&rebuilt).unwrap();
+            prop_assert_eq!(warm.objective, re.objective);
+        }
     }
 
     #[test]
@@ -313,59 +324,72 @@ proptest! {
         desc in random_lp_strategy(),
         pick in 0usize..16,
     ) {
-        // Strictly outside the reported interval the old basis is primal
-        // infeasible: restoring optimality costs at least one dual repair
-        // pivot (or a full fallback / an infeasibility verdict) — never a
-        // free StillOptimal re-price.
+        // Where the survival probe rejects a rhs nudge the old basis is
+        // primal infeasible: restoring optimality costs at least one dual
+        // repair pivot (or a full fallback / an infeasibility verdict) —
+        // never a free StillOptimal re-price.
         let mut lp = build(&desc);
         augment_with_eq_and_ge(&mut lp);
         let cold = solve_exact(&lp).unwrap();
-        let ranges = rhs_ranging(&lp, &cold.basis).unwrap();
         let i = pick % lp.num_constraints();
-        // Nudge just past a finite bound while keeping the rhs on the same
-        // side of zero (crossing zero changes the standard form itself, so
-        // nothing about the old basis is even well-defined there).
-        let target = if let Some(hi) = &ranges[i].upper {
-            hi + &rat(1, 1)
-        } else if let Some(lo) = &ranges[i].lower {
-            if lo.is_positive() {
-                lo / &rat(2, 1)
-            } else {
-                return Ok(());
+        for rebuilt in rhs_nudges(&lp, i) {
+            if basis_still_optimal(&rebuilt, &cold.basis) {
+                continue;
             }
-        } else {
-            return Ok(());
-        };
-        prop_assert!(!ranges[i].contains(&target));
-
-        let rhs: Vec<Ratio> = lp
-            .constraints()
-            .iter()
-            .enumerate()
-            .map(|(ci, c)| if ci == i { target.clone() } else { c.rhs.clone() })
-            .collect();
-        let rebuilt = rebuild_with_rhs(&lp, &rhs);
-        match solve_dual_with_basis::<Ratio>(&rebuilt, &cold.basis) {
-            Ok((warm, outcome)) => {
-                prop_assert!(
-                    !matches!(outcome, DualOutcome::StillOptimal),
-                    "an out-of-range rhs must not re-price for free"
-                );
-                if let DualOutcome::DualRepaired { pivots } = outcome {
-                    prop_assert!(pivots >= 1);
+            match solve_dual_with_basis::<Ratio>(&rebuilt, &cold.basis) {
+                Ok((warm, outcome)) => {
+                    prop_assert!(
+                        !matches!(outcome, DualOutcome::StillOptimal),
+                        "an out-of-range rhs must not re-price for free"
+                    );
+                    if let DualOutcome::DualRepaired { pivots } = outcome {
+                        prop_assert!(pivots >= 1);
+                    }
+                    let re = solve_exact(&rebuilt).unwrap();
+                    prop_assert_eq!(warm.objective, re.objective);
                 }
-                let re = solve_exact(&rebuilt).unwrap();
-                prop_assert_eq!(warm.objective, re.objective);
+                // The nudge can empty the constraint set entirely: also not
+                // StillOptimal.
+                Err(SimplexError::Infeasible) => {
+                    prop_assert_eq!(
+                        solve_exact(&rebuilt).unwrap_err(),
+                        SimplexError::Infeasible
+                    );
+                }
+                Err(e) => return Err(TestCaseError::fail(format!("unexpected solver error: {e}"))),
             }
-            // The nudge can empty the constraint set entirely (e.g. a pinned
-            // redundant equality moved off its twin): also not StillOptimal.
-            Err(SimplexError::Infeasible) => {
-                prop_assert_eq!(
-                    solve_exact(&rebuilt).unwrap_err(),
-                    SimplexError::Infeasible
-                );
-            }
-            Err(e) => return Err(TestCaseError::fail(format!("unexpected solver error: {e}"))),
+        }
+    }
+
+    #[test]
+    fn survival_probe_agrees_with_the_dense_and_revised_warm_starts(
+        desc in random_lp_strategy(),
+        cost_scales in proptest::collection::vec((1i64..6, 1i64..6), 8),
+        rhs_scales in proptest::collection::vec((1i64..6, 1i64..6), 8),
+    ) {
+        // On `Le`-only LPs the probe is exactly the dense dual warm start's
+        // zero-pivot verdict.
+        let base = build(&desc);
+        let basis = solve_exact(&base).unwrap().basis;
+        let drifted = scale(&base, &cost_scales, &rhs_scales);
+        let (_, outcome) = solve_dual_with_basis::<Ratio>(&drifted, &basis).unwrap();
+        prop_assert_eq!(
+            basis_still_optimal(&drifted, &basis),
+            outcome == DualOutcome::StillOptimal,
+            "probe and dense re-price disagree ({:?})",
+            outcome
+        );
+
+        // In the artificial-column regime, a basis the probe accepts resumes
+        // the revised solver with zero pivots at the exact optimum.
+        let mut base = build(&desc);
+        augment_with_eq_and_ge(&mut base);
+        let basis = solve_exact(&base).unwrap().basis;
+        let drifted = scale(&base, &cost_scales, &rhs_scales);
+        if basis_still_optimal(&drifted, &basis) {
+            let warm = solve_revised_with_basis::<Ratio>(&drifted, &basis).unwrap();
+            prop_assert_eq!(warm.iterations, 0);
+            prop_assert_eq!(warm.objective, solve_exact(&drifted).unwrap().objective);
         }
     }
 

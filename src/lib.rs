@@ -86,8 +86,7 @@ pub mod prelude {
         ClassFate, ForecastConfig, Forecaster, PlannedSolve, PredictedTriage, PresolvePlan,
     };
     pub use steady_lp::{
-        basis_still_optimal, objective_ranging, rhs_ranging, solve_dual_with_basis,
-        solve_with_basis, CostRange, DualOutcome, RhsRange, SolvedBasis,
+        basis_still_optimal, solve_dual_with_basis, solve_with_basis, DualOutcome, SolvedBasis,
     };
     pub use steady_platform::generators::{
         figure2, figure5, figure6, figure9, tiers_reduce_instance, tiers_scatter_instance,

@@ -9,7 +9,7 @@
 //! intermediate results that cancel `K` demote again mid-solve.
 
 use steady_collectives::prelude::*;
-use steady_lp::{check_optimal, solve_certified};
+use steady_lp::{check_optimal, solve_exact_auto};
 use steady_platform::generators::{ReduceInstance, ScatterInstance};
 use steady_service::solve_query;
 
@@ -35,11 +35,11 @@ fn scaled(platform: &Platform, k: &Ratio) -> Platform {
     out
 }
 
-/// `solve_certified` on `problem`'s LP returns `expected` with values and
+/// `solve_exact_auto` on `problem`'s LP returns `expected` with values and
 /// duals that prove it.
 fn assert_certified<P: SteadyProblem>(problem: &P, expected: &Ratio) {
     let (lp, _) = problem.formulate();
-    let solution = solve_certified(&lp).unwrap();
+    let solution = solve_exact_auto(&lp).unwrap();
     assert_eq!(solution.objective, *expected, "{}", P::KIND);
     assert_eq!(
         check_optimal(&lp, &solution.values, &solution.duals).as_ref(),
