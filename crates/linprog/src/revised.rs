@@ -1558,14 +1558,14 @@ mod tests {
         assert!((sol.objective - 0.6).abs() < 1e-9);
     }
 
-    /// maximize `c_x·x + 2y` s.t. `x + y <= b1`, `x + 3y <= b2`; at
-    /// `(3, 4, 6)` the optimum is `(4, 0)` with basis `{x, s2}`.
-    fn sample_lp(c_x: i64, b1: i64, b2: i64) -> LpProblem {
+    /// maximize `c_x·x + c_y·y` s.t. `x + y <= b1`, `x + 3y <= b2`; at
+    /// `(3, 2, 4, 6)` the optimum is `(4, 0)` with basis `{x, s2}`.
+    fn sample_lp(c_x: i64, c_y: i64, b1: i64, b2: i64) -> LpProblem {
         let mut lp = LpProblem::maximize();
         let x = lp.add_var("x");
         let y = lp.add_var("y");
         lp.set_objective(x, rat(c_x, 1));
-        lp.set_objective(y, rat(2, 1));
+        lp.set_objective(y, rat(c_y, 1));
         lp.add_constraint("c1", expr(&[(x, rat(1, 1)), (y, rat(1, 1))]), Sense::Le, rat(b1, 1));
         lp.add_constraint("c2", expr(&[(x, rat(1, 1)), (y, rat(3, 1))]), Sense::Le, rat(b2, 1));
         lp
@@ -1573,24 +1573,62 @@ mod tests {
 
     #[test]
     fn probe_accepts_the_sample_optimum_and_rejects_a_drifted_objective() {
-        let basis = simplex::solve_exact(&sample_lp(3, 4, 6)).unwrap().basis;
-        let holds = |c_x, b1, b2| basis_still_optimal(&sample_lp(c_x, b1, b2), &basis);
-        assert!(holds(3, 4, 6));
-        // c_x may drop to 2, where the vertex (3, 1) ties, and no further.
-        assert!(holds(2, 4, 6));
-        assert!(!holds(1, 4, 6));
+        let lp = sample_lp(3, 2, 4, 6);
+        let basis = simplex::solve_exact(&lp).unwrap().basis;
+        assert!(basis_still_optimal(&lp, &basis));
+        // Same basis under an objective drifted out of its range: no longer
+        // optimal, and the probe says so without pivoting.
+        assert!(!basis_still_optimal(&sample_lp(1, 2, 4, 6), &basis));
+    }
+
+    #[test]
+    fn sample_cost_ranges_end_where_the_vertex_ties() {
+        // c_x may drop to 2, where the vertex (3, 1) ties, and rise without
+        // bound; c_y may rise to 3 (the same tie) and drop without bound.
+        let basis = simplex::solve_exact(&sample_lp(3, 2, 4, 6)).unwrap().basis;
+        let holds = |c_x, c_y| basis_still_optimal(&sample_lp(c_x, c_y, 4, 6), &basis);
+        assert!(holds(2, 2), "the ends are inclusive");
+        assert!(!holds(1, 2));
+        assert!(holds(1000, 2));
+        assert!(holds(3, 3), "the ends are inclusive");
+        assert!(!holds(3, 4));
+        assert!(holds(3, -1000));
+    }
+
+    #[test]
+    fn sample_rhs_ranges_end_where_a_basic_value_hits_zero() {
         // x = b1 and s2 = b2 - b1 stay non-negative for b1 in [0, 6] and b2
-        // down to 4.
-        assert!(holds(3, 0, 6));
-        assert!(holds(3, 6, 6));
-        assert!(!holds(3, 7, 6));
-        assert!(holds(3, 4, 4));
-        assert!(!holds(3, 4, 3));
+        // in [4, ∞).
+        let basis = simplex::solve_exact(&sample_lp(3, 2, 4, 6)).unwrap().basis;
+        let holds = |b1, b2| basis_still_optimal(&sample_lp(3, 2, b1, b2), &basis);
+        assert!(holds(0, 6));
+        assert!(holds(6, 6), "the ends are inclusive");
+        assert!(!holds(7, 6));
+        assert!(holds(4, 4), "the ends are inclusive");
+        assert!(!holds(4, 3));
+        assert!(holds(4, 1000));
+    }
+
+    #[test]
+    fn interior_cost_nudges_keep_the_vertex_and_exterior_ones_move_it() {
+        let cold = simplex::solve_exact(&sample_lp(3, 2, 4, 6)).unwrap();
+
+        // Strictly inside the x-range: the probe holds and a cold re-solve
+        // lands on the same vertex.
+        let mut inside = sample_lp(3, 2, 4, 6);
+        inside.set_objective(crate::model::VarId(0), rat(5, 2));
+        assert!(basis_still_optimal(&inside, &cold.basis));
+        assert_eq!(simplex::solve_exact(&inside).unwrap().values, cold.values);
+
+        // Strictly outside: the probe fails and the optimal vertex moves.
+        let outside = sample_lp(1, 2, 4, 6);
+        assert!(!basis_still_optimal(&outside, &cold.basis));
+        assert_ne!(simplex::solve_exact(&outside).unwrap().values, cold.values);
     }
 
     #[test]
     fn foreign_and_suboptimal_bases_are_rejected() {
-        let lp = sample_lp(3, 4, 6);
+        let lp = sample_lp(3, 2, 4, 6);
         let foreign = SolvedBasis { cols: vec![0, 1, 2], num_cols: 9, n_structural: 3 };
         assert!(!basis_still_optimal(&lp, &foreign));
         // The all-slack basis is feasible but not optimal.
