@@ -1,9 +1,9 @@
 //! `steady obs-overhead` — measure (and gate) the cost of the observability
-//! layer: per-query tracing *and* per-solve event recording.
+//! layer: per-query tracing, which includes recording the solver events of
+//! every traced query's solve.
 //!
-//! Runs the same load twice per round — once with the layer off, once with
-//! tracing and solver events on — against fresh services with identical
-//! seeds.  Each round's
+//! Runs the same load twice per round — once with tracing off, once with it
+//! on — against fresh services with identical seeds.  Each round's
 //! back-to-back pair shares runner conditions, so its overhead ratio
 //! `1 - on/off` cancels slow drift (CPU frequency scaling, co-tenant load)
 //! that cross-round comparisons cannot; shared-runner noise landing inside
@@ -62,14 +62,9 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let json_path = parsed.value("out").map(str::to_owned);
     let trace_path = parsed.value("trace-out").map(str::to_owned);
 
-    let run_once = |traced: bool| -> Result<(LoadReport, Service), CliError> {
-        let mut config = ServiceConfig { workers, ..ServiceConfig::default() };
-        config.tracing = traced;
-        // The "on" runs carry the *full* observability stack: per-query
-        // tracing plus per-solve event recording and the anomalous-solve
-        // flight recorder, so the gate prices the whole layer at once.
-        config.solver_events = traced;
-        let service = Service::start(config);
+    let run_once = |tracing: bool| -> Result<(LoadReport, Service), CliError> {
+        let service =
+            Service::start(ServiceConfig { workers, tracing, ..ServiceConfig::default() });
         let report = run_load(&service, &load)
             .map_err(|e| CliError::Failed(format!("obs-overhead load run failed: {e}")))?;
         Ok((report, service))
@@ -100,8 +95,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let (traced_report, traced_service) = last_traced.expect("at least one round ran");
     let traces = traced_service.drain_traces();
     let dropped = traced_service.traces_dropped();
-    let solve_records = traced_service.drain_solve_records();
-    let records_pushed = traced_service.solve_records_pushed();
 
     writeln!(out, "operation          : tracing overhead gate")?;
     writeln!(
@@ -119,12 +112,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         traces.len(),
         dropped,
     )?;
-    writeln!(
-        out,
-        "solver events      : on in traced runs; {} anomalous solves kept of {} classified",
-        solve_records.len(),
-        records_pushed,
-    )?;
 
     if let Some(path) = &trace_path {
         std::fs::write(path, chrome_trace_json(&traces, &traced_report.client_spans))
@@ -137,8 +124,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 "{{\"schema_version\":{},\"queries\":{},\"rounds\":{},",
                 "\"clients\":{},\"workers\":{},",
                 "\"qps_untraced\":{:.1},\"qps_traced\":{:.1},",
-                "\"overhead_fraction\":{:.4},\"traces\":{},\"dropped\":{},",
-                "\"solve_records\":{},\"solve_records_pushed\":{}}}"
+                "\"overhead_fraction\":{:.4},\"traces\":{},\"dropped\":{}}}"
             ),
             METRICS_SCHEMA_VERSION,
             load.queries,
@@ -150,8 +136,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             overhead,
             traces.len(),
             dropped,
-            solve_records.len(),
-            records_pushed,
         );
         std::fs::write(path, json)
             .map_err(|e| CliError::Failed(format!("cannot write report to '{path}': {e}")))?;

@@ -573,12 +573,11 @@ fn obs_overhead_reports_and_gates() {
     let json = std::fs::read_to_string(&path).expect("json report written");
     std::fs::remove_file(&path).ok();
     for key in [
-        "\"schema_version\":3",
+        "\"schema_version\":4",
         "\"qps_untraced\":",
         "\"qps_traced\":",
         "\"overhead_fraction\":",
-        "\"solve_records\":",
-        "\"solve_records_pushed\":",
+        "\"traces\":",
     ] {
         assert!(json.contains(key), "missing {key} in {json}");
     }

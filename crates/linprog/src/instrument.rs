@@ -29,7 +29,7 @@
 //! switches, peak eta fill, fallback cause) that travels up through
 //! `core::SolveReport` into the serving layer's metrics; a
 //! [`RecordingObserver`] additionally keeps a timestamped, bounded event
-//! timeline for flight recorders and the `steady explain` command; and
+//! timeline for traced serving solves and the `steady explain` command; and
 //! [`Chain`] fans one stream into two observers.
 
 use std::time::Instant;
@@ -307,7 +307,7 @@ impl<A: SolveObserver, B: SolveObserver> SolveObserver for Chain<'_, A, B> {
 
 /// Numeric-health aggregate of one logical solve, folded from its event
 /// stream.  This is the compact per-solve record the serving layer feeds
-/// into histograms and anomaly detection.
+/// into histograms and query traces.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SolveHealth {
     /// Counted pivots across all runs (equals the report's `iterations`).
@@ -423,8 +423,9 @@ pub struct TimedEvent {
 
 /// An observer that keeps a timestamped timeline of the event stream (up to
 /// a capacity; later events are counted, not stored) alongside the
-/// [`SolveHealth`] aggregate.  The timeline is what the serving layer's
-/// flight recorder and the `steady explain` command render.
+/// [`SolveHealth`] aggregate.  The serving layer turns a traced query's
+/// timeline into the phase breakdown its trace carries, and the
+/// `steady explain` command renders it in full.
 #[derive(Debug)]
 pub struct RecordingObserver {
     start: Instant,

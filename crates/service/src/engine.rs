@@ -71,7 +71,6 @@ use crate::metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 use crate::obs::{caller_ring, Clock, QueryTrace, Ring, TraceSink, WallClock, INLINE_LANE};
 use crate::persist;
 use crate::query::{solve_prepared, Answer, Query};
-use crate::recorder::{SolveFlightRecorder, SolveRecord};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::channel::{unbounded, Receiver, Sender};
 use crate::sync::Mutex;
@@ -83,11 +82,11 @@ use crate::ServiceError;
 /// adversarial traffic that never repeats a structure.
 const MAX_CACHED_BASES: usize = 4096;
 
-/// Per-solve event-timeline capacity when solver-event recording is on
-/// ([`ServiceConfig::solver_events`]): events beyond this are folded into
-/// the health aggregate but not kept (the recording marks itself truncated).
-/// Big enough for any realistic pivot trail, small enough to bound a
-/// pathological solve's memory.
+/// Per-solve event-timeline capacity of a traced query's solve, whose
+/// timeline yields the trace's solver phase breakdown: events beyond this
+/// are folded into the health aggregate but not kept (the recording marks
+/// itself truncated).  Big enough for any realistic pivot trail, small
+/// enough to bound a pathological solve's memory.
 const SOLVER_TIMELINE_CAPACITY: usize = 8192;
 
 /// One unit of speculative work: a query a forecaster predicts the drift
@@ -124,25 +123,15 @@ pub struct ServiceConfig {
     /// loaded into the cache on start, restoring the previous warm set.
     pub preload_from: Option<PathBuf>,
     /// Whether per-query lifecycle tracing is on (see [`crate::obs`]).  Off
-    /// by default; the always-on metrics histograms do not depend on it.
-    /// When off, the per-query cost of the tracing path is one branch.
+    /// by default; the always-on metrics histograms (solver health included)
+    /// do not depend on it.  A traced query's solve also records its solver
+    /// events (see [`steady_lp::instrument`]), so its trace carries the
+    /// solver's per-phase time breakdown into the Perfetto export.  When
+    /// off, the per-query cost of the tracing path is one branch.
     pub tracing: bool,
     /// Completed traces buffered per worker before the oldest is dropped
     /// (only meaningful with `tracing`); drops are counted, never blocking.
     pub trace_capacity: usize,
-    /// Whether per-solve **solver event recording** is on (see
-    /// [`steady_lp::instrument`] and [`crate::recorder`]).  Off by default;
-    /// the always-on solver health histograms (pivot mix, eta fill,
-    /// refactorizations) do not depend on it.  When on, every solve records
-    /// its pivot timeline and the most anomalous solves (fell back, Bland
-    /// switch, unusually slow) keep theirs in the solver flight recorder;
-    /// traced queries additionally carry the solver's per-phase time
-    /// breakdown into the Perfetto export.
-    pub solver_events: bool,
-    /// Anomalous solve records kept by the flight recorder before the
-    /// oldest is evicted (only meaningful with `solver_events`); losses are
-    /// counted, never blocking.
-    pub solver_record_capacity: usize,
     /// Optional per-task deadline for the demand lane: a query still queued
     /// this long after submission is shed (counted in
     /// [`ServiceStats::demand_timeouts`]) instead of run — bounding how long
@@ -163,8 +152,6 @@ impl Default for ServiceConfig {
             preload_from: None,
             tracing: false,
             trace_capacity: 4096,
-            solver_events: false,
-            solver_record_capacity: 64,
             demand_deadline: None,
         }
     }
@@ -183,10 +170,12 @@ impl ServiceConfig {
         self
     }
 
-    /// Turns on per-solve solver event recording (see [`crate::recorder`]).
-    pub fn with_solver_events(mut self) -> Self {
-        self.solver_events = true;
-        self
+    /// The same as [`ServiceConfig::traced`]: solver events are recorded
+    /// exactly for traced queries.  It stays because
+    /// `benchmark/src/workloads.rs` builds its traced service through it,
+    /// until that is re-pointed at [`ServiceConfig::traced`].
+    pub fn with_solver_events(self) -> Self {
+        self.traced()
     }
 
     /// Sets a queueing deadline for demand queries (see
@@ -539,21 +528,21 @@ struct StageMetrics {
     /// Fingerprint + cache lookup: submit → lookup done (every well-formed
     /// query; on the caller's thread for demand traffic).
     lookup: Arc<Histogram>,
-    /// Hand-off to a worker: lookup done → worker pickup.  Demand queries
-    /// the lookup could not answer only, so for demand-only traffic its
-    /// count is `queries - hits`.
-    queue_wait: Arc<Histogram>,
-    /// Demand-lane wait: enqueue → scheduler pickup, per lane.  Same span
-    /// as `queue_wait`, but split by lane so priority inversion (prefetch
-    /// delaying demand) is directly visible.
+    /// Demand-lane wait, the queue stage: lookup done (= enqueue) → worker
+    /// pickup.  Demand queries the lookup could not answer only, so for
+    /// demand-only traffic its count is `queries - hits`.  The lanes have
+    /// one wait histogram each, so priority inversion (prefetch delaying
+    /// demand) is directly visible.
     lane_demand_wait: Arc<Histogram>,
     /// Revalidation-lane wait (see `lane_demand_wait`).
     lane_revalidation_wait: Arc<Histogram>,
     /// Prefetch-lane wait (see `lane_demand_wait`).
     lane_prefetch_wait: Arc<Histogram>,
-    /// Warm-started solves (triage reused or reseeded a basis).
+    /// Warm-started solves (triage reused or reseeded a basis); its count
+    /// and sum are [`ServiceStats::warm_solves`] and
+    /// [`ServiceStats::warm_solve_nanos`].
     solve_warm: Arc<Histogram>,
-    /// From-scratch solves.
+    /// From-scratch solves; count and sum as for `solve_warm`.
     solve_cold: Arc<Histogram>,
     /// Basis/cache publication and reply fan-out after a solve; for a hit,
     /// prefetch attribution and tailoring after the lookup.
@@ -585,7 +574,6 @@ impl StageMetrics {
     fn new(registry: &MetricsRegistry) -> StageMetrics {
         StageMetrics {
             lookup: registry.histogram("stage_lookup_nanos"),
-            queue_wait: registry.histogram("stage_queue_wait_nanos"),
             lane_demand_wait: registry.histogram("lane_demand_wait_nanos"),
             lane_revalidation_wait: registry.histogram("lane_revalidation_wait_nanos"),
             lane_prefetch_wait: registry.histogram("lane_prefetch_wait_nanos"),
@@ -645,10 +633,6 @@ struct Shared {
     /// Per-worker and caller-side rings of completed query traces (see
     /// [`crate::obs`]).
     sink: TraceSink,
-    /// The solver flight recorder: pivot timelines of the most anomalous
-    /// solves (see [`crate::recorder`]); disabled unless
-    /// [`ServiceConfig::solver_events`] is set.
-    recorder: SolveFlightRecorder,
     /// Always-on per-stage latency histograms.
     stage: StageMetrics,
     /// The registry the stage histograms live in, snapshotted by
@@ -665,8 +649,6 @@ struct Shared {
     prefetch_hits: AtomicU64,
     prefetch_wasted: AtomicU64,
     predicted_exits: AtomicU64,
-    warm_solves: AtomicU64,
-    cold_solves: AtomicU64,
     triaged: AtomicU64,
     in_range: AtomicU64,
     dual_repairs: AtomicU64,
@@ -674,8 +656,6 @@ struct Shared {
     stale_served: AtomicU64,
     warm_pivots: AtomicU64,
     cold_pivots: AtomicU64,
-    warm_solve_nanos: AtomicU64,
-    cold_solve_nanos: AtomicU64,
     shed: AtomicU64,
     errors: AtomicU64,
 }
@@ -729,8 +709,6 @@ impl WorkerHooks<WorkItem> for EngineWorker {
         // parked waiters are released by the in-flight drop guard.
         match task.payload {
             WorkItem::Demand(mut job) => {
-                let queued = picked_up.saturating_sub(job.missed.lookup_done_nanos);
-                shared.stage.queue_wait.record(queued);
                 if let Some(t) = job.trace.as_mut() {
                     t.worker = worker as u32;
                     t.solver = worker as u32;
@@ -831,7 +809,6 @@ impl Service {
             ttl: config.ttl,
             clock,
             sink: TraceSink::new(workers, config.trace_capacity, config.tracing),
-            recorder: SolveFlightRecorder::new(config.solver_record_capacity, config.solver_events),
             stage,
             registry,
             ledger: PrefetchLedger::new(),
@@ -842,8 +819,6 @@ impl Service {
             prefetch_hits: AtomicU64::new(0),
             prefetch_wasted: AtomicU64::new(0),
             predicted_exits: AtomicU64::new(0),
-            warm_solves: AtomicU64::new(0),
-            cold_solves: AtomicU64::new(0),
             triaged: AtomicU64::new(0),
             in_range: AtomicU64::new(0),
             dual_repairs: AtomicU64::new(0),
@@ -851,8 +826,6 @@ impl Service {
             stale_served: AtomicU64::new(0),
             warm_pivots: AtomicU64::new(0),
             cold_pivots: AtomicU64::new(0),
-            warm_solve_nanos: AtomicU64::new(0),
-            cold_solve_nanos: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             errors: AtomicU64::new(0),
         });
@@ -1091,14 +1064,15 @@ impl Service {
     pub fn stats(&self) -> ServiceStats {
         let cache = self.shared.cache.stats();
         let lanes = self.running.counters();
+        let (warm, cold) = (&self.shared.stage.solve_warm, &self.shared.stage.solve_cold);
         ServiceStats {
             queries: gauge(&self.shared.queries),
             hits: cache.hits,
             misses: cache.misses,
             coalesced: gauge(&self.shared.coalesced),
             solves: gauge(&self.shared.solves),
-            warm_solves: gauge(&self.shared.warm_solves),
-            cold_solves: gauge(&self.shared.cold_solves),
+            warm_solves: warm.count(),
+            cold_solves: cold.count(),
             triaged: gauge(&self.shared.triaged),
             in_range: gauge(&self.shared.in_range),
             dual_repairs: gauge(&self.shared.dual_repairs),
@@ -1107,8 +1081,8 @@ impl Service {
             stale_served: gauge(&self.shared.stale_served),
             warm_pivots: gauge(&self.shared.warm_pivots),
             cold_pivots: gauge(&self.shared.cold_pivots),
-            warm_solve_nanos: gauge(&self.shared.warm_solve_nanos),
-            cold_solve_nanos: gauge(&self.shared.cold_solve_nanos),
+            warm_solve_nanos: warm.sum(),
+            cold_solve_nanos: cold.sum(),
             shed: gauge(&self.shared.shed),
             errors: gauge(&self.shared.errors),
             prefetched: gauge(&self.shared.prefetched),
@@ -1160,8 +1134,6 @@ impl Service {
         snap.push_counter("insertions", stats.insertions);
         snap.push_counter("evictions", stats.evictions);
         snap.push_counter("traces_dropped", self.shared.sink.dropped());
-        snap.push_counter("solve_records", self.shared.recorder.pushed());
-        snap.push_counter("solve_records_dropped", self.shared.recorder.dropped());
         snap.push_gauge("cached_entries", stats.cached_entries as u64);
         snap.push_gauge("prefetch_backlog", self.prefetch_backlog() as u64);
         snap.push_gauge("epoch", self.epoch());
@@ -1187,29 +1159,6 @@ impl Service {
     /// Traces lost to ring contention or overwrite since start.
     pub fn traces_dropped(&self) -> u64 {
         self.shared.sink.dropped()
-    }
-
-    /// Whether per-solve solver event recording is on
-    /// ([`ServiceConfig::solver_events`]).
-    pub fn solver_events_enabled(&self) -> bool {
-        self.shared.recorder.enabled()
-    }
-
-    /// Drains the solver flight recorder, returning the anomalous solve
-    /// records (with their pivot timelines) kept since the last drain.
-    pub fn drain_solve_records(&self) -> Vec<SolveRecord> {
-        self.shared.recorder.drain()
-    }
-
-    /// Anomalous solve records offered to the flight recorder since start.
-    pub fn solve_records_pushed(&self) -> u64 {
-        self.shared.recorder.pushed()
-    }
-
-    /// Anomalous solve records lost to recorder contention or eviction
-    /// since start.
-    pub fn solve_records_dropped(&self) -> u64 {
-        self.shared.recorder.dropped()
     }
 
     /// The service's time source, for callers (e.g. the load generator)
@@ -1277,24 +1226,12 @@ fn prefetch_one(shared: &Shared, worker: u32, job: PrefetchJob) {
     }
     let structural = job.query.structural_fingerprint().0;
     let prior = shared.bases.lock().get(&structural).cloned();
-    let (outcome, recording) = solve_recorded(shared, &job.query, fingerprint, prior.as_ref());
+    let (outcome, breakdown) =
+        solve_recorded(shared, &job.query, fingerprint, prior.as_ref(), trace.is_some());
     match outcome {
         Ok((answer, report)) => {
             let solve_done = shared.clock.now_nanos();
-            if let Some(t) = trace.as_mut() {
-                t.solve_done_nanos = solve_done;
-                t.triage = report.triage.kind_name();
-                t.set_solve(report.trace());
-            }
-            publish_solver_health(
-                shared,
-                &job.query,
-                key,
-                &report,
-                recording,
-                solve_done.saturating_sub(solve_begin),
-                trace.as_mut(),
-            );
+            publish_solver_health(shared, &report, breakdown, solve_done, trace.as_mut());
             bump(&shared.prefetched);
             if let Some(basis) = report.basis {
                 publish_basis(shared, structural, basis);
@@ -1362,24 +1299,25 @@ fn finish_coalesced_trace(
     }
 }
 
-/// Runs [`solve_prepared`] with the observer the configuration asks for:
-/// a [`steady_lp::RecordingObserver`] capturing the pivot timeline when
-/// solver-event recording is on ([`ServiceConfig::solver_events`]), the
-/// statically-free [`steady_lp::NoopObserver`] otherwise.  The health
-/// aggregate inside the returned report is populated either way.
+/// Runs [`solve_prepared`] for a query that is `traced` (its job carries a
+/// [`QueryTrace`]) under a [`steady_lp::RecordingObserver`], returning the
+/// solve's phase breakdown for the trace, and for any other query under the
+/// statically-free [`steady_lp::NoopObserver`].  The health aggregate
+/// inside the returned report is populated either way.
 fn solve_recorded(
     shared: &Shared,
     query: &Query,
     fingerprint: Fingerprint,
     prior: Option<&SolvedBasis>,
+    traced: bool,
 ) -> (
     Result<(Answer, steady_drift::TriageReport), crate::ServiceError>,
-    Option<steady_lp::SolveRecording>,
+    Option<steady_lp::PhaseBreakdown>,
 ) {
-    if shared.recorder.enabled() {
+    if traced {
         let mut rec = steady_lp::RecordingObserver::new(SOLVER_TIMELINE_CAPACITY);
         let outcome = solve_prepared(query, fingerprint, shared.build_schedules, prior, &mut rec);
-        (outcome, Some(rec.finish()))
+        (outcome, Some(rec.finish().breakdown()))
     } else {
         let outcome = solve_prepared(
             query,
@@ -1392,37 +1330,24 @@ fn solve_recorded(
     }
 }
 
-/// Folds one successful solve into the always-on solver health histograms,
-/// stamps the trace's solver fields, and — when the solve was recorded and
-/// classified anomalous — keeps its timeline in the flight recorder.
+/// Folds one successful solve into the always-on solver health histograms
+/// and stamps the trace's solver fields: the solve's end, its triage rung,
+/// pivot counts and health, and the phase `breakdown` recorded for it.
 fn publish_solver_health(
     shared: &Shared,
-    query: &Query,
-    key: u64,
     report: &steady_drift::TriageReport,
-    recording: Option<steady_lp::SolveRecording>,
-    solve_nanos: u64,
+    breakdown: Option<steady_lp::PhaseBreakdown>,
+    solve_done: u64,
     trace: Option<&mut QueryTrace>,
 ) {
     shared.stage.record_solver_health(&report.health);
     if let Some(t) = trace {
+        t.solve_done_nanos = solve_done;
+        t.triage = report.triage.kind_name();
+        t.set_solve(report.trace());
         t.set_health(&report.health);
-        if let Some(rec) = &recording {
-            t.set_breakdown(&rec.breakdown());
-        }
-    }
-    if let Some(rec) = recording {
-        if let Some(reason) = shared.recorder.classify(solve_nanos, &report.health) {
-            shared.recorder.push(SolveRecord {
-                fingerprint: key,
-                collective: query.collective.kind_name(),
-                triage: report.triage.kind_name(),
-                reason,
-                solve_nanos,
-                health: report.health.clone(),
-                timeline: rec.events,
-                truncated: rec.truncated,
-            });
+        if let Some(breakdown) = &breakdown {
+            t.set_breakdown(breakdown);
         }
     }
 }
@@ -1689,26 +1614,13 @@ fn solve_one(shared: &Shared, worker: u32, mut job: Job) {
     // solve_prepared skips redoing both on the hot path.
     let mut solve_done = solve_begin;
     let mut solved_warm = None;
-    let (solve_outcome, recording) =
-        solve_recorded(shared, &job.query, fingerprint, prior.as_ref());
+    let (solve_outcome, breakdown) =
+        solve_recorded(shared, &job.query, fingerprint, prior.as_ref(), job.trace.is_some());
     let outcome = match solve_outcome {
         Ok((answer, report)) => {
             solve_done = shared.clock.now_nanos();
             let nanos = solve_done.saturating_sub(solve_begin);
-            if let Some(t) = job.trace.as_mut() {
-                t.solve_done_nanos = solve_done;
-                t.triage = report.triage.kind_name();
-                t.set_solve(report.trace());
-            }
-            publish_solver_health(
-                shared,
-                &job.query,
-                key,
-                &report,
-                recording,
-                nanos,
-                job.trace.as_mut(),
-            );
+            publish_solver_health(shared, &report, breakdown, solve_done, job.trace.as_mut());
             if report.had_prior {
                 bump(&shared.triaged);
             }
@@ -1725,14 +1637,10 @@ fn solve_one(shared: &Shared, worker: u32, mut job: Job) {
                 report.triage.reused_basis() || matches!(report.triage, Triage::ResolveWarm { .. });
             solved_warm = Some(warm);
             if warm {
-                bump(&shared.warm_solves);
                 bump_by(&shared.warm_pivots, report.iterations as u64);
-                bump_by(&shared.warm_solve_nanos, nanos);
                 shared.stage.solve_warm.record(nanos);
             } else {
-                bump(&shared.cold_solves);
                 bump_by(&shared.cold_pivots, report.iterations as u64);
-                bump_by(&shared.cold_solve_nanos, nanos);
                 shared.stage.solve_cold.record(nanos);
             }
             if stale.is_some() {
@@ -2236,7 +2144,7 @@ mod tests {
         let metrics = service.metrics();
         let count = |name: &str| metrics.histogram(name).unwrap().count();
         assert_eq!(count("lane_revalidation_wait_nanos"), 2);
-        assert_eq!(count("stage_queue_wait_nanos"), 1, "only the cold demand query queued");
+        assert_eq!(count("lane_demand_wait_nanos"), 1, "only the cold demand query queued");
         assert_eq!(count("stage_lookup_nanos"), 4);
     }
 
@@ -2250,19 +2158,23 @@ mod tests {
         assert_eq!(service.traces_dropped(), 0);
         // Metrics are on regardless of tracing.  The hit stopped on this
         // thread after its lookup: lookup + publish + e2e_hit samples and no
-        // queue or lane wait, so `queue_wait.count == queries - hits`.
+        // queue or lane wait, so `lane_demand_wait.count == queries - hits`.
         let metrics = service.metrics();
         let count = |name: &str| metrics.histogram(name).unwrap().count();
         assert_eq!(metrics.counter("queries"), Some(2));
         assert_eq!(metrics.counter("hits"), Some(1));
         assert_eq!(count("stage_lookup_nanos"), 2);
-        assert_eq!(count("stage_queue_wait_nanos"), 1);
         assert_eq!(count("lane_demand_wait_nanos"), 1);
         assert_eq!(count("stage_publish_nanos"), 2);
         assert_eq!(count("e2e_hit_nanos"), 1);
         let solved = metrics.histogram("stage_solve_cold_nanos").unwrap().count()
             + metrics.histogram("stage_solve_warm_nanos").unwrap().count();
         assert_eq!(solved, 1);
+        // The warm/cold tallies are those histograms' counts and sums.
+        let stats = service.stats();
+        let cold = metrics.histogram("stage_solve_cold_nanos").unwrap();
+        assert_eq!((stats.cold_solves, stats.cold_solve_nanos), (cold.count(), cold.sum()));
+        assert_eq!(metrics.counter("cold_solves"), Some(stats.cold_solves));
     }
 
     /// The acceptance criterion: a traced query's stage spans are adjacent
@@ -2335,17 +2247,17 @@ mod tests {
         let _ = service.query(figure2_query()).unwrap();
         let metrics = service.metrics();
         let json = metrics.to_json();
-        assert!(json.contains("\"schema_version\": 3"), "{json}");
+        assert!(json.contains("\"schema_version\": 4"), "{json}");
         assert!(json.contains("\"queries\": 1"), "{json}");
-        assert!(json.contains("\"stage_queue_wait_nanos\""), "{json}");
+        assert!(json.contains("\"lane_demand_wait_nanos\""), "{json}");
         let prom = metrics.to_prometheus();
         assert!(prom.contains("steady_queries_total 1"), "{prom}");
-        assert!(prom.contains("# TYPE steady_stage_queue_wait_nanos histogram"), "{prom}");
+        assert!(prom.contains("# TYPE steady_lane_demand_wait_nanos histogram"), "{prom}");
         assert!(prom.contains("steady_cached_entries 1"), "{prom}");
     }
 
-    /// The solver health histograms are always on (no `solver_events`
-    /// needed) and reach both expositions: one solve means one sample in
+    /// The solver health histograms are always on (no tracing needed) and
+    /// reach both expositions: one solve means one sample in
     /// each, and a cold figure-2 scatter spends at least one pivot.
     #[test]
     fn solver_histograms_reach_the_expositions() {
@@ -2373,39 +2285,40 @@ mod tests {
         assert!(prom.contains("steady_solver_bland_pivots_count 1"), "{prom}");
     }
 
-    /// With `solver_events` on: recording never changes answers, healthy
-    /// traffic leaves the flight recorder conservation-clean, and traced
-    /// queries carry a solver time breakdown that nests inside the measured
-    /// solve span.
+    /// Tracing alone records a traced query's solver events: the answer is
+    /// `Ratio`-equal to an untraced service's, and the trace carries the
+    /// solver's install, phase-2 and certify time, whose five buckets nest
+    /// inside the measured solve span.
     #[test]
-    fn solver_events_do_not_change_answers_and_recorder_conserves() {
+    fn traced_solves_carry_solver_breakdowns_without_changing_answers() {
         let baseline = Service::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
         let plain = baseline.query(figure2_query()).unwrap();
 
-        let service = Service::start(
-            ServiceConfig { workers: 1, ..ServiceConfig::default() }.with_solver_events().traced(),
-        );
-        assert!(service.solver_events_enabled());
-        let recorded = service.query(figure2_query()).unwrap();
-        assert_eq!(recorded.answer.throughput, plain.answer.throughput);
+        let service =
+            Service::start(ServiceConfig { workers: 1, ..ServiceConfig::default() }.traced());
+        let traced = service.query(figure2_query()).unwrap();
+        assert_eq!(traced.answer.throughput, plain.answer.throughput);
 
-        // Healthy, fast solves produce no anomalies; conservation holds.
-        let records = service.drain_solve_records();
-        assert_eq!(
-            service.solve_records_pushed(),
-            records.len() as u64 + service.solve_records_dropped()
-        );
-        // The traced query carried the solver breakdown: phase spans sum to
-        // no more than the measured solve span.
         let traces = service.drain_traces();
         assert_eq!(traces.len(), 1);
         let t = &traces[0];
-        let phase_total = t.solve_phase1_nanos + t.solve_dual_nanos + t.solve_phase2_nanos;
-        assert!(t.solve_phase2_nanos > 0, "a cold solve records a phase-2 span");
+        assert_eq!(t.outcome, "solve-cold");
+        assert!(t.solve_install_nanos > 0, "a cold solve installs its crash basis: {t:?}");
+        assert!(t.solve_phase2_nanos > 0, "a cold solve records a phase-2 span: {t:?}");
+        assert!(t.solve_certify_nanos > 0, "a certified solve records its exact check: {t:?}");
+        assert_eq!(t.fallback, "", "figure 2 certifies on the fast path");
+        let buckets = t.solve_install_nanos
+            + t.solve_phase1_nanos
+            + t.solve_dual_nanos
+            + t.solve_phase2_nanos
+            + t.solve_certify_nanos;
         assert!(
-            phase_total <= t.solve_done_nanos - t.solve_start_nanos,
-            "solver breakdown must nest inside the solve span"
+            buckets <= t.solve_done_nanos - t.solve_start_nanos,
+            "solver breakdown must nest inside the solve span: {t:?}"
         );
+        let json = crate::obs::chrome_trace_json(&traces, &[]);
+        assert!(json.contains("\"name\": \"solver.install\""), "{json}");
+        assert!(json.contains("\"name\": \"solver.certify\""), "{json}");
     }
 
     #[test]

@@ -80,7 +80,6 @@ pub mod metrics;
 pub mod obs;
 pub mod persist;
 pub mod query;
-pub mod recorder;
 pub mod sync;
 
 pub use cache::{CacheConfig, CacheStats, Lookup, SolutionCache};
@@ -99,7 +98,6 @@ pub use obs::{
     chrome_trace_json, ClientSpan, Clock, ManualClock, QueryTrace, TraceRing, WallClock,
 };
 pub use query::{solve_query, Answer, Collective, Query};
-pub use recorder::{SolveFlightRecorder, SolveRecord};
 pub use steady_sched::{Lane, LaneCounters};
 
 /// Error produced while validating or solving a query.

@@ -379,9 +379,8 @@ impl LoadReport {
 /// increment: one row per lifecycle stage histogram, in lifecycle order, plus
 /// the end-to-end distributions split by how the query was served.
 pub fn stage_table(metrics: &MetricsSnapshot) -> String {
-    const ROWS: [(&str, &str); 12] = [
+    const ROWS: [(&str, &str); 11] = [
         ("cache lookup", "stage_lookup_nanos"),
-        ("queue wait", "stage_queue_wait_nanos"),
         ("lane demand", "lane_demand_wait_nanos"),
         ("lane revalidate", "lane_revalidation_wait_nanos"),
         ("lane prefetch", "lane_prefetch_wait_nanos"),
@@ -1261,7 +1260,7 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"schema_version\":3"));
+        assert!(json.contains("\"schema_version\":4"));
         assert!(json.contains("\"queries_per_second\":20.0"));
         assert!(json.contains("\"hit_ratio\":0.7000"));
         assert!(!report.render().is_empty());
@@ -1287,14 +1286,13 @@ mod tests {
         assert_eq!(report.stats.queries, 120);
         assert!(report.stats.hits > 0, "120 queries over 8 distinct must repeat");
         assert_eq!(count("stage_lookup_nanos"), 120);
-        assert_eq!(count("stage_queue_wait_nanos"), report.stats.queries - report.stats.hits);
         assert_eq!(count("lane_demand_wait_nanos"), report.stats.queries - report.stats.hits);
         // (A miss whose solve lands while it queues is served at the
         // single-flight re-check and counts as an `e2e_hit` too.)
         assert!(count("e2e_hit_nanos") >= report.stats.hits);
         let rendered = report.render();
         assert!(rendered.contains("stage breakdown"), "render has the stage table:\n{rendered}");
-        assert!(rendered.contains("queue wait"), "table lists queue wait:\n{rendered}");
+        assert!(rendered.contains("lane demand"), "table lists the demand wait:\n{rendered}");
         // Tracing was off, so no client spans were collected.
         assert!(report.client_spans.is_empty());
     }

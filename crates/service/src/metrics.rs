@@ -109,6 +109,18 @@ impl Histogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
+    /// Samples recorded so far.
+    pub fn count(&self) -> u64 {
+        // relaxed: see `record` — a point-in-time read of a monotone tally.
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// Sum of the samples recorded so far.
+    pub fn sum(&self) -> u64 {
+        // relaxed: see `record`.
+        self.sum.load(Ordering::Relaxed)
+    }
+
     /// A point-in-time copy of the buckets.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -380,8 +392,10 @@ impl MetricsRegistry {
 /// `solver_peak_eta`, `solver_refactorizations`) and the solver-event
 /// overhead fields of `steady obs-overhead`.  Version 3 dropped the
 /// cold-solve admission gate's queue counter and wait histogram with the
-/// gate itself.
-pub const METRICS_SCHEMA_VERSION: u64 = 3;
+/// gate itself.  Version 4 dropped the solver flight recorder's two
+/// counters (and `obs-overhead`'s record fields) with the recorder, and the
+/// queue-stage histogram, which duplicated `lane_demand_wait_nanos`.
+pub const METRICS_SCHEMA_VERSION: u64 = 4;
 
 /// An owned snapshot of a [`MetricsRegistry`] (plus any caller-appended
 /// values), renderable as JSON or Prometheus text exposition.
@@ -624,6 +638,7 @@ mod tests {
         for v in [10u64, 20, 30] {
             h.record(v);
         }
+        assert_eq!((h.count(), h.sum()), (3, 60));
         // Re-registration returns the same handle.
         registry.counter("queries").inc();
 
@@ -633,7 +648,7 @@ mod tests {
         assert_eq!(snap.histogram("stage_solve_warm_nanos").unwrap().count(), 3);
 
         let json = snap.to_json();
-        assert!(json.contains("\"schema_version\": 3"), "{json}");
+        assert!(json.contains("\"schema_version\": 4"), "{json}");
         assert!(json.contains("\"queries\": 43"), "{json}");
         assert!(json.contains("\"stage_solve_warm_nanos\""), "{json}");
 

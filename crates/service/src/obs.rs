@@ -3,11 +3,11 @@
 //! Every query admitted by [`crate::engine::Service`] can carry a
 //! [`QueryTrace`] — a fixed-size, heap-free record of monotonic timestamps
 //! at each lifecycle edge (cache lookup → worker pickup → single-flight →
-//! solve → publish), plus the triage rung and per-phase
-//! simplex pivot counts ([`steady_lp::SolveTrace`]) of the solve that
-//! answered it.  A cache hit is answered on the caller's thread and stops
-//! after the lookup: its trace has a lookup and a publish span and nothing
-//! in between.  Completed traces land in bounded ring buffers
+//! solve → publish), plus the triage rung, per-phase simplex pivot counts
+//! ([`steady_lp::SolveTrace`]), fallback cause and solver time breakdown of
+//! the solve that answered it.  A cache hit is answered on the caller's
+//! thread and stops after the lookup: its trace has a lookup and a publish
+//! span and nothing in between.  Completed traces land in bounded ring buffers
 //! ([`TraceRing`]) — one per worker, plus caller-side rings for the traces
 //! sealed on callers' threads — that **never block the hot path**: the push
 //! is a `try_lock` that drops (and counts) the record on contention, and
@@ -157,16 +157,24 @@ pub struct QueryTrace {
     /// Pivots taken under Bland's anti-cycling rule (non-zero means the
     /// solve degraded off Dantzig pricing).
     pub bland_pivots: u32,
-    /// Time the solver spent in phase 1, nanoseconds (recorded solves only —
-    /// zero when solver-event recording is off).
+    /// Why the answering solve fell back off the certified fast path
+    /// ([`steady_lp::FallbackCause::kind_name`]); empty when it did not.
+    pub fallback: &'static str,
+    /// Time the solver spent installing its start basis, nanoseconds: each
+    /// run's start to its first phase or certify marker (see
+    /// [`steady_lp::PhaseBreakdown::install_nanos`]).
+    pub solve_install_nanos: u64,
+    /// Time the solver spent in phase 1, nanoseconds.
     pub solve_phase1_nanos: u64,
-    /// Time the solver spent in phase 2, nanoseconds (recorded solves only).
+    /// Time the solver spent in phase 2, nanoseconds.
     pub solve_phase2_nanos: u64,
-    /// Time the solver spent in dual-simplex repair, nanoseconds (recorded
-    /// solves only).
+    /// Time the solver spent in dual-simplex repair, nanoseconds.
     pub solve_dual_nanos: u64,
-    /// Time the solver spent refactorizing the basis, nanoseconds (recorded
-    /// solves only; *included* in the surrounding phase spans).
+    /// Time the solver spent checking the float answer exactly,
+    /// nanoseconds.
+    pub solve_certify_nanos: u64,
+    /// Time the solver spent refactorizing the basis, nanoseconds
+    /// (*included* in the surrounding phase spans).
     pub solve_refactor_nanos: u64,
 }
 
@@ -192,9 +200,12 @@ impl QueryTrace {
             phase2_pivots: 0,
             degenerate_pivots: 0,
             bland_pivots: 0,
+            fallback: "",
+            solve_install_nanos: 0,
             solve_phase1_nanos: 0,
             solve_phase2_nanos: 0,
             solve_dual_nanos: 0,
+            solve_certify_nanos: 0,
             solve_refactor_nanos: 0,
         }
     }
@@ -205,20 +216,23 @@ impl QueryTrace {
         self.phase2_pivots = trace.phase2_pivots.min(u32::MAX as usize) as u32;
     }
 
-    /// Records the answering solve's health aggregate (pivot-mix counters;
-    /// see [`steady_lp::SolveHealth`]).
+    /// Records the answering solve's health aggregate (pivot-mix counters
+    /// and fallback cause; see [`steady_lp::SolveHealth`]).
     pub fn set_health(&mut self, health: &steady_lp::SolveHealth) {
         self.degenerate_pivots = health.degenerate_pivots.min(u32::MAX as usize) as u32;
         self.bland_pivots = health.bland_pivots.min(u32::MAX as usize) as u32;
+        self.fallback = health.fallback.as_ref().map_or("", steady_lp::FallbackCause::kind_name);
     }
 
     /// Records the answering solve's per-phase time breakdown (from a
     /// [`steady_lp::SolveRecording`]); rendered as solver sub-spans nested
     /// under the solve span by [`chrome_trace_json`].
     pub fn set_breakdown(&mut self, breakdown: &steady_lp::PhaseBreakdown) {
+        self.solve_install_nanos = breakdown.install_nanos;
         self.solve_phase1_nanos = breakdown.phase1_nanos;
         self.solve_phase2_nanos = breakdown.phase2_nanos;
         self.solve_dual_nanos = breakdown.dual_nanos;
+        self.solve_certify_nanos = breakdown.certify_nanos;
         self.solve_refactor_nanos = breakdown.refactor_nanos;
     }
 
@@ -487,16 +501,19 @@ fn push_thread_name(out: &mut String, pid: u32, tid: u32, name: &str) {
 
 /// Emits the solver's per-phase sub-spans nested inside a solve span, on the
 /// **same tid** as the owning worker so Perfetto renders them as child
-/// slices of the solve.  The breakdown only records totals, so the phases
-/// are laid out in their canonical order (phase 1 → dual repair → phase 2)
-/// from the solve's start and clamped to its end; refactorization time is
-/// included in the phases and reported as a solve-span arg instead.
+/// slices of the solve.  The breakdown only records totals, so the buckets
+/// are laid out in their canonical order (install → phase 1 → dual repair →
+/// phase 2 → certify) from the solve's start and clamped to its end;
+/// refactorization time is included in the phases and reported as a
+/// solve-span arg instead.
 fn push_solver_spans(out: &mut String, t: &QueryTrace, tid: u32, start: u64, end: u64) {
     let mut cursor = start;
     for (name, nanos) in [
+        ("solver.install", t.solve_install_nanos),
         ("solver.phase1", t.solve_phase1_nanos),
         ("solver.dual-repair", t.solve_dual_nanos),
         ("solver.phase2", t.solve_phase2_nanos),
+        ("solver.certify", t.solve_certify_nanos),
     ] {
         if nanos == 0 {
             continue;
@@ -514,9 +531,10 @@ fn push_solver_spans(out: &mut String, t: &QueryTrace, tid: u32, start: u64, end
 /// directly.  One track per service worker (pid 1), one per caller-side ring
 /// that sealed an [`INLINE_LANE`] trace (hits answered on callers' threads),
 /// and one track per load-generator client (pid 2).
-/// Solves recorded with solver events additionally carry nested
-/// `solver.phase1` / `solver.dual-repair` / `solver.phase2` child slices on
-/// the owning worker's track (see `push_solver_spans`).
+/// Each solve span additionally carries nested `solver.install` /
+/// `solver.phase1` / `solver.dual-repair` / `solver.phase2` /
+/// `solver.certify` child slices on the owning worker's track (see
+/// `push_solver_spans`).
 pub fn chrome_trace_json(traces: &[QueryTrace], clients: &[ClientSpan]) -> String {
     let mut out = String::from("{\n\"traceEvents\": [");
 
@@ -558,7 +576,7 @@ pub fn chrome_trace_json(traces: &[QueryTrace], clients: &[ClientSpan]) -> Strin
                 "solve" => format!(
                     "\"qid\": {}, \"triage\": \"{}\", \"phase1_pivots\": {}, \
                      \"phase2_pivots\": {}, \"degenerate_pivots\": {}, \
-                     \"bland_pivots\": {}, \"refactor_nanos\": {}",
+                     \"bland_pivots\": {}, \"refactor_nanos\": {}, \"fallback\": \"{}\"",
                     t.id,
                     t.triage,
                     t.phase1_pivots,
@@ -566,6 +584,7 @@ pub fn chrome_trace_json(traces: &[QueryTrace], clients: &[ClientSpan]) -> Strin
                     t.degenerate_pivots,
                     t.bland_pivots,
                     t.solve_refactor_nanos,
+                    t.fallback,
                 ),
                 "publish" => format!("\"qid\": {}, \"outcome\": \"{}\"", t.id, t.outcome),
                 "lookup" | "queue" => format!("\"qid\": {}, \"lane\": \"{}\"", t.id, t.lane),
@@ -747,21 +766,27 @@ mod tests {
         t.solve_start_nanos = 1_000;
         t.solve_done_nanos = 9_000;
         t.triage = "resolve-cold";
+        t.solve_install_nanos = 500;
         t.solve_phase1_nanos = 2_000;
         t.solve_dual_nanos = 0;
         t.solve_phase2_nanos = 3_000;
+        t.solve_certify_nanos = 1_000;
         t.solve_refactor_nanos = 500;
         t.degenerate_pivots = 4;
         t.bland_pivots = 1;
         t.finish("solve-cold", 9_500);
         let json = chrome_trace_json(&[t], &[]);
         // Child slices sit on the solver's tid, inside [1000, 9000).
-        assert!(json.contains("\"name\": \"solver.phase1\""), "{json}");
-        assert!(json.contains("\"name\": \"solver.phase2\""), "{json}");
+        for name in ["solver.install", "solver.phase1", "solver.phase2", "solver.certify"] {
+            let slice = format!("\"name\": \"{name}\", \"ph\": \"X\", \"pid\": 1, \"tid\": 2");
+            assert!(json.contains(&slice), "{name} missing: {json}");
+        }
         assert!(!json.contains("solver.dual-repair"), "{json}");
-        // phase1 starts with the solve; phase2 follows it.
-        assert!(json.contains("\"ts\": 1.000, \"dur\": 2.000"), "{json}");
-        assert!(json.contains("\"ts\": 3.000, \"dur\": 3.000"), "{json}");
+        // install starts with the solve; phase1, phase2 and certify follow.
+        assert!(json.contains("\"ts\": 1.000, \"dur\": 0.500"), "{json}");
+        assert!(json.contains("\"ts\": 1.500, \"dur\": 2.000"), "{json}");
+        assert!(json.contains("\"ts\": 3.500, \"dur\": 3.000"), "{json}");
+        assert!(json.contains("\"ts\": 6.500, \"dur\": 1.000"), "{json}");
         // Health counters and refactor time ride on the solve span's args.
         assert!(json.contains("\"degenerate_pivots\": 4"), "{json}");
         assert!(json.contains("\"bland_pivots\": 1"), "{json}");
@@ -774,7 +799,8 @@ mod tests {
         t.solve_start_nanos = 1_000;
         t.solve_done_nanos = 2_000;
         // A breakdown longer than the measured span (clock skew between the
-        // engine's stamps and the recorder's) must not escape the parent.
+        // engine's stamps and the solver's recording) must not escape the
+        // parent.
         t.solve_phase1_nanos = 5_000;
         t.solve_phase2_nanos = 5_000;
         t.finish("solve-cold", 2_000);
@@ -783,6 +809,23 @@ mod tests {
         // phase1 is clamped to the solve end; phase2 collapses to nothing.
         assert!(json.contains("\"ts\": 1.000, \"dur\": 1.000"), "{json}");
         assert!(!json.contains("solver.phase2"), "{json}");
+    }
+
+    #[test]
+    fn fell_back_solves_name_their_fallback_on_the_solve_span() {
+        let mut t = QueryTrace::begin(11, 0);
+        t.solve_start_nanos = 1_000;
+        t.solve_done_nanos = 2_000;
+        let healthy = steady_lp::SolveHealth::default();
+        t.set_health(&healthy);
+        assert_eq!(t.fallback, "", "no fallback, no cause");
+        t.set_health(&steady_lp::SolveHealth {
+            fallback: Some(steady_lp::FallbackCause::FloatFailed),
+            ..healthy
+        });
+        t.finish("solve-cold", 2_000);
+        let json = chrome_trace_json(&[t], &[]);
+        assert!(json.contains("\"fallback\": \"float-failed\""), "{json}");
     }
 
     #[test]

@@ -26,7 +26,6 @@
 //! | 30   | cache `shard` locks (and any `cache.` method call)            |
 //! | 40   | cache `seeded` class set (and `mark_class_seeded`)            |
 //! | 50   | observability leaves: worker and caller-side trace `ring`s   |
-//! | 55   | the solver flight `recorder` buffer (anomalous-solve ring)    |
 //!
 //! Ranks 10/25 for the scheduler's own locks live in `steady-sched`'s
 //! `sync` facade (same cfg switch, same loom shim) and are listed here so
@@ -34,9 +33,9 @@
 //! admission lock may call into the cache (10 → 30), the cache may consult
 //! the seeded set while holding a shard (30 → 40), the lane injector bumps
 //! the idle latch while holding `lanes` (10 → 25), and **never** the
-//! reverse.  Trace rings and the solver flight recorder are strict leaves:
-//! the hot-path push is a `try_lock` that *drops* the record on contention,
-//! so nothing ever blocks on either while holding another lock.
+//! reverse.  Trace rings are strict leaves: the hot-path push is a
+//! `try_lock` that *drops* the record on contention, so nothing ever blocks
+//! on one while holding another lock.
 
 #[cfg(not(steady_loom))]
 pub use parking_lot::{Condvar, Mutex, RwLock};

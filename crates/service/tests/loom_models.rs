@@ -1,7 +1,8 @@
 //! Exhaustive interleaving checks for the serving core's riskiest
 //! protocols, run under the deterministic model checker (`shims/loom`).
 //! Protocols keep their numbers across revisions: number 2 (the cold-solve
-//! admission gate) is retired with the gate itself, so seven remain.
+//! admission gate) and number 6 (the solver flight recorder) are retired
+//! with what they modeled, so six remain.
 //!
 //! Build and run with:
 //!
@@ -26,7 +27,6 @@ use steady_service::cache::{CacheConfig, Lookup, SolutionCache};
 use steady_service::flight::{Flight, SingleFlight};
 use steady_service::ledger::PrefetchLedger;
 use steady_service::obs::{Ring, TraceSink, CALLER_RINGS};
-use steady_service::recorder::{SolveFlightRecorder, SolveRecord};
 use steady_service::sync::atomic::{AtomicU64, Ordering};
 use steady_service::sync::channel;
 use steady_service::sync::Mutex;
@@ -256,71 +256,6 @@ fn trace_ring_loses_nothing_uncounted() {
             sink.dropped()
         );
         assert!(sink.drain().is_empty(), "the final drain left traces buffered");
-    });
-}
-
-/// Protocol 6 — the solver flight recorder's lossy-but-accounted contract,
-/// the same shape as protocol 5 but over [`SolveRecord`]s: two recording
-/// solvers (4 pushes into a capacity-2 recorder, forcing eviction) race a
-/// concurrent drainer.  Across every interleaving no record is duplicated
-/// and `pushed == drained + buffered + dropped` exactly — the recorder's
-/// rank-55 leaf lock never loses a record without counting it.
-#[test]
-fn solve_recorder_loses_nothing_uncounted() {
-    explore("solve_recorder", Builder::default(), || {
-        let recorder = Arc::new(SolveFlightRecorder::new(2, true));
-        let drained = Arc::new(Mutex::new(Vec::new()));
-
-        let record = |fingerprint: u64| SolveRecord {
-            fingerprint,
-            collective: "scatter",
-            triage: "resolve-cold",
-            reason: "slow",
-            solve_nanos: 10,
-            health: steady_lp::SolveHealth::default(),
-            timeline: Vec::new(),
-            truncated: 0,
-        };
-        let solvers: Vec<_> = (0..2u64)
-            .map(|w| {
-                let recorder = Arc::clone(&recorder);
-                thread::spawn(move || {
-                    for i in 0..2u64 {
-                        recorder.push(record(w * 2 + i));
-                    }
-                })
-            })
-            .collect();
-        let drainer = {
-            let recorder = Arc::clone(&recorder);
-            let drained = Arc::clone(&drained);
-            thread::spawn(move || {
-                let batch = recorder.drain();
-                drained.lock().extend(batch);
-            })
-        };
-        for solver in solvers {
-            solver.join().unwrap();
-        }
-        drainer.join().unwrap();
-
-        let mut got = drained.lock().clone();
-        got.extend(recorder.drain());
-        let mut fps: Vec<u64> = got.iter().map(|r| r.fingerprint).collect();
-        fps.sort_unstable();
-        let before = fps.len();
-        fps.dedup();
-        assert_eq!(fps.len(), before, "a record was duplicated: {fps:?}");
-        assert!(fps.iter().all(|&fp| fp < 4), "unknown record in {fps:?}");
-        assert_eq!(recorder.pushed(), 4, "every push must be tallied");
-        assert_eq!(
-            fps.len() as u64 + recorder.dropped(),
-            recorder.pushed(),
-            "a record was lost without being counted dropped ({} drained, {} dropped)",
-            fps.len(),
-            recorder.dropped()
-        );
-        assert!(recorder.is_empty(), "the final drain left records buffered");
     });
 }
 

@@ -94,8 +94,7 @@ fn unexpired_deadlines_never_shed() {
         metrics.histogram(name).unwrap_or_else(|| panic!("{name} is always registered")).count()
     };
     assert_eq!((stats.queries, stats.hits), (2, 1));
-    assert_eq!(count("lane_demand_wait_nanos"), 1, "only the miss rode the demand lane");
-    assert_eq!(count("stage_queue_wait_nanos"), stats.queries - stats.hits);
+    assert_eq!(count("lane_demand_wait_nanos"), stats.queries - stats.hits, "only the miss queued");
     assert_eq!(count("stage_lookup_nanos"), 2, "both were looked up");
     assert_eq!(count("e2e_hit_nanos"), 1, "the hit still feeds its end-to-end histogram");
 }

@@ -361,7 +361,6 @@ fn lock_rank(name: &str) -> Option<u32> {
         "shard" | "shards" => Some(30),
         "seeded" => Some(40),
         "ring" => Some(50),
-        "recorder" => Some(55),
         _ => None,
     }
 }
