@@ -3,7 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use steady_bench::{print_header, star_scatter};
-use steady_lp::{solve_exact, solve_exact_auto, solve_f64};
+use steady_lp::{
+    solve_exact, solve_exact_auto, solve_revised_report_observed, NoopObserver, RevisedOptions,
+};
 
 fn reproduce() {
     print_header("Ablation A3 — exact simplex vs f64 + exact certification");
@@ -39,7 +41,11 @@ fn bench(c: &mut Criterion) {
             b.iter(|| solve_exact(lp).expect("solves"))
         });
         group.bench_with_input(BenchmarkId::new("f64_simplex", leaves), &lp, |b, lp| {
-            b.iter(|| solve_f64(lp).expect("solves"))
+            b.iter(|| {
+                let options = RevisedOptions::default();
+                solve_revised_report_observed::<f64, _>(lp, None, &options, &mut NoopObserver)
+                    .expect("solves")
+            })
         });
         group.bench_with_input(BenchmarkId::new("f64_plus_certify", leaves), &lp, |b, lp| {
             b.iter(|| solve_exact_auto(lp).expect("solves"))

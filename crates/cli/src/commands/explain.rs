@@ -221,7 +221,7 @@ fn condensable(event: &SolveEvent) -> bool {
 /// One human-readable line for a timeline event.
 fn label(event: &SolveEvent) -> String {
     match event {
-        SolveEvent::RunStarted { path } => format!("run started on the {} path", path.name()),
+        SolveEvent::RunStarted => "run started".to_string(),
         SolveEvent::PhaseStarted { phase } => format!("{} began", phase_label(phase)),
         SolveEvent::Pivot { phase, kind, rule, entering, leaving, degenerate } => format!(
             "pivot in {} ({} ratio test, {} rule): column {entering} enters, {leaving} leaves{}",

@@ -611,7 +611,7 @@ fn explain_prints_an_annotated_timeline() {
     assert!(text.contains("breakdown          : install"), "{text}");
     assert!(text.contains(" ms, certify "), "{text}");
     assert!(text.contains("timeline           :"), "{text}");
-    assert!(text.contains("run started on the"), "{text}");
+    assert!(text.contains("run started"), "{text}");
     assert!(text.contains("exact check of the float answer started"), "{text}");
     assert!(text.contains("began"), "{text}");
     assert!(text.contains("pivots over"), "{text}");

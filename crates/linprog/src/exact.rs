@@ -25,13 +25,14 @@
 //! the Figure-9/10 reduce experiment.
 //!
 //! The dual entry point ([`solve_exact_dual_auto`](crate::solve_exact_dual_auto))
-//! searches with the dense `f64` dual simplex ([`crate::simplex`]) instead,
-//! then certifies and falls back the same way.
+//! searches with the revised `f64` dual simplex
+//! ([`revised::solve_revised_dual_report_observed`]) from the supplied basis
+//! instead, then certifies and falls back the same way.
 
 use crate::instrument::{FallbackCause, NoopObserver, SolveEvent, SolveObserver};
 use crate::model::{LpProblem, Objective, Sense};
 use crate::revised::{self, RevisedOptions};
-use crate::simplex::{self, DualOutcome, SimplexError, SimplexOptions, Solution, SolvedBasis};
+use crate::simplex::{DualOutcome, SimplexError, SimplexOptions, Solution, SolvedBasis};
 use steady_rational::Ratio;
 
 /// How the returned exact solution was validated.
@@ -69,8 +70,7 @@ pub struct CertifiedSolution {
     /// structurally identical solve (`None` only for hand-built solutions).
     pub basis: Option<SolvedBasis>,
     /// Basis refactorizations performed by the revised sparse solver, summed
-    /// over the `f64` and exact runs behind this solution (the dense `f64`
-    /// dual search contributes none).
+    /// over the `f64` and exact runs behind this solution.
     pub refactorizations: usize,
 }
 
@@ -115,18 +115,11 @@ pub struct CertifyOptions {
     pub max_denominator: u64,
     /// Pivot-rule options of every simplex run, `f64` and exact.
     pub simplex: SimplexOptions,
-    /// If `true`, never fall back to the exact simplex; return an error
-    /// instead.  Useful in benchmarks isolating the certification path.
-    pub forbid_fallback: bool,
 }
 
 impl Default for CertifyOptions {
     fn default() -> Self {
-        CertifyOptions {
-            max_denominator: 1_000_000,
-            simplex: SimplexOptions::default(),
-            forbid_fallback: false,
-        }
+        CertifyOptions { max_denominator: 1_000_000, simplex: SimplexOptions::default() }
     }
 }
 
@@ -135,20 +128,12 @@ impl Default for CertifyOptions {
 pub enum CertifyError {
     /// The underlying simplex failed (infeasible / unbounded / iteration limit).
     Simplex(SimplexError),
-    /// Certification failed and fallback was forbidden.
-    CertificationFailed {
-        /// Reason the exact verification rejected the rationalized solution.
-        reason: String,
-    },
 }
 
 impl std::fmt::Display for CertifyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CertifyError::Simplex(e) => write!(f, "{e}"),
-            CertifyError::CertificationFailed { reason } => {
-                write!(f, "exact certification failed: {reason}")
-            }
         }
     }
 }
@@ -223,13 +208,12 @@ pub fn solve_certified_warm_observed<O: SolveObserver>(
         // well-posed LP, and *which* pivot path is taken depends on row
         // order, so the failure is formulation-order dependent.  The exact
         // rational simplex decides from scratch; only its verdict is real.
-        Err(_) if !options.forbid_fallback => {
+        Err(_) => {
             if O::ENABLED {
                 obs.on_event(SolveEvent::Fallback { cause: FallbackCause::FloatFailed });
             }
             return exact_resolve(problem, options, None, 0, obs);
         }
-        Err(e) => return Err(e.into()),
     };
     certify_or_resolve(problem, options, &float, stats.refactorizations, obs)
 }
@@ -276,8 +260,8 @@ fn exact_resolve<O: SolveObserver>(
 }
 
 /// The shared tail of both certified entry points: [`certify`] the float
-/// answer (behind a [`SolveEvent::CertifyStarted`] marker), or — unless
-/// fallback is forbidden — re-solve exactly from its basis.
+/// answer (behind a [`SolveEvent::CertifyStarted`] marker), or re-solve
+/// exactly from its basis.
 /// `refactorizations` is what the float run already spent.
 fn certify_or_resolve<O: SolveObserver>(
     problem: &LpProblem,
@@ -292,9 +276,6 @@ fn certify_or_resolve<O: SolveObserver>(
     match certify(problem, float, options.max_denominator) {
         Ok(sol) => Ok(CertifiedSolution { refactorizations, ..sol }),
         Err(reason) => {
-            if options.forbid_fallback {
-                return Err(CertifyError::CertificationFailed { reason });
-            }
             if O::ENABLED {
                 obs.on_event(SolveEvent::Fallback {
                     cause: FallbackCause::CertificationFailed { reason },
@@ -307,7 +288,7 @@ fn certify_or_resolve<O: SolveObserver>(
 
 /// [`solve_certified_warm_observed`]'s **dual-simplex** sibling: the `f64`
 /// simplex resumes from `basis` via
-/// [`simplex::solve_dual_with_basis_options_observed`], the rationalized
+/// [`revised::solve_revised_dual_report_observed`], the rationalized
 /// optimum is certified exactly, and a failed certification falls back to
 /// `revised<Ratio>` seeded with the basis the float run ended on.
 ///
@@ -321,29 +302,28 @@ pub(crate) fn solve_certified_dual_observed<O: SolveObserver>(
     basis: &SolvedBasis,
     obs: &mut O,
 ) -> Result<(CertifiedSolution, DualOutcome), CertifyError> {
-    let attempt = simplex::solve_dual_with_basis_options_observed::<f64, O>(
+    let attempt = revised::solve_revised_dual_report_observed::<f64, O>(
         problem,
         basis,
-        &options.simplex,
+        &revised_options(options),
         obs,
     );
-    let (float, outcome) = match attempt {
+    let (float, outcome, stats) = match attempt {
         Ok(solved) => solved,
         // Same fallback-not-verdict rule as `solve_certified_warm`: an f64
         // failure (spurious Unbounded/Infeasible from round-off, or a basis
         // that drove the float run astray) means the basis saved nothing —
         // resolve cold through the certified pipeline, whose exact stage is
         // the authority.
-        Err(_) if !options.forbid_fallback => {
+        Err(_) => {
             if O::ENABLED {
                 obs.on_event(SolveEvent::Fallback { cause: FallbackCause::DualFloatFailed });
             }
             let sol = solve_certified_warm_observed(problem, options, None, obs)?;
             return Ok((sol, DualOutcome::FellBack));
         }
-        Err(e) => return Err(e.into()),
     };
-    Ok((certify_or_resolve(problem, options, &float, 0, obs)?, outcome))
+    Ok((certify_or_resolve(problem, options, &float, stats.refactorizations, obs)?, outcome))
 }
 
 /// Rationalizes a floating-point solution and verifies optimality exactly.
@@ -618,12 +598,15 @@ mod tests {
         assert_eq!(sol.certificate, Certificate::ExactSimplex);
         assert_eq!(sol.objective, rat(3, 5));
 
-        let strict =
-            CertifyOptions { max_denominator: 1, forbid_fallback: true, ..Default::default() };
-        assert!(matches!(
-            solve_certified_warm(&lp, &strict, None),
-            Err(CertifyError::CertificationFailed { .. })
-        ));
+        // The float optimum itself is fine; only its rationalization fails.
+        let (float, _) = revised::solve_revised_report_observed::<f64, _>(
+            &lp,
+            None,
+            &RevisedOptions::default(),
+            &mut NoopObserver,
+        )
+        .unwrap();
+        assert!(certify(&lp, &float, 1).is_err());
     }
 
     #[test]
@@ -642,10 +625,10 @@ mod tests {
         assert_eq!(sol.objective, rat(14, 5));
         assert_eq!(sol.certificate, Certificate::Optimal);
         assert_eq!(check_optimal(&lp, &sol.values, &sol.duals), Ok(rat(14, 5)));
-        // The exact solvers agree with that convention, dense and revised.
-        let dense = simplex::solve_exact(&lp).unwrap();
+        // The exact solvers agree with that convention, oracle and revised.
+        let dense = crate::simplex::dense::solve_exact(&lp).unwrap();
         assert_eq!(check_optimal(&lp, &dense.values, &dense.duals), Ok(rat(14, 5)));
-        let sparse = revised::solve_revised::<Ratio>(&lp).unwrap();
+        let sparse = revised::solve_exact(&lp).unwrap();
         assert_eq!(check_optimal(&lp, &sparse.values, &sparse.duals), Ok(rat(14, 5)));
     }
 }

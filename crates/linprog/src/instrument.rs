@@ -3,7 +3,7 @@
 //! The steady-state answers this workspace serves are produced by LP solves,
 //! and at thousand-node scale those solves dominate end-to-end latency.  This
 //! module makes them inspectable without touching their arithmetic: the
-//! solvers ([`crate::simplex`], [`crate::revised`], [`crate::exact`]) emit a
+//! solvers ([`crate::revised`], [`crate::exact`]) emit a
 //! [`SolveEvent`] at every phase transition, pivot, eta append,
 //! refactorization, warm-start install, cold crash start, exact check and
 //! certified-pipeline fallback, into whatever [`SolveObserver`] the caller
@@ -20,7 +20,7 @@
 //! solver state and have no channel back into the pivot rules; the property
 //! tests in `tests/proptest_observer.rs` enforce that observed and
 //! unobserved solves are bit-identical (values, objective, duals, bases,
-//! per-phase pivot counts) on the dense, revised and dual paths, and that
+//! per-phase pivot counts) on the primal and dual revised paths, and that
 //! the event stream reconciles with the reported counters (pivot events ==
 //! `iterations`).
 //!
@@ -33,26 +33,6 @@
 //! [`Chain`] fans one stream into two observers.
 
 use std::time::Instant;
-
-/// Which solver implementation a run executes on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolvePath {
-    /// The dense two-phase tableau simplex ([`crate::simplex`]).
-    Dense,
-    /// The revised sparse simplex with an LU-factorized basis
-    /// ([`crate::revised`]).
-    Revised,
-}
-
-impl SolvePath {
-    /// Short lowercase label for logs and timelines.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SolvePath::Dense => "dense",
-            SolvePath::Revised => "revised",
-        }
-    }
-}
 
 /// The simplex phase a pivot belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,13 +163,10 @@ impl FallbackCause {
 /// to the `iterations` its report states.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolveEvent {
-    /// A solver run began on `path`.  Opens the run's install interval,
+    /// A solver run began.  Opens the run's install interval,
     /// [`PhaseBreakdown::install_nanos`], which the first phase or certify
     /// marker closes.
-    RunStarted {
-        /// Which solver implementation executes the run.
-        path: SolvePath,
-    },
+    RunStarted,
     /// A simplex phase began (within the current run).
     PhaseStarted {
         /// The phase that follows this marker.
@@ -353,7 +330,7 @@ impl SolveHealth {
             }
             SolveEvent::RefactorFinished { .. } => self.refactorizations += 1,
             SolveEvent::Fallback { cause } => self.fallback = Some(cause.clone()),
-            SolveEvent::RunStarted { .. }
+            SolveEvent::RunStarted
             | SolveEvent::PhaseStarted { .. }
             | SolveEvent::RefactorStarted { .. }
             | SolveEvent::WarmStart { .. }
@@ -543,7 +520,7 @@ impl SolveRecording {
         for e in &self.events {
             match &e.event {
                 SolveEvent::Fallback { .. } => close(&mut open, e.at_nanos, &mut out),
-                SolveEvent::RunStarted { .. } => {
+                SolveEvent::RunStarted => {
                     close(&mut open, e.at_nanos, &mut out);
                     open = Some((Bucket::Install, e.at_nanos));
                 }
@@ -678,10 +655,7 @@ mod tests {
         let rec = SolveRecording {
             total_nanos: 100,
             events: vec![
-                TimedEvent {
-                    at_nanos: 0,
-                    event: SolveEvent::RunStarted { path: SolvePath::Revised },
-                },
+                TimedEvent { at_nanos: 0, event: SolveEvent::RunStarted },
                 TimedEvent {
                     at_nanos: 10,
                     event: SolveEvent::PhaseStarted { phase: SolvePhase::Phase1 },
@@ -709,10 +683,7 @@ mod tests {
                         cause: FallbackCause::CertificationFailed { reason: "gap".into() },
                     },
                 },
-                TimedEvent {
-                    at_nanos: 86,
-                    event: SolveEvent::RunStarted { path: SolvePath::Revised },
-                },
+                TimedEvent { at_nanos: 86, event: SolveEvent::RunStarted },
                 TimedEvent {
                     at_nanos: 90,
                     event: SolveEvent::PhaseStarted { phase: SolvePhase::Phase2 },
@@ -735,8 +706,6 @@ mod tests {
 
     #[test]
     fn labels_are_stable() {
-        assert_eq!(SolvePath::Dense.name(), "dense");
-        assert_eq!(SolvePath::Revised.name(), "revised");
         assert_eq!(SolvePhase::DualRepair.name(), "dual-repair");
         assert_eq!(RefactorReason::FillGrowth.name(), "fill-growth");
         assert_eq!(WarmOutcome::StillOptimal.name(), "still-optimal");

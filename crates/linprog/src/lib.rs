@@ -7,18 +7,20 @@
 //!
 //! * [`model`] — a small modelling layer ([`LpProblem`], [`LinearExpr`]) over
 //!   named non-negative rational variables;
-//! * [`revised`] — the revised simplex over a sparse LU-factorized basis,
-//!   generic over the scalar type, cold-starting from a triangular crash
-//!   basis; its exact install and one pricing pass are also the forecaster's
-//!   survival probe, [`basis_still_optimal`];
+//! * [`revised`] — the one simplex: the revised method over a sparse
+//!   LU-factorized basis, generic over the scalar type, cold-starting from a
+//!   triangular crash basis, with a dual simplex for warm drift repairs; its
+//!   exact install and one pricing pass are also the forecaster's survival
+//!   probe, [`basis_still_optimal`];
 //! * [`exact`] — the certified solving pipeline, one route at every size:
 //!   search with `revised<f64>`, rationalize the primal/dual pair with
 //!   continued fractions, verify feasibility and strong duality exactly, and
 //!   re-solve on `revised<Ratio>` from the float basis when certification
 //!   fails;
-//! * [`simplex`] — the dense two-phase tableau, generic over the scalar type.
-//!   No primal solve runs on it: it is the `f64` dual simplex behind
-//!   [`solve_exact_dual_auto`] and the tests' reference solver.
+//! * [`simplex`] — the types every run shares ([`Solution`], [`SolvedBasis`],
+//!   [`DualOutcome`], ...).  Under `#[cfg(test)]` it also holds the dense
+//!   tableau simplex, the tests' reference oracle; no production solve runs
+//!   on it.
 //!
 //! # Example
 //!
@@ -61,20 +63,16 @@ pub use exact::{
 };
 pub use instrument::{
     Chain, FallbackCause, HealthObserver, NoopObserver, PhaseBreakdown, PivotKind, PivotRule,
-    RecordingObserver, RefactorReason, SolveEvent, SolveHealth, SolveObserver, SolvePath,
-    SolvePhase, SolveRecording, TimedEvent, WarmOutcome,
+    RecordingObserver, RefactorReason, SolveEvent, SolveHealth, SolveObserver, SolvePhase,
+    SolveRecording, TimedEvent, WarmOutcome,
 };
 pub use model::{Constraint, LinearExpr, LpProblem, Objective, Sense, VarId};
 pub use revised::{
-    basis_still_optimal, solve_revised, solve_revised_report_observed, solve_revised_with_basis,
-    Eta, RevisedOptions, RevisedStats, SparseLu,
+    basis_still_optimal, solve_exact, solve_revised_dual_report_observed,
+    solve_revised_report_observed, Eta, RevisedOptions, RevisedStats, SparseLu,
 };
 pub use scalar::Scalar;
-pub use simplex::{
-    solve_dual_with_basis, solve_dual_with_basis_options_observed, solve_exact, solve_f64,
-    solve_with_basis, solve_with_options_observed, DualOutcome, LpStatus, SimplexError,
-    SimplexOptions, Solution, SolvedBasis,
-};
+pub use simplex::{DualOutcome, SimplexError, SimplexOptions, Solution, SolvedBasis};
 pub use sparse::CscMatrix;
 
 /// Solves a problem exactly with the certified pipeline's one route, at
@@ -104,7 +102,8 @@ pub fn solve_exact_auto_observed<O: SolveObserver>(
 }
 
 /// Solves `problem` exactly, resuming from `basis` with the **dual simplex**
-/// (see [`solve_dual_with_basis`]) and reporting how the basis was used.
+/// (see [`solve_revised_dual_report_observed`]) and reporting how the basis
+/// was used.
 ///
 /// At every size the dual simplex runs in `f64`, the rationalized optimum is
 /// certified, and a failed certification falls back to `revised<Ratio>`

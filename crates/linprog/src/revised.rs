@@ -1,10 +1,10 @@
-//! Revised simplex with a sparse LU-factorized basis.
+//! Revised simplex with a sparse LU-factorized basis: every production solve.
 //!
-//! The dense tableau ([`crate::simplex`]) stores and updates all `m · n`
-//! entries at every pivot — fine for the paper's 8-leaf stars, hopeless for
-//! thousand-node platforms where the steady-state LPs have tens of
-//! thousands of rows but only a handful of nonzeros per column.  This
-//! module implements the classical remedy, the *revised* simplex method:
+//! A dense tableau stores and updates all `m · n` entries at every pivot —
+//! fine for the paper's 8-leaf stars, hopeless for thousand-node platforms
+//! where the steady-state LPs have tens of thousands of rows but only a
+//! handful of nonzeros per column.  This module implements the classical
+//! remedy, the *revised* simplex method, primal and dual:
 //!
 //! * the constraint matrix stays in read-only sparse storage
 //!   ([`crate::sparse::CscMatrix`]);
@@ -19,6 +19,8 @@
 //!   basis frame) and BTRAN (`Bᵀ y = c_B`, the simplex multipliers).  The
 //!   reduced costs `d_j = c_j − y·A_j` are kept between pivots, and only the
 //!   columns with an entry in a row whose `y` changed are re-priced;
+//! * the dual simplex ([`solve_revised_dual_report_observed`]) prices the
+//!   leaving row of `B⁻¹A` off the CSC columns from one BTRAN of `e_r`;
 //! * a pivot appends a product-form *eta* update ([`Eta`]) rather than
 //!   refactorizing, and the factorization is rebuilt from scratch whenever
 //!   the eta file grows past [`RevisedOptions::refactor_interval`] updates
@@ -31,11 +33,13 @@
 //! bit for bit what recomputing it would give.  Factors and pivot sequences
 //! are those of a full search and a full pricing.
 //!
-//! **Same rules, different cold start.**  The solver replicates the dense
-//! tableau's pivot rules *exactly*: same standard form, same Dantzig/Bland
-//! switch, same ratio-test tie-breaking, same artificial drive-out and
-//! warm-start acceptance conditions.  What differs is the basis a cold solve
-//! starts from.  The dense tableau starts from the slack/artificial identity
+//! **Same rules, different cold start.**  The solver replicates the pivot
+//! rules of the dense tableau the tests keep as their oracle
+//! (`simplex::dense`, `#[cfg(test)]`) *exactly*: same standard form, same
+//! Dantzig/Bland switch, same ratio-test tie-breaking, same dual leaving-row
+//! and entering-column rules, same artificial drive-out and warm-start
+//! acceptance conditions.  What differs is the basis a cold solve starts
+//! from.  The dense tableau starts from the slack/artificial identity
 //! and, on the steady-state LPs — conservation and delivery rows `= 0` —
 //! spends one degenerate phase-1 pivot per equality row getting the
 //! artificials out, although `x = 0` was feasible all along.  This solver
@@ -46,31 +50,34 @@
 //! runs only if some artificial is left at a *positive* level — the rule a
 //! supplied basis was always held to.
 //!
-//! What is and is not bit-identical to the dense solve, instantiated over
+//! What is and is not bit-identical to the oracle, instantiated over
 //! [`Ratio`]:
 //!
-//! * a **warm start** from a supplied basis, and a **cold solve of an LP
-//!   with no zero-rhs artificial row** (the crash then *is* the identity
-//!   start), perform the dense pivot sequence and return bit-identical
-//!   optima, duals, bases and pivot counts;
+//! * a **warm start** from a supplied basis, primal or dual, and a **cold
+//!   solve of an LP with no zero-rhs artificial row** (the crash then *is*
+//!   the identity start), perform the oracle's pivot sequence and return
+//!   bit-identical optima, duals, bases and pivot counts;
 //! * a **cold solve from a crash** returns the `Ratio`-equal objective, a
 //!   primal-feasible `values`, a dual-feasible `duals` with zero gap, and a
 //!   [`SolvedBasis`] the dense solver installs with zero pivots — possibly a
 //!   different optimal vertex of a degenerate optimum.
 //!
-//! Both are property-tested in `tests/proptest_revised.rs`, so the revised
-//! path slots into the certified pipeline ([`crate::exact`]) and the
-//! warm-start world ([`SolvedBasis`]) without weakening any exactness
-//! guarantee.  An exact install followed by one pricing pass, with no pivot,
-//! is also the forecaster's survival probe ([`basis_still_optimal`]).
+//! Both are property-tested against the oracle in `simplex.rs`'s unit
+//! tests, so the revised path carries the certified pipeline
+//! ([`crate::exact`]) and the warm-start world ([`SolvedBasis`]) without
+//! weakening any exactness guarantee.  An exact install followed by one
+//! pricing pass, with no pivot, is also the forecaster's survival probe
+//! ([`basis_still_optimal`]).
 
 use crate::instrument::{
-    NoopObserver, PivotKind, PivotRule, RefactorReason, SolveEvent, SolveObserver, SolvePath,
-    SolvePhase, WarmOutcome,
+    NoopObserver, PivotKind, PivotRule, RefactorReason, SolveEvent, SolveObserver, SolvePhase,
+    WarmOutcome,
 };
 use crate::model::{LpProblem, Objective};
 use crate::scalar::Scalar;
-use crate::simplex::{clamp_nonneg, SimplexError, SimplexOptions, Solution, SolvedBasis};
+use crate::simplex::{
+    clamp_nonneg, DualOutcome, SimplexError, SimplexOptions, Solution, SolvedBasis,
+};
 use crate::sparse::{ColKind, CscMatrix, StandardForm};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -79,8 +86,8 @@ use steady_rational::Ratio;
 /// Tunable parameters of the revised solver.
 #[derive(Debug, Clone)]
 pub struct RevisedOptions {
-    /// Underlying pivot-rule options, shared with the dense simplex so the
-    /// two paths stay pivot-for-pivot comparable from the same basis.
+    /// Underlying pivot-rule options, shared with the tests' dense oracle so
+    /// the two stay pivot-for-pivot comparable from the same basis.
     pub simplex: SimplexOptions,
     /// Number of eta updates accumulated before the basis is refactorized
     /// from scratch.  Each eta makes every FTRAN/BTRAN a little more
@@ -612,6 +619,14 @@ impl<S: Scalar> Factors<S> {
 // The revised simplex driver
 // ---------------------------------------------------------------------------
 
+/// How a dual-simplex run ended.
+pub(crate) enum DualRun {
+    /// Primal feasibility restored; the basis is optimal.
+    Restored,
+    /// A leaving row had no eligible entering column (dual unbounded).
+    RatioTestFailed,
+}
+
 struct Revised<'a, S> {
     sf: &'a StandardForm<S>,
     /// Basic column of each basis position (position `i` tracks standard-form
@@ -812,7 +827,7 @@ impl<'a, S: Scalar> Revised<'a, S> {
     }
 
     /// Runs revised simplex iterations with the given cost vector until
-    /// optimality, mirroring the dense `Tableau::optimize` iteration/Bland
+    /// optimality, mirroring the dense oracle's `optimize` iteration/Bland
     /// accounting exactly.
     fn optimize<O: SolveObserver>(
         &mut self,
@@ -893,6 +908,95 @@ impl<'a, S: Scalar> Revised<'a, S> {
         Ok(())
     }
 
+    /// Runs dual simplex pivots from a dual-feasible basis, priced in
+    /// `pricing`, until every basic value is non-negative — by the dense
+    /// oracle's rules, so that over `Ratio` the pivots are the same.
+    ///
+    /// The leaving position holds the most negative basic value (the
+    /// smallest basic column once Bland's rule is in force).  Its row of
+    /// `B⁻¹A` is priced off the CSC columns as `α_rj = ρ·A_j`, with
+    /// `ρ = B⁻ᵀ e_r` (Koberstein, *The dual simplex method*, 2005), and the
+    /// entering column is the first allowed one with `α_rj < 0` minimizing
+    /// `d_j / α_rj`, which keeps every `d_j ≤ 0`.
+    ///
+    /// Pivot events are held back until the run is restored: a run whose
+    /// ratio test fails is dropped for a cold start, and only the cold
+    /// start's pivots are counted.
+    fn dual_optimize<O: SolveObserver>(
+        &mut self,
+        allowed: &[bool],
+        pricing: &mut Pricing<S>,
+        iterations: &mut usize,
+        obs: &mut O,
+    ) -> Result<DualRun, SimplexError> {
+        let (sf, m) = (self.sf, self.sf.num_rows());
+        let default_cap = 50 * (m + sf.num_cols()) + 10_000;
+        let cap = self.options.simplex.max_iterations.unwrap_or(default_cap);
+        let mut pending = Vec::new();
+        loop {
+            if *iterations > cap {
+                return Err(SimplexError::IterationLimit { iterations: *iterations });
+            }
+            let bland = *iterations >= self.options.simplex.bland_after;
+            let leaving = (0..m).filter(|&i| self.xb[i].is_negative()).reduce(|r, i| {
+                let better =
+                    if bland { self.basic[i] < self.basic[r] } else { self.xb[i].lt(&self.xb[r]) };
+                if better {
+                    i
+                } else {
+                    r
+                }
+            });
+            let Some(pos) = leaving else {
+                if O::ENABLED {
+                    pending.into_iter().for_each(|event| obs.on_event(event));
+                }
+                return Ok(DualRun::Restored);
+            };
+            let mut e = vec![S::zero(); m];
+            e[pos] = S::one();
+            let rho = self.factors.btran(e);
+            let mut entering: Option<(usize, S)> = None;
+            for j in (0..sf.num_cols()).filter(|&j| allowed[j]) {
+                let mut alpha = S::zero();
+                for (r, v) in sf.a.col(j) {
+                    if !rho[r].is_zero() {
+                        alpha = alpha.add(&rho[r].mul(v));
+                    }
+                }
+                if !alpha.is_negative() {
+                    continue;
+                }
+                let ratio = pricing.d[j].div(&alpha);
+                if entering.as_ref().is_none_or(|(_, best)| ratio.lt(best)) {
+                    entering = Some((j, ratio));
+                }
+            }
+            let Some((col, _)) = entering else {
+                return Ok(DualRun::RatioTestFailed);
+            };
+            let w = self.factors.ftran(sf.a.col_dense(col));
+            if !w[pos].is_negative() {
+                // `f64` round-off: the column's FTRAN disagrees with the row
+                // priced off `ρ`; the pivot is unsafe, so fall back.
+                return Ok(DualRun::RatioTestFailed);
+            }
+            if O::ENABLED {
+                pending.push(SolveEvent::Pivot {
+                    phase: SolvePhase::DualRepair,
+                    kind: PivotKind::Dual,
+                    rule: if bland { PivotRule::Bland } else { PivotRule::Dantzig },
+                    entering: col,
+                    leaving: self.basic[pos],
+                    degenerate: pricing.d[col].is_zero(),
+                });
+            }
+            self.pivot(pos, col, w, obs)?;
+            *iterations += 1;
+            self.price(&sf.costs, allowed, pricing, false);
+        }
+    }
+
     /// Two-phase driver.  Phase 1 runs iff the start basis holds an
     /// artificial at a positive level — one rule for a supplied basis and for
     /// the crash, which leaves none on the zero-rhs steady-state LPs.
@@ -948,7 +1052,7 @@ impl<'a, S: Scalar> Revised<'a, S> {
     }
 
     /// Reads the solution out of the optimized factorization, matching the
-    /// dense `Tableau::finish` value/objective/dual extraction.
+    /// dense oracle's `finish` value/objective/dual extraction.
     fn finish(
         self,
         problem: &LpProblem,
@@ -1007,24 +1111,9 @@ impl<'a, S: Scalar> Revised<'a, S> {
     }
 }
 
-/// Solves `problem` with the revised simplex and default options.
-pub fn solve_revised<S: Scalar>(problem: &LpProblem) -> Result<Solution<S>, SimplexError> {
+/// Solves `problem` in exact rational arithmetic, cold from the crash basis.
+pub fn solve_exact(problem: &LpProblem) -> Result<Solution<Ratio>, SimplexError> {
     solve_revised_report_observed(problem, None, &RevisedOptions::default(), &mut NoopObserver)
-        .map(|(sol, _)| sol)
-}
-
-/// Solves `problem`, resuming from a previously solved basis.
-///
-/// The contract of every warm start ([`crate::solve_certified_warm`]): a
-/// basis that is incompatible, singular for this data, or primal infeasible
-/// is silently discarded and the solve falls back to the ordinary cold
-/// start, so the result is identical either way.
-pub fn solve_revised_with_basis<S: Scalar>(
-    problem: &LpProblem,
-    basis: &SolvedBasis,
-) -> Result<Solution<S>, SimplexError> {
-    let options = RevisedOptions::default();
-    solve_revised_report_observed(problem, Some(basis), &options, &mut NoopObserver)
         .map(|(sol, _)| sol)
 }
 
@@ -1040,7 +1129,7 @@ pub fn solve_revised_report_observed<S: Scalar, O: SolveObserver>(
     obs: &mut O,
 ) -> Result<(Solution<S>, RevisedStats), SimplexError> {
     if O::ENABLED {
-        obs.on_event(SolveEvent::RunStarted { path: SolvePath::Revised });
+        obs.on_event(SolveEvent::RunStarted);
     }
     let sf = StandardForm::<S>::build(problem);
 
@@ -1081,6 +1170,119 @@ fn cold_start<S: Scalar, O: SolveObserver>(
         .run(problem, false, obs)
 }
 
+/// Solves `problem` with the **dual simplex**, resuming from `basis`, an
+/// optimal basis of a structurally identical problem — the drift-triage
+/// solve.
+///
+/// After a data perturbation (drifted edge costs, changed right-hand sides)
+/// the old basis typically stays *dual* feasible — reduced costs depend on
+/// the objective, not the rhs — while the point it induces may turn primal
+/// infeasible.  A primal warm start must discard such a basis; this one
+/// repairs it in place with dual pivots, which keep dual feasibility and
+/// stop at the new optimum.  The ladder, cheapest rung first:
+///
+/// * a misfit or singular basis falls back to a crash cold start;
+/// * after the artificial drive-out, an artificial still basic at a positive
+///   level re-runs phase 1 from the installed basis (also `FellBack`);
+/// * primal and dual feasible: `StillOptimal`, re-priced with zero pivots;
+/// * primal feasible only: phase-2 pivots, `PrimalReoptimized`;
+/// * dual feasible only: dual pivots, `DualRepaired` — or,
+///   when its ratio test fails, a crash cold start;
+/// * neither: a crash cold start.
+///
+/// Every rung returns the exact optimum of a cold solve: the basis is
+/// advisory, and no infeasibility verdict is ever taken from warm state.
+/// Over [`Ratio`] each rung takes the dense oracle's pivots.  The observer
+/// sees [`SolveEvent::WarmStart`] with the rung as soon as it is known.
+pub fn solve_revised_dual_report_observed<S: Scalar, O: SolveObserver>(
+    problem: &LpProblem,
+    basis: &SolvedBasis,
+    options: &RevisedOptions,
+    obs: &mut O,
+) -> Result<(Solution<S>, DualOutcome, RevisedStats), SimplexError> {
+    if O::ENABLED {
+        obs.on_event(SolveEvent::RunStarted);
+    }
+    let sf = StandardForm::<S>::build(problem);
+    let warm = |obs: &mut O, outcome: WarmOutcome| {
+        if O::ENABLED {
+            obs.on_event(SolveEvent::WarmStart { outcome });
+        }
+    };
+    let fell_back = |(sol, stats)| (sol, DualOutcome::FellBack, stats);
+    let installed = basis
+        .fits(sf.num_rows(), sf.num_cols(), sf.n_structural)
+        .then(|| Revised::install(&sf, basis.cols.clone(), options))
+        .flatten();
+    let Some(mut solver) = installed else {
+        warm(obs, WarmOutcome::FellBack);
+        return cold_start(&sf, problem, options, obs).map(fell_back);
+    };
+    // Load-bearing, not cosmetic: an artificial left basic in a row that is
+    // not all-zero (the basis came from other data) could be pushed positive
+    // by later pivots, silently turning the "optimum" infeasible.  Any
+    // artificial left after the drive-out sits in an all-zero real row, where
+    // no allowed pivot changes it.  (A *negative* one makes its row a dual
+    // leaving row with no entering column, so the ratio test falls back.)
+    solver.drive_out_artificials(obs)?;
+    let positive_artificial = (0..sf.num_rows())
+        .any(|i| sf.kinds[solver.basic[i]] == ColKind::Artificial && solver.xb[i].is_positive());
+    if positive_artificial {
+        warm(obs, WarmOutcome::FellBack);
+        return solver.run(problem, true, obs).map(fell_back);
+    }
+
+    let primal_feasible = solver.xb.iter().all(|b| !b.is_negative());
+    let allowed: Vec<bool> = sf.kinds.iter().map(|k| *k != ColKind::Artificial).collect();
+    let mut pricing = Pricing::new(sf.num_cols());
+    let dual_feasible = solver.price(&sf.costs, &allowed, &mut pricing, false).is_none();
+    let mut iterations = 0;
+    let phase2 = |obs: &mut O| {
+        if O::ENABLED {
+            obs.on_event(SolveEvent::PhaseStarted { phase: SolvePhase::Phase2 });
+        }
+    };
+    let outcome = match (primal_feasible, dual_feasible) {
+        (true, true) => {
+            warm(obs, WarmOutcome::StillOptimal);
+            DualOutcome::StillOptimal
+        }
+        (true, false) => {
+            warm(obs, WarmOutcome::PrimalReoptimized);
+            phase2(obs);
+            solver.optimize(&sf.costs, &allowed, &mut iterations, SolvePhase::Phase2, obs)?;
+            DualOutcome::PrimalReoptimized { pivots: iterations }
+        }
+        (false, true) => {
+            if O::ENABLED {
+                obs.on_event(SolveEvent::PhaseStarted { phase: SolvePhase::DualRepair });
+            }
+            if let DualRun::RatioTestFailed =
+                solver.dual_optimize(&allowed, &mut pricing, &mut iterations, obs)?
+            {
+                // In exact arithmetic this certifies primal infeasibility,
+                // but warm state never decides a verdict: re-solve cold.
+                warm(obs, WarmOutcome::FellBack);
+                return cold_start(&sf, problem, options, obs).map(fell_back);
+            }
+            let pivots = iterations;
+            warm(obs, WarmOutcome::DualRepaired);
+            phase2(obs);
+            // Dual feasibility survives every dual pivot, so the repaired
+            // vertex is optimal: this pass is a no-op in exact arithmetic
+            // and guards `f64` against tolerance drift.
+            solver.optimize(&sf.costs, &allowed, &mut iterations, SolvePhase::Phase2, obs)?;
+            DualOutcome::DualRepaired { pivots }
+        }
+        (false, false) => {
+            warm(obs, WarmOutcome::FellBack);
+            return cold_start(&sf, problem, options, obs).map(fell_back);
+        }
+    };
+    let (sol, stats) = solver.finish(problem, iterations, 0, true);
+    Ok((sol, outcome, stats))
+}
+
 /// Exact zero-pivot survival probe: `true` when `basis` installs on
 /// `problem` and is already optimal for its data — i.e. a triaged solve
 /// would answer `InRange` by re-pricing alone.
@@ -1115,7 +1317,7 @@ pub fn basis_still_optimal(problem: &LpProblem, basis: &SolvedBasis) -> bool {
 mod tests {
     use super::*;
     use crate::model::{LinearExpr, LpProblem, Sense};
-    use crate::simplex;
+    use crate::simplex::dense;
     use steady_rational::rat;
 
     fn expr(terms: &[(crate::model::VarId, Ratio)]) -> LinearExpr {
@@ -1126,12 +1328,18 @@ mod tests {
         e
     }
 
+    fn solve_warm(lp: &LpProblem, basis: &SolvedBasis) -> Result<Solution<Ratio>, SimplexError> {
+        let options = RevisedOptions::default();
+        solve_revised_report_observed(lp, Some(basis), &options, &mut NoopObserver)
+            .map(|(sol, _)| sol)
+    }
+
     /// The cold contract on any LP: the dense objective, a primal/dual pair
     /// that proves it, and bases that install on the other solver with zero
     /// pivots.  The vertex itself may differ — the crash starts elsewhere.
     fn assert_matches_dense(lp: &LpProblem) {
-        let dense = simplex::solve_exact(lp).unwrap();
-        let revised = solve_revised::<Ratio>(lp).unwrap();
+        let dense = dense::solve_exact(lp).unwrap();
+        let revised = solve_exact(lp).unwrap();
         assert_eq!(revised.objective, dense.objective);
         assert_eq!(
             crate::exact::check_optimal(lp, &revised.values, &revised.duals),
@@ -1139,11 +1347,11 @@ mod tests {
         );
         assert!(!revised.warm_started);
 
-        let dense_warm = simplex::solve_with_basis::<Ratio>(lp, &revised.basis).unwrap();
+        let dense_warm = dense::solve_with_basis::<Ratio>(lp, &revised.basis).unwrap();
         assert!(dense_warm.warm_started);
         assert_eq!(dense_warm.iterations, 0);
         assert_eq!(dense_warm.objective, dense.objective);
-        let revised_warm = solve_revised_with_basis::<Ratio>(lp, &dense.basis).unwrap();
+        let revised_warm = solve_warm(lp, &dense.basis).unwrap();
         assert!(revised_warm.warm_started);
         assert_eq!(revised_warm.iterations, 0);
         assert_eq!(revised_warm.objective, dense.objective);
@@ -1153,8 +1361,8 @@ mod tests {
     /// dense solve pivot for pivot.
     fn assert_bit_identical_to_dense(lp: &LpProblem) {
         assert_eq!(StandardForm::<Ratio>::build(lp).crash_basis().open_rows, 0);
-        let dense = simplex::solve_exact(lp).unwrap();
-        let revised = solve_revised::<Ratio>(lp).unwrap();
+        let dense = dense::solve_exact(lp).unwrap();
+        let revised = solve_exact(lp).unwrap();
         assert_eq!(revised.values, dense.values);
         assert_eq!(revised.objective, dense.objective);
         assert_eq!(revised.duals, dense.duals);
@@ -1380,14 +1588,14 @@ mod tests {
         lp.set_objective(x, rat(1, 1));
         lp.add_constraint("lo", expr(&[(x, rat(1, 1))]), Sense::Ge, rat(5, 1));
         lp.add_constraint("hi", expr(&[(x, rat(1, 1))]), Sense::Le, rat(3, 1));
-        assert!(matches!(solve_revised::<Ratio>(&lp), Err(SimplexError::Infeasible)));
+        assert!(matches!(solve_exact(&lp), Err(SimplexError::Infeasible)));
 
         let mut lp = LpProblem::maximize();
         let x = lp.add_var("x");
         let y = lp.add_var("y");
         lp.set_objective(x, rat(1, 1));
         lp.add_constraint("only-y", expr(&[(y, rat(1, 1))]), Sense::Le, rat(1, 1));
-        assert!(matches!(solve_revised::<Ratio>(&lp), Err(SimplexError::Unbounded)));
+        assert!(matches!(solve_exact(&lp), Err(SimplexError::Unbounded)));
 
         // The same verdicts behind a crashed zero-rhs row: phase 1 starts
         // from the crash basis and still proves `x = y >= 5, y <= 3` empty...
@@ -1398,8 +1606,8 @@ mod tests {
         lp.add_constraint("flow", expr(&[(x, rat(1, 1)), (y, rat(-1, 1))]), Sense::Eq, rat(0, 1));
         lp.add_constraint("lo", expr(&[(x, rat(1, 1))]), Sense::Ge, rat(5, 1));
         lp.add_constraint("hi", expr(&[(y, rat(1, 1))]), Sense::Le, rat(3, 1));
-        assert_eq!(simplex::solve_exact(&lp).unwrap_err(), SimplexError::Infeasible);
-        assert_eq!(solve_revised::<Ratio>(&lp).unwrap_err(), SimplexError::Infeasible);
+        assert_eq!(dense::solve_exact(&lp).unwrap_err(), SimplexError::Infeasible);
+        assert_eq!(solve_exact(&lp).unwrap_err(), SimplexError::Infeasible);
 
         // ... and phase 2 still finds `x = y >= 1` unbounded.
         let mut lp = LpProblem::maximize();
@@ -1408,8 +1616,8 @@ mod tests {
         lp.set_objective(x, rat(1, 1));
         lp.add_constraint("flow", expr(&[(x, rat(1, 1)), (y, rat(-1, 1))]), Sense::Eq, rat(0, 1));
         lp.add_constraint("lo", expr(&[(x, rat(1, 1))]), Sense::Ge, rat(1, 1));
-        assert_eq!(simplex::solve_exact(&lp).unwrap_err(), SimplexError::Unbounded);
-        assert_eq!(solve_revised::<Ratio>(&lp).unwrap_err(), SimplexError::Unbounded);
+        assert_eq!(dense::solve_exact(&lp).unwrap_err(), SimplexError::Unbounded);
+        assert_eq!(solve_exact(&lp).unwrap_err(), SimplexError::Unbounded);
     }
 
     #[test]
@@ -1440,7 +1648,7 @@ mod tests {
         }
         let crash = StandardForm::<Ratio>::build(&lp).crash_basis();
         assert_eq!((crash.open_rows, crash.covered), (3, 3));
-        let sol = solve_revised::<Ratio>(&lp).unwrap();
+        let sol = solve_exact(&lp).unwrap();
         assert_eq!(sol.phase1_iterations, 0);
         assert_eq!(sol.objective, rat(1, 4));
         assert_eq!(basic_artificials(&lp, &sol), 0);
@@ -1451,7 +1659,7 @@ mod tests {
         lp.add_constraint("floor", expr(&[(f[0], rat(1, 1))]), Sense::Ge, rat(1, 8));
         let crash = StandardForm::<Ratio>::build(&lp).crash_basis();
         assert_eq!((crash.open_rows, crash.covered), (3, 3));
-        let sol = solve_revised::<Ratio>(&lp).unwrap();
+        let sol = solve_exact(&lp).unwrap();
         assert!(sol.phase1_iterations > 0);
         assert_eq!(sol.objective, rat(1, 4));
         assert_matches_dense(&lp);
@@ -1476,7 +1684,7 @@ mod tests {
 
         let crash = StandardForm::<Ratio>::build(&lp).crash_basis();
         assert_eq!((crash.open_rows, crash.covered), (3, 0));
-        let sol = solve_revised::<Ratio>(&lp).unwrap();
+        let sol = solve_exact(&lp).unwrap();
         assert_eq!(sol.phase1_iterations, 0);
         assert_eq!(sol.values, vec![rat(1, 1); 3]);
         assert_eq!(basic_artificials(&lp, &sol), 1);
@@ -1492,10 +1700,10 @@ mod tests {
         lp.set_objective(y, rat(1, 1));
         lp.add_constraint("a", expr(&[(x, rat(2, 1)), (y, rat(1, 1))]), Sense::Le, rat(1, 1));
         lp.add_constraint("b", expr(&[(x, rat(1, 1)), (y, rat(3, 1))]), Sense::Le, rat(1, 1));
-        let cold = solve_revised::<Ratio>(&lp).unwrap();
+        let cold = solve_exact(&lp).unwrap();
 
         // Re-solving warm from the optimal basis costs zero pivots.
-        let warm = solve_revised_with_basis::<Ratio>(&lp, &cold.basis).unwrap();
+        let warm = solve_warm(&lp, &cold.basis).unwrap();
         assert!(warm.warm_started);
         assert_eq!(warm.iterations, 0);
         assert_eq!(warm.values, cold.values);
@@ -1503,17 +1711,17 @@ mod tests {
         assert_eq!(warm.duals, cold.duals);
 
         // The dense path accepts the revised basis and vice versa.
-        let dense_warm = simplex::solve_with_basis::<Ratio>(&lp, &cold.basis).unwrap();
+        let dense_warm = dense::solve_with_basis::<Ratio>(&lp, &cold.basis).unwrap();
         assert!(dense_warm.warm_started);
         assert_eq!(dense_warm.objective, cold.objective);
-        let dense_cold = simplex::solve_exact(&lp).unwrap();
-        let revised_warm = solve_revised_with_basis::<Ratio>(&lp, &dense_cold.basis).unwrap();
+        let dense_cold = dense::solve_exact(&lp).unwrap();
+        let revised_warm = solve_warm(&lp, &dense_cold.basis).unwrap();
         assert!(revised_warm.warm_started);
         assert_eq!(revised_warm.objective, cold.objective);
 
         // A garbage basis is silently discarded, matching the dense contract.
         let garbage = SolvedBasis { cols: vec![0, 0], num_cols: 4, n_structural: 2 };
-        let fallback = solve_revised_with_basis::<Ratio>(&lp, &garbage).unwrap();
+        let fallback = solve_warm(&lp, &garbage).unwrap();
         assert!(!fallback.warm_started);
         assert_eq!(fallback.objective, cold.objective);
     }
@@ -1532,7 +1740,7 @@ mod tests {
             e.add_term(vars[(i + 1) % 6], rat(1, 1));
             lp.add_constraint(format!("c{i}"), e, Sense::Le, rat(3 + i as i64, 1));
         }
-        let baseline = solve_revised::<Ratio>(&lp).unwrap();
+        let baseline = solve_exact(&lp).unwrap();
         let tight = RevisedOptions { refactor_interval: 2, ..Default::default() };
         let (sol, stats) =
             solve_revised_report_observed::<Ratio, _>(&lp, None, &tight, &mut NoopObserver)
@@ -1554,7 +1762,10 @@ mod tests {
         lp.set_objective(y, rat(1, 1));
         lp.add_constraint("a", expr(&[(x, rat(2, 1)), (y, rat(1, 1))]), Sense::Le, rat(1, 1));
         lp.add_constraint("b", expr(&[(x, rat(1, 1)), (y, rat(3, 1))]), Sense::Le, rat(1, 1));
-        let sol = solve_revised::<f64>(&lp).unwrap();
+        let options = RevisedOptions::default();
+        let (sol, _) =
+            solve_revised_report_observed::<f64, _>(&lp, None, &options, &mut NoopObserver)
+                .unwrap();
         assert!((sol.objective - 0.6).abs() < 1e-9);
     }
 
@@ -1574,7 +1785,7 @@ mod tests {
     #[test]
     fn probe_accepts_the_sample_optimum_and_rejects_a_drifted_objective() {
         let lp = sample_lp(3, 2, 4, 6);
-        let basis = simplex::solve_exact(&lp).unwrap().basis;
+        let basis = dense::solve_exact(&lp).unwrap().basis;
         assert!(basis_still_optimal(&lp, &basis));
         // Same basis under an objective drifted out of its range: no longer
         // optimal, and the probe says so without pivoting.
@@ -1585,7 +1796,7 @@ mod tests {
     fn sample_cost_ranges_end_where_the_vertex_ties() {
         // c_x may drop to 2, where the vertex (3, 1) ties, and rise without
         // bound; c_y may rise to 3 (the same tie) and drop without bound.
-        let basis = simplex::solve_exact(&sample_lp(3, 2, 4, 6)).unwrap().basis;
+        let basis = dense::solve_exact(&sample_lp(3, 2, 4, 6)).unwrap().basis;
         let holds = |c_x, c_y| basis_still_optimal(&sample_lp(c_x, c_y, 4, 6), &basis);
         assert!(holds(2, 2), "the ends are inclusive");
         assert!(!holds(1, 2));
@@ -1599,7 +1810,7 @@ mod tests {
     fn sample_rhs_ranges_end_where_a_basic_value_hits_zero() {
         // x = b1 and s2 = b2 - b1 stay non-negative for b1 in [0, 6] and b2
         // in [4, ∞).
-        let basis = simplex::solve_exact(&sample_lp(3, 2, 4, 6)).unwrap().basis;
+        let basis = dense::solve_exact(&sample_lp(3, 2, 4, 6)).unwrap().basis;
         let holds = |b1, b2| basis_still_optimal(&sample_lp(3, 2, b1, b2), &basis);
         assert!(holds(0, 6));
         assert!(holds(6, 6), "the ends are inclusive");
@@ -1611,19 +1822,19 @@ mod tests {
 
     #[test]
     fn interior_cost_nudges_keep_the_vertex_and_exterior_ones_move_it() {
-        let cold = simplex::solve_exact(&sample_lp(3, 2, 4, 6)).unwrap();
+        let cold = dense::solve_exact(&sample_lp(3, 2, 4, 6)).unwrap();
 
         // Strictly inside the x-range: the probe holds and a cold re-solve
         // lands on the same vertex.
         let mut inside = sample_lp(3, 2, 4, 6);
         inside.set_objective(crate::model::VarId(0), rat(5, 2));
         assert!(basis_still_optimal(&inside, &cold.basis));
-        assert_eq!(simplex::solve_exact(&inside).unwrap().values, cold.values);
+        assert_eq!(dense::solve_exact(&inside).unwrap().values, cold.values);
 
         // Strictly outside: the probe fails and the optimal vertex moves.
         let outside = sample_lp(1, 2, 4, 6);
         assert!(!basis_still_optimal(&outside, &cold.basis));
-        assert_ne!(simplex::solve_exact(&outside).unwrap().values, cold.values);
+        assert_ne!(dense::solve_exact(&outside).unwrap().values, cold.values);
     }
 
     #[test]
@@ -1650,7 +1861,7 @@ mod tests {
             lp.add_constraint("b", expr(&[(x, rat(3, 1)), (y, rat(1, 1))]), Sense::Ge, rat(6, 1));
             lp
         };
-        let basis = simplex::solve_exact(&lp(rat(1, 1), rat(1, 1))).unwrap().basis;
+        let basis = dense::solve_exact(&lp(rat(1, 1), rat(1, 1))).unwrap().basis;
         let holds = |c_x, c_y| basis_still_optimal(&lp(c_x, c_y), &basis);
         assert!(holds(rat(1, 1), rat(1, 1)));
         for (inside, outside) in [(rat(1, 2), rat(49, 100)), (rat(3, 1), rat(301, 100))] {
@@ -1675,7 +1886,7 @@ mod tests {
             lp.add_constraint("cap", expr(&[(x, rat(1, 1))]), Sense::Le, b1);
             lp
         };
-        let basis = simplex::solve_exact(&lp(rat(-2, 1), rat(5, 1))).unwrap().basis;
+        let basis = dense::solve_exact(&lp(rat(-2, 1), rat(5, 1))).unwrap().basis;
         let holds = |b0, b1| basis_still_optimal(&lp(b0, b1), &basis);
         // The floor may drop to -5, where it meets the cap, and not below.
         assert!(holds(rat(-5, 1), rat(5, 1)));
@@ -1702,7 +1913,7 @@ mod tests {
             lp.add_constraint("e2", expr(&[(x, rat(1, 1)), (y, rat(1, 1))]), Sense::Eq, b2);
             lp
         };
-        let basis = simplex::solve_exact(&lp(rat(2, 1), rat(2, 1))).unwrap().basis;
+        let basis = dense::solve_exact(&lp(rat(2, 1), rat(2, 1))).unwrap().basis;
         assert!(basis_still_optimal(&lp(rat(2, 1), rat(2, 1)), &basis));
         for moved in [rat(1999, 1000), rat(2001, 1000)] {
             assert!(!basis_still_optimal(&lp(moved.clone(), rat(2, 1)), &basis));

@@ -1,40 +1,22 @@
-//! Dense two-phase primal simplex, generic over the scalar type.
+//! The vocabulary every simplex run shares, and the tests' dense oracle.
 //!
-//! The same pivoting code is instantiated twice:
+//! Every production solve runs on the revised sparse simplex
+//! ([`crate::revised`]): the certified primal route, the exact fallback and
+//! the dual simplex behind drift triage.  This module holds what those runs
+//! report and accept — [`SolvedBasis`], [`Solution`], [`SimplexError`],
+//! [`SimplexOptions`] and [`DualOutcome`] — and the standard-form helpers
+//! `effective_sense` and `clamp_nonneg`.
 //!
-//! * with `f64` — the dual simplex behind
-//!   [`solve_exact_dual_auto`](crate::solve_exact_dual_auto), whose answer
-//!   is then certified exactly;
-//! * with [`steady_rational::Ratio`] — exact, the tests' reference solver.
-//!
-//! No primal solve of the certified pipeline runs here: cold and warm solves
-//! take the revised simplex ([`crate::revised`]) at every size.
-//!
-//! The implementation is a classical dense tableau simplex: constraints are
-//! brought to equality standard form with slack/surplus/artificial variables,
-//! phase 1 minimizes the sum of artificials, phase 2 optimizes the real
-//! objective.  Dantzig's rule is used by default and the solver switches to
-//! Bland's rule after a configurable number of iterations so that cycling on
-//! degenerate vertices cannot prevent termination.
+//! Under `#[cfg(test)]` it also holds `dense`, the classical dense tableau
+//! simplex: constraints brought to equality standard form with
+//! slack/surplus/artificial variables, phase 1 minimizing the sum of
+//! artificials, phase 2 the real objective, Dantzig's rule switching to
+//! Bland's after a configurable number of pivots.  It updates all `m · n`
+//! entries at every pivot, so it never serves; it is the reference the
+//! revised solver must reproduce pivot for pivot from the same basis.
 
-use crate::instrument::{
-    NoopObserver, PivotKind, PivotRule, SolveEvent, SolveObserver, SolvePath, SolvePhase,
-    WarmOutcome,
-};
-use crate::model::{LpProblem, Objective, Sense};
+use crate::model::Sense;
 use crate::scalar::Scalar;
-use steady_rational::Ratio;
-
-/// Outcome classification of a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LpStatus {
-    /// An optimal solution was found.
-    Optimal,
-    /// The constraint set is empty.
-    Infeasible,
-    /// The objective is unbounded above (for maximization).
-    Unbounded,
-}
 
 /// Errors produced by the simplex solver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,64 +195,8 @@ impl Default for SimplexOptions {
     }
 }
 
-/// Solves `problem` with the default options.
-pub fn solve<S: Scalar>(problem: &LpProblem) -> Result<Solution<S>, SimplexError> {
-    solve_with_options_observed(problem, &SimplexOptions::default(), &mut NoopObserver)
-}
-
-/// Solves `problem` in `f64` arithmetic.
-pub fn solve_f64(problem: &LpProblem) -> Result<Solution<f64>, SimplexError> {
-    solve(problem)
-}
-
-/// Solves `problem` in exact rational arithmetic.
-pub fn solve_exact(problem: &LpProblem) -> Result<Solution<Ratio>, SimplexError> {
-    solve(problem)
-}
-
-/// Solves `problem` with explicit options and a [`SolveObserver`] tap on the
-/// run.  The observer receives phase and pivot events but cannot influence
-/// the solve; instantiated with [`NoopObserver`] this compiles to the
-/// uninstrumented solver.
-pub fn solve_with_options_observed<S: Scalar, O: SolveObserver>(
-    problem: &LpProblem,
-    options: &SimplexOptions,
-    obs: &mut O,
-) -> Result<Solution<S>, SimplexError> {
-    if O::ENABLED {
-        obs.on_event(SolveEvent::RunStarted { path: SolvePath::Dense });
-    }
-    Tableau::<S>::build(problem).run(problem, options, false, obs)
-}
-
-/// Solves `problem`, resuming the simplex from a previously solved basis.
-///
-/// The basis must come from a problem with the same standard-form shape
-/// (same constraint rows in the same order, same senses, same variables) —
-/// typically the same steady-state LP with different numeric costs.  When the
-/// basis installs cleanly and is primal feasible for the new data, phase 1 is
-/// skipped entirely (unless the installed point leaves an artificial variable
-/// positive, in which case phase 1 re-runs from it); when it is incompatible,
-/// singular or infeasible, the solve silently falls back to the ordinary
-/// two-phase method, so the result is identical to [`solve`] either way —
-/// only the pivot count changes.
-pub fn solve_with_basis<S: Scalar>(
-    problem: &LpProblem,
-    basis: &SolvedBasis,
-) -> Result<Solution<S>, SimplexError> {
-    let options = SimplexOptions::default();
-    let mut tableau = Tableau::<S>::build(problem);
-    if basis.fits(tableau.num_rows(), tableau.num_cols(), tableau.n_structural)
-        && tableau.install_basis(&basis.cols)
-        && tableau.rhs.iter().all(|b| !b.is_negative())
-    {
-        return tableau.run(problem, &options, true, &mut NoopObserver);
-    }
-    // The install pivoted the tableau partway; rebuild and solve cold.
-    Tableau::<S>::build(problem).run(problem, &options, false, &mut NoopObserver)
-}
-
-/// How [`solve_dual_with_basis`] ended up using the supplied basis.
+/// How [`solve_revised_dual_report_observed`](crate::revised::solve_revised_dual_report_observed)
+/// ended up using the supplied basis.
 ///
 /// The variants order the outcomes from cheapest to most expensive; the
 /// serving layer's drift triage maps them onto its `InRange` / `DualRepair`
@@ -303,782 +229,6 @@ pub enum DualOutcome {
     FellBack,
 }
 
-/// Solves `problem` with the **dual simplex**, resuming from a previously
-/// optimal basis of a structurally identical problem.
-///
-/// After a data perturbation (drifted edge costs, changed right-hand sides)
-/// the old optimal basis typically stays *dual* feasible — reduced costs
-/// depend on the objective, not the rhs — while the primal point it induces
-/// may turn infeasible.  The primal warm start ([`solve_with_basis`]) must
-/// discard such a basis and fall back to a full two-phase solve; this solver
-/// instead repairs it in place with dual pivots, which preserve dual
-/// feasibility and terminate at the new optimum, usually within a handful of
-/// iterations.  The returned [`DualOutcome`] reports which path was taken.
-///
-/// Every path returns the same exact optimum as a cold [`solve`]: the basis
-/// is advisory, and any situation the dual method cannot handle (including a
-/// failed dual ratio test, which in exact arithmetic certifies primal
-/// infeasibility) falls back to the ordinary two-phase method rather than
-/// trusting warm state for an infeasibility verdict.
-pub fn solve_dual_with_basis<S: Scalar>(
-    problem: &LpProblem,
-    basis: &SolvedBasis,
-) -> Result<(Solution<S>, DualOutcome), SimplexError> {
-    solve_dual_with_basis_options_observed(
-        problem,
-        basis,
-        &SimplexOptions::default(),
-        &mut NoopObserver,
-    )
-}
-
-/// [`solve_dual_with_basis`] with explicit options and a [`SolveObserver`]
-/// tap on the run.  The emitted [`SolveEvent::WarmStart`] outcome mirrors the returned
-/// [`DualOutcome`] (it is emitted as soon as the outcome is known, so fallback
-/// runs are observed *after* their `fell-back` marker).
-pub fn solve_dual_with_basis_options_observed<S: Scalar, O: SolveObserver>(
-    problem: &LpProblem,
-    basis: &SolvedBasis,
-    options: &SimplexOptions,
-    obs: &mut O,
-) -> Result<(Solution<S>, DualOutcome), SimplexError> {
-    if O::ENABLED {
-        obs.on_event(SolveEvent::RunStarted { path: SolvePath::Dense });
-    }
-    let mut tableau = Tableau::<S>::build(problem);
-    if !basis.fits(tableau.num_rows(), tableau.num_cols(), tableau.n_structural)
-        || !tableau.install_basis(&basis.cols)
-    {
-        if O::ENABLED {
-            obs.on_event(SolveEvent::WarmStart { outcome: WarmOutcome::FellBack });
-        }
-        let sol = Tableau::<S>::build(problem).run(problem, options, false, obs)?;
-        return Ok((sol, DualOutcome::FellBack));
-    }
-    // Pivot basic artificials out wherever a real column is available —
-    // exactly what the two-phase path does before phase 2.  This is
-    // load-bearing here, not cosmetic: an artificial left basic in a row
-    // that is *not* all-zero (the installed basis came from different
-    // numeric data) could be driven to a positive value by later primal or
-    // dual pivots, silently turning the "optimum" infeasible for the real
-    // constraints.  After the drive-out, any remaining basic artificial sits
-    // in an all-zero real row, where no allowed pivot can ever change its
-    // value.
-    tableau.drive_out_artificials();
-    // An artificial still basic at a strictly positive value means the
-    // installed point violates a real constraint the dual method cannot see
-    // — re-run phase 1 from the installed basis like the primal warm path
-    // does.  (A *negative* one makes its row the dual leaving row with no
-    // eligible entering column, so the dual path below falls back cold.)
-    let positive_artificial = (0..tableau.num_rows()).any(|i| {
-        tableau.kinds[tableau.basis[i]] == ColKind::Artificial && tableau.rhs[i].is_positive()
-    });
-    if positive_artificial {
-        if O::ENABLED {
-            obs.on_event(SolveEvent::WarmStart { outcome: WarmOutcome::FellBack });
-        }
-        let sol = tableau.run(problem, options, true, obs)?;
-        return Ok((sol, DualOutcome::FellBack));
-    }
-
-    let primal_feasible = tableau.rhs.iter().all(|b| !b.is_negative());
-    let allowed: Vec<bool> = tableau.kinds.iter().map(|k| *k != ColKind::Artificial).collect();
-    let costs = tableau.costs.clone();
-    let mut reduced = tableau.reduced_cost_row(&costs);
-    let dual_feasible = tableau.choose_entering(&reduced, &allowed, false).is_none();
-    let mut iterations = 0usize;
-    match (primal_feasible, dual_feasible) {
-        (true, true) => {
-            if O::ENABLED {
-                obs.on_event(SolveEvent::WarmStart { outcome: WarmOutcome::StillOptimal });
-            }
-            Ok((tableau.finish(problem, 0, 0, true), DualOutcome::StillOptimal))
-        }
-        (true, false) => {
-            if O::ENABLED {
-                obs.on_event(SolveEvent::WarmStart { outcome: WarmOutcome::PrimalReoptimized });
-                obs.on_event(SolveEvent::PhaseStarted { phase: SolvePhase::Phase2 });
-            }
-            tableau.optimize(
-                &costs,
-                &allowed,
-                options,
-                &mut iterations,
-                SolvePhase::Phase2,
-                obs,
-            )?;
-            let pivots = iterations;
-            Ok((
-                tableau.finish(problem, iterations, 0, true),
-                DualOutcome::PrimalReoptimized { pivots },
-            ))
-        }
-        (false, true) => {
-            if O::ENABLED {
-                obs.on_event(SolveEvent::PhaseStarted { phase: SolvePhase::DualRepair });
-            }
-            match tableau.dual_optimize(&allowed, &mut reduced, options, &mut iterations, obs)? {
-                DualRun::Restored => {
-                    let dual_pivots = iterations;
-                    if O::ENABLED {
-                        obs.on_event(SolveEvent::WarmStart { outcome: WarmOutcome::DualRepaired });
-                        obs.on_event(SolveEvent::PhaseStarted { phase: SolvePhase::Phase2 });
-                    }
-                    // Dual feasibility is invariant under the dual ratio
-                    // test, so the repaired vertex is already optimal; the
-                    // primal pass is a no-op in exact arithmetic and guards
-                    // the f64 instantiation against tolerance drift.
-                    tableau.optimize(
-                        &costs,
-                        &allowed,
-                        options,
-                        &mut iterations,
-                        SolvePhase::Phase2,
-                        obs,
-                    )?;
-                    Ok((
-                        tableau.finish(problem, iterations, 0, true),
-                        DualOutcome::DualRepaired { pivots: dual_pivots },
-                    ))
-                }
-                DualRun::RatioTestFailed => {
-                    if O::ENABLED {
-                        obs.on_event(SolveEvent::WarmStart { outcome: WarmOutcome::FellBack });
-                    }
-                    // Dual unboundedness certifies primal infeasibility in
-                    // exact arithmetic, but never trust a warm basis for an
-                    // infeasibility verdict: re-solve from scratch.
-                    let sol = Tableau::<S>::build(problem).run(problem, options, false, obs)?;
-                    Ok((sol, DualOutcome::FellBack))
-                }
-            }
-        }
-        (false, false) => {
-            if O::ENABLED {
-                obs.on_event(SolveEvent::WarmStart { outcome: WarmOutcome::FellBack });
-            }
-            let sol = Tableau::<S>::build(problem).run(problem, options, false, obs)?;
-            Ok((sol, DualOutcome::FellBack))
-        }
-    }
-}
-
-pub(crate) use crate::sparse::ColKind;
-
-/// How a dual-simplex run ended.
-enum DualRun {
-    /// Primal feasibility restored; the basis is optimal.
-    Restored,
-    /// A leaving row had no eligible entering column (dual unbounded).
-    RatioTestFailed,
-}
-
-/// Dense standard-form tableau.
-struct Tableau<S> {
-    /// `rows[i]` holds the coefficients of row `i` over all columns.
-    rows: Vec<Vec<S>>,
-    /// Right-hand side per row (kept separately; always `>= 0` in exact
-    /// arithmetic, up to tolerance in `f64`).
-    rhs: Vec<S>,
-    /// Index of the basic column of each row.
-    basis: Vec<usize>,
-    /// Kind of every column.
-    kinds: Vec<ColKind>,
-    /// Phase-2 objective coefficient per column (maximization form).
-    costs: Vec<S>,
-    /// Column that formed the initial identity of each row (used to read the duals).
-    init_col: Vec<usize>,
-    /// Whether the original constraint was negated during rhs normalization.
-    negated: Vec<bool>,
-    /// Number of structural columns.
-    n_structural: usize,
-}
-
-impl<S: Scalar> Tableau<S> {
-    fn build(problem: &LpProblem) -> Self {
-        let n = problem.num_vars();
-        let m = problem.num_constraints();
-
-        // Count extra columns.
-        let mut n_slack = 0;
-        let mut n_art = 0;
-        for c in problem.constraints() {
-            let rhs_neg = c.rhs.is_negative();
-            let sense = effective_sense(c.sense, rhs_neg);
-            match sense {
-                Sense::Le => n_slack += 1,
-                Sense::Ge => {
-                    n_slack += 1;
-                    n_art += 1;
-                }
-                Sense::Eq => n_art += 1,
-            }
-        }
-
-        let total_cols = n + n_slack + n_art;
-        let mut kinds = vec![ColKind::Structural; n];
-        kinds.extend(std::iter::repeat_n(ColKind::Slack, n_slack));
-        kinds.extend(std::iter::repeat_n(ColKind::Artificial, n_art));
-
-        // Phase-2 costs: maximization form.
-        let flip = matches!(problem.direction(), Objective::Minimize);
-        let mut costs = vec![S::zero(); total_cols];
-        for (j, c) in problem.objective_vector().iter().enumerate() {
-            let v = S::from_ratio(c);
-            costs[j] = if flip { v.neg() } else { v };
-        }
-
-        let mut rows = Vec::with_capacity(m);
-        let mut rhs = Vec::with_capacity(m);
-        let mut basis = Vec::with_capacity(m);
-        let mut init_col = Vec::with_capacity(m);
-        let mut negated = Vec::with_capacity(m);
-
-        let mut next_slack = n;
-        let mut next_art = n + n_slack;
-
-        for c in problem.constraints() {
-            let rhs_neg = c.rhs.is_negative();
-            let sense = effective_sense(c.sense, rhs_neg);
-            let mut row = vec![S::zero(); total_cols];
-            for (v, coeff) in c.expr.terms() {
-                let val = S::from_ratio(coeff);
-                row[v.index()] = if rhs_neg { val.neg() } else { val };
-            }
-            let b = {
-                let val = S::from_ratio(&c.rhs);
-                if rhs_neg {
-                    val.neg()
-                } else {
-                    val
-                }
-            };
-            match sense {
-                Sense::Le => {
-                    row[next_slack] = S::one();
-                    basis.push(next_slack);
-                    init_col.push(next_slack);
-                    next_slack += 1;
-                }
-                Sense::Ge => {
-                    row[next_slack] = S::one().neg();
-                    next_slack += 1;
-                    row[next_art] = S::one();
-                    basis.push(next_art);
-                    init_col.push(next_art);
-                    next_art += 1;
-                }
-                Sense::Eq => {
-                    row[next_art] = S::one();
-                    basis.push(next_art);
-                    init_col.push(next_art);
-                    next_art += 1;
-                }
-            }
-            rows.push(row);
-            rhs.push(b);
-            negated.push(rhs_neg);
-        }
-
-        Tableau { rows, rhs, basis, kinds, costs, init_col, negated, n_structural: n }
-    }
-
-    fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn num_cols(&self) -> usize {
-        self.kinds.len()
-    }
-
-    /// Performs a pivot on (`row`, `col`).
-    fn pivot(&mut self, row: usize, col: usize) {
-        let pivot_val = self.rows[row][col].clone();
-        debug_assert!(!pivot_val.is_zero(), "pivot on a zero entry");
-        // Normalize the pivot row.
-        for v in self.rows[row].iter_mut() {
-            if !v.is_zero() {
-                *v = v.div(&pivot_val);
-            }
-        }
-        self.rhs[row] = self.rhs[row].div(&pivot_val);
-        self.rows[row][col] = S::one();
-
-        // Eliminate the pivot column from all other rows.
-        for i in 0..self.num_rows() {
-            if i == row {
-                continue;
-            }
-            let factor = self.rows[i][col].clone();
-            if factor.is_zero() {
-                continue;
-            }
-            let (pivot_row, other_row) = if i < row {
-                let (a, b) = self.rows.split_at_mut(row);
-                (&b[0], &mut a[i])
-            } else {
-                let (a, b) = self.rows.split_at_mut(i);
-                (&a[row], &mut b[0])
-            };
-            for (dst, src) in other_row.iter_mut().zip(pivot_row.iter()) {
-                if !src.is_zero() {
-                    *dst = dst.sub(&factor.mul(src));
-                }
-            }
-            other_row[col] = S::zero();
-            self.rhs[i] = self.rhs[i].sub(&factor.mul(&self.rhs[row]));
-        }
-        self.basis[row] = col;
-    }
-
-    /// Reduced cost of column `j` w.r.t. the cost vector `costs`:
-    /// `r_j = c_j - sum_i c_{basis[i]} * T[i][j]`.
-    fn reduced_cost(&self, costs: &[S], j: usize) -> S {
-        let mut acc = costs[j].clone();
-        for i in 0..self.num_rows() {
-            let cb = &costs[self.basis[i]];
-            if cb.is_zero() {
-                continue;
-            }
-            let t = &self.rows[i][j];
-            if t.is_zero() {
-                continue;
-            }
-            acc = acc.sub(&cb.mul(t));
-        }
-        acc
-    }
-
-    /// Full vector of reduced costs (computed from scratch, `O(m n)`).  Used
-    /// once per phase; afterwards the vector is updated incrementally at each
-    /// pivot so that the entering-column choice costs `O(n)`.
-    fn reduced_cost_row(&self, costs: &[S]) -> Vec<S> {
-        (0..self.num_cols()).map(|j| self.reduced_cost(costs, j)).collect()
-    }
-
-    /// Chooses the entering column: Dantzig (largest reduced cost) or Bland
-    /// (smallest index with positive reduced cost).  Columns for which
-    /// `allowed` is false never enter.
-    fn choose_entering(&self, reduced: &[S], allowed: &[bool], bland: bool) -> Option<usize> {
-        let mut best: Option<(usize, &S)> = None;
-        for (j, r) in reduced.iter().enumerate() {
-            if !allowed[j] {
-                continue;
-            }
-            if r.is_positive() {
-                if bland {
-                    return Some(j);
-                }
-                match &best {
-                    None => best = Some((j, r)),
-                    Some((_, rb)) if rb.lt(r) => best = Some((j, r)),
-                    _ => {}
-                }
-            }
-        }
-        best.map(|(j, _)| j)
-    }
-
-    /// Ratio test: returns the leaving row, or `None` if the column is
-    /// unbounded.  Ties are broken by the smallest basic variable index
-    /// (lexicographic protection together with Bland's entering rule).
-    fn choose_leaving(&self, col: usize) -> Option<usize> {
-        let mut best: Option<(usize, S)> = None;
-        for i in 0..self.num_rows() {
-            let a = &self.rows[i][col];
-            if !a.is_positive() {
-                continue;
-            }
-            let ratio = self.rhs[i].div(a);
-            match &best {
-                None => best = Some((i, ratio)),
-                Some((bi, br)) => {
-                    if ratio.lt(br) || (!br.lt(&ratio) && self.basis[i] < self.basis[*bi]) {
-                        best = Some((i, ratio));
-                    }
-                }
-            }
-        }
-        best.map(|(i, _)| i)
-    }
-
-    /// Runs simplex iterations with the given cost vector until optimality.
-    ///
-    /// The reduced-cost row is computed once and updated incrementally at each
-    /// pivot, so that an iteration costs `O(m n)` for the pivot itself plus
-    /// `O(n)` for pricing (instead of `O(m n)` pricing per iteration).
-    fn optimize<O: SolveObserver>(
-        &mut self,
-        costs: &[S],
-        allowed: &[bool],
-        options: &SimplexOptions,
-        iterations: &mut usize,
-        phase: SolvePhase,
-        obs: &mut O,
-    ) -> Result<(), SimplexError> {
-        let default_cap = 50 * (self.num_rows() + self.num_cols()) + 10_000;
-        let cap = options.max_iterations.unwrap_or(default_cap);
-        let mut reduced = self.reduced_cost_row(costs);
-        loop {
-            if *iterations > cap {
-                return Err(SimplexError::IterationLimit { iterations: *iterations });
-            }
-            let bland = *iterations >= options.bland_after;
-            let Some(col) = self.choose_entering(&reduced, allowed, bland) else {
-                return Ok(());
-            };
-            let Some(row) = self.choose_leaving(col) else {
-                return Err(SimplexError::Unbounded);
-            };
-            if O::ENABLED {
-                obs.on_event(SolveEvent::Pivot {
-                    phase,
-                    kind: PivotKind::Primal,
-                    rule: if bland { PivotRule::Bland } else { PivotRule::Dantzig },
-                    entering: col,
-                    leaving: self.basis[row],
-                    degenerate: self.rhs[row].is_zero(),
-                });
-            }
-            let entering_cost = reduced[col].clone();
-            self.pivot(row, col);
-            // r <- r - r[col] * (normalized pivot row).
-            for (r, t) in reduced.iter_mut().zip(self.rows[row].iter()) {
-                if !t.is_zero() {
-                    *r = r.sub(&entering_cost.mul(t));
-                }
-            }
-            reduced[col] = S::zero();
-            *iterations += 1;
-        }
-    }
-
-    /// Attempts to pivot the tableau onto the supplied basis (column `cols[i]`
-    /// basic in row `i`).  Targets whose pivot entry is currently zero are
-    /// retried after other installs create fill-in; if a full pass makes no
-    /// progress the basis is singular for this problem's data and `false` is
-    /// returned (the tableau is then partially pivoted and must be discarded).
-    /// A successful install says nothing about primal feasibility: the
-    /// induced vertex may have negative basic values, which the *primal*
-    /// simplex cannot start from (its ratio test assumes `rhs >= 0`) but the
-    /// *dual* simplex repairs — callers check `rhs` themselves.
-    fn install_basis(&mut self, cols: &[usize]) -> bool {
-        let m = self.num_rows();
-        let target: std::collections::HashSet<usize> = cols.iter().copied().collect();
-        // A basis is a *set* of columns; which row each one ends up basic in
-        // is irrelevant (the tableau is the same up to row order), and fixing
-        // the row assignment up front would wrongly fail on bases that
-        // permute the current one.  Rows already holding a target column are
-        // claimed; every other target is pivoted into some unclaimed row.
-        let mut claimed: Vec<bool> = (0..m).map(|i| target.contains(&self.basis[i])).collect();
-        let mut pending: Vec<usize> = {
-            let basic: std::collections::HashSet<usize> = self.basis.iter().copied().collect();
-            cols.iter().copied().filter(|c| !basic.contains(c)).collect()
-        };
-        // Multi-pass: a pivot creates fill-in that can unlock a target column
-        // whose entries in the unclaimed rows were all zero so far.
-        while !pending.is_empty() {
-            let before = pending.len();
-            pending.retain(|&c| {
-                // Pick the unclaimed row with the largest pivot magnitude —
-                // in exact arithmetic any non-zero works, in f64 it keeps the
-                // reconstruction well-conditioned.
-                let row = (0..m).filter(|&r| !claimed[r] && !self.rows[r][c].is_zero()).max_by(
-                    |&a, &b| {
-                        let (va, vb) =
-                            (self.rows[a][c].to_f64().abs(), self.rows[b][c].to_f64().abs());
-                        va.partial_cmp(&vb).unwrap_or(std::cmp::Ordering::Equal)
-                    },
-                );
-                match row {
-                    Some(r) => {
-                        self.pivot(r, c);
-                        claimed[r] = true;
-                        false
-                    }
-                    None => true,
-                }
-            });
-            if pending.len() == before {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Drives artificial variables out of the basis where possible so later
-    /// pivots only touch real columns.  Rows where no real column has a
-    /// non-zero entry are redundant: their artificial stays basic and —
-    /// because every entry an allowed entering column could contribute is
-    /// zero there — its value can never change again.  Shared by the
-    /// two-phase path (between phases) and the warm dual path (right after
-    /// a basis install, where skipping it would let later pivots push a
-    /// basic artificial positive and corrupt the reported optimum).
-    fn drive_out_artificials(&mut self) {
-        for i in 0..self.num_rows() {
-            if self.kinds[self.basis[i]] != ColKind::Artificial {
-                continue;
-            }
-            let replacement = (0..self.num_cols())
-                .find(|&j| self.kinds[j] != ColKind::Artificial && !self.rows[i][j].is_zero());
-            if let Some(j) = replacement {
-                self.pivot(i, j);
-            }
-        }
-    }
-
-    /// Runs **dual simplex** iterations until primal feasibility is restored
-    /// (`rhs >= 0`), assuming the current basis is dual feasible (all allowed
-    /// reduced costs `<= 0`).  Each iteration picks a leaving row with a
-    /// negative basic value (most negative first, smallest basic index under
-    /// the anti-cycling rule) and an entering column by the dual ratio test —
-    /// the allowed column with a negative entry in that row minimizing
-    /// `reduced / entry`, which keeps every reduced cost non-positive — so
-    /// the first primal-feasible basis reached is optimal.
-    ///
-    /// Returns [`DualRun::RatioTestFailed`] when a leaving row has no
-    /// negative entry in any allowed column: the dual is unbounded, i.e. the
-    /// primal is infeasible (callers re-verify that verdict from scratch).
-    ///
-    /// `reduced` is the caller's already-computed reduced-cost row for the
-    /// phase-2 objective (the dual-feasibility probe needs it anyway); it is
-    /// updated incrementally at each pivot, so no `O(m n)` re-pricing
-    /// happens here.
-    ///
-    /// Pivot events are buffered and flushed only on [`DualRun::Restored`]:
-    /// pivots of a run that ends in [`DualRun::RatioTestFailed`] are thrown
-    /// away together with the tableau (the caller re-solves cold and reports
-    /// the fresh run's counts), so emitting them would break the
-    /// events-equal-iterations conservation contract.
-    fn dual_optimize<O: SolveObserver>(
-        &mut self,
-        allowed: &[bool],
-        reduced: &mut [S],
-        options: &SimplexOptions,
-        iterations: &mut usize,
-        obs: &mut O,
-    ) -> Result<DualRun, SimplexError> {
-        let default_cap = 50 * (self.num_rows() + self.num_cols()) + 10_000;
-        let cap = options.max_iterations.unwrap_or(default_cap);
-        let mut pending: Vec<SolveEvent> = Vec::new();
-        loop {
-            if *iterations > cap {
-                return Err(SimplexError::IterationLimit { iterations: *iterations });
-            }
-            let bland = *iterations >= options.bland_after;
-            let mut row: Option<usize> = None;
-            for i in 0..self.num_rows() {
-                if !self.rhs[i].is_negative() {
-                    continue;
-                }
-                row = Some(match row {
-                    None => i,
-                    Some(r) if bland => {
-                        if self.basis[i] < self.basis[r] {
-                            i
-                        } else {
-                            r
-                        }
-                    }
-                    Some(r) => {
-                        if self.rhs[i].lt(&self.rhs[r]) {
-                            i
-                        } else {
-                            r
-                        }
-                    }
-                });
-            }
-            let Some(row) = row else {
-                if O::ENABLED {
-                    for event in pending.drain(..) {
-                        obs.on_event(event);
-                    }
-                }
-                return Ok(DualRun::Restored);
-            };
-            // Dual ratio test; iterating in ascending column order keeps the
-            // smallest index on ties, which is Bland-compatible.
-            let mut entering: Option<(usize, S)> = None;
-            for j in 0..self.num_cols() {
-                if !allowed[j] {
-                    continue;
-                }
-                let a = &self.rows[row][j];
-                if !a.is_negative() {
-                    continue;
-                }
-                let ratio = reduced[j].div(a);
-                match &entering {
-                    None => entering = Some((j, ratio)),
-                    Some((_, best)) if ratio.lt(best) => entering = Some((j, ratio)),
-                    _ => {}
-                }
-            }
-            let Some((col, _)) = entering else {
-                return Ok(DualRun::RatioTestFailed);
-            };
-            if O::ENABLED {
-                pending.push(SolveEvent::Pivot {
-                    phase: SolvePhase::DualRepair,
-                    kind: PivotKind::Dual,
-                    rule: if bland { PivotRule::Bland } else { PivotRule::Dantzig },
-                    entering: col,
-                    leaving: self.basis[row],
-                    degenerate: reduced[col].is_zero(),
-                });
-            }
-            let entering_cost = reduced[col].clone();
-            self.pivot(row, col);
-            for (r, t) in reduced.iter_mut().zip(self.rows[row].iter()) {
-                if !t.is_zero() {
-                    *r = r.sub(&entering_cost.mul(t));
-                }
-            }
-            reduced[col] = S::zero();
-            *iterations += 1;
-        }
-    }
-
-    fn run<O: SolveObserver>(
-        mut self,
-        problem: &LpProblem,
-        options: &SimplexOptions,
-        warm_started: bool,
-        obs: &mut O,
-    ) -> Result<Solution<S>, SimplexError> {
-        let mut iterations = 0usize;
-
-        // ---- Phase 1: minimize the sum of artificial variables. ----
-        //
-        // Cold, phase 1 runs whenever artificials exist: even when they all
-        // start at zero (all-zero-rhs equality rows, common in the flow LPs),
-        // its pivots select a *well-conditioned* feasible basis, and skipping
-        // it leaves phase 2 to fight the degeneracy from an arbitrary one —
-        // observed as a >100x pivot blow-up on the steady-state reduce LPs.
-        // Warm, the installed basis was optimal for a sibling problem, so
-        // phase 1 is only needed if it leaves an artificial basic at a
-        // strictly positive value (i.e. the basis is infeasible here).
-        let needs_phase1 = if warm_started {
-            (0..self.num_rows()).any(|i| {
-                self.kinds[self.basis[i]] == ColKind::Artificial && self.rhs[i].is_positive()
-            })
-        } else {
-            self.kinds.contains(&ColKind::Artificial)
-        };
-        if needs_phase1 {
-            if O::ENABLED {
-                obs.on_event(SolveEvent::PhaseStarted { phase: SolvePhase::Phase1 });
-            }
-            let phase1_costs: Vec<S> = self
-                .kinds
-                .iter()
-                .map(|k| if *k == ColKind::Artificial { S::one().neg() } else { S::zero() })
-                .collect();
-            let allowed: Vec<bool> = vec![true; self.num_cols()];
-            self.optimize(
-                &phase1_costs,
-                &allowed,
-                options,
-                &mut iterations,
-                SolvePhase::Phase1,
-                obs,
-            )?;
-
-            // Feasible iff all artificials are zero, i.e. phase-1 objective is 0.
-            let mut infeasibility = S::zero();
-            for i in 0..self.num_rows() {
-                if self.kinds[self.basis[i]] == ColKind::Artificial {
-                    infeasibility = infeasibility.add(&self.rhs[i]);
-                }
-            }
-            if infeasibility.is_positive() {
-                return Err(SimplexError::Infeasible);
-            }
-        }
-        let phase1_iterations = iterations;
-
-        self.drive_out_artificials();
-
-        // ---- Phase 2: optimize the real objective, artificials locked out. ----
-        if O::ENABLED {
-            obs.on_event(SolveEvent::PhaseStarted { phase: SolvePhase::Phase2 });
-        }
-        let allowed: Vec<bool> = self.kinds.iter().map(|k| *k != ColKind::Artificial).collect();
-        let costs = self.costs.clone();
-        self.optimize(&costs, &allowed, options, &mut iterations, SolvePhase::Phase2, obs)?;
-
-        Ok(self.finish(problem, iterations, phase1_iterations, warm_started))
-    }
-
-    /// Reads the primal solution, objective, duals and final basis out of an
-    /// optimized tableau.  Shared by the two-phase [`Tableau::run`] and the
-    /// dual-simplex path, which reach optimality by different pivot
-    /// sequences but extract the result identically.
-    fn finish(
-        self,
-        problem: &LpProblem,
-        iterations: usize,
-        phase1_iterations: usize,
-        warm_started: bool,
-    ) -> Solution<S> {
-        let costs = self.costs.clone();
-
-        // ---- Extract the primal solution. ----
-        let mut values = vec![S::zero(); self.n_structural];
-        for i in 0..self.num_rows() {
-            let j = self.basis[i];
-            if j < self.n_structural {
-                values[j] = clamp_nonneg(self.rhs[i].clone());
-            }
-        }
-
-        // Objective in maximization form, then flip back for minimization problems.
-        let mut objective = S::zero();
-        for (j, c) in costs.iter().enumerate().take(self.n_structural) {
-            if !c.is_zero() && !values[j].is_zero() {
-                objective = objective.add(&c.mul(&values[j]));
-            }
-        }
-        let minimize = matches!(problem.direction(), Objective::Minimize);
-        if minimize {
-            objective = objective.neg();
-        }
-
-        // ---- Extract the duals: y_i = c_B^T B^{-1} e_i, read from the column
-        // that formed the initial identity of row i.  `costs` are in
-        // maximization form, so a minimization's duals flip back with its
-        // objective: they are reported in the problem's own sense. ----
-        let mut duals = Vec::with_capacity(self.num_rows());
-        for i in 0..self.num_rows() {
-            let col = self.init_col[i];
-            let mut y = S::zero();
-            for r in 0..self.num_rows() {
-                let cb = &costs[self.basis[r]];
-                if cb.is_zero() {
-                    continue;
-                }
-                let t = &self.rows[r][col];
-                if t.is_zero() {
-                    continue;
-                }
-                y = y.add(&cb.mul(t));
-            }
-            if self.negated[i] != minimize {
-                y = y.neg();
-            }
-            duals.push(y);
-        }
-
-        let basis = SolvedBasis {
-            cols: self.basis.clone(),
-            num_cols: self.num_cols(),
-            n_structural: self.n_structural,
-        };
-        Solution { values, objective, duals, iterations, phase1_iterations, warm_started, basis }
-    }
-}
-
 /// Clamp tiny negative values (f64 round-off) to zero; exact scalars pass through.
 pub(crate) fn clamp_nonneg<S: Scalar>(v: S) -> S {
     if v.is_negative() || v.is_zero() {
@@ -1107,9 +257,762 @@ pub(crate) fn effective_sense(sense: Sense, negated: bool) -> Sense {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod dense {
     use super::*;
+    use crate::instrument::{
+        NoopObserver, PivotKind, PivotRule, SolveEvent, SolveObserver, SolvePhase,
+    };
+    use crate::model::{LpProblem, Objective};
+    use crate::revised::DualRun;
+    use crate::sparse::ColKind;
+    use steady_rational::Ratio;
+
+    /// Solves `problem` cold from the slack/artificial identity.
+    pub fn solve<S: Scalar>(problem: &LpProblem) -> Result<Solution<S>, SimplexError> {
+        solve_with_options_observed(problem, &SimplexOptions::default(), &mut NoopObserver)
+    }
+
+    /// [`solve`] in `f64` arithmetic.
+    pub fn solve_f64(problem: &LpProblem) -> Result<Solution<f64>, SimplexError> {
+        solve(problem)
+    }
+
+    /// [`solve`] in exact rational arithmetic.
+    pub fn solve_exact(problem: &LpProblem) -> Result<Solution<Ratio>, SimplexError> {
+        solve(problem)
+    }
+
+    /// [`solve`] with explicit options and a [`SolveObserver`] tap on the run.
+    pub fn solve_with_options_observed<S: Scalar, O: SolveObserver>(
+        problem: &LpProblem,
+        options: &SimplexOptions,
+        obs: &mut O,
+    ) -> Result<Solution<S>, SimplexError> {
+        if O::ENABLED {
+            obs.on_event(SolveEvent::RunStarted);
+        }
+        Tableau::<S>::build(problem).run(problem, options, false, obs)
+    }
+
+    /// Primal warm start: resumes from `basis` when it installs primal
+    /// feasible, and otherwise solves cold.
+    pub fn solve_with_basis<S: Scalar>(
+        problem: &LpProblem,
+        basis: &SolvedBasis,
+    ) -> Result<Solution<S>, SimplexError> {
+        let options = SimplexOptions::default();
+        let mut tableau = Tableau::<S>::build(problem);
+        if basis.fits(tableau.num_rows(), tableau.num_cols(), tableau.n_structural)
+            && tableau.install_basis(&basis.cols)
+            && tableau.rhs.iter().all(|b| !b.is_negative())
+        {
+            return tableau.run(problem, &options, true, &mut NoopObserver);
+        }
+        // The install pivoted the tableau partway; rebuild and solve cold.
+        Tableau::<S>::build(problem).run(problem, &options, false, &mut NoopObserver)
+    }
+
+    /// The dual warm start, rung for rung the ladder of
+    /// [`crate::revised::solve_revised_dual_report_observed`], whose
+    /// [`DualOutcome`], pivots and answer it is the reference for.
+    pub fn solve_dual_with_basis<S: Scalar>(
+        problem: &LpProblem,
+        basis: &SolvedBasis,
+    ) -> Result<(Solution<S>, DualOutcome), SimplexError> {
+        let options = SimplexOptions::default();
+        let obs = &mut NoopObserver;
+        let cold = || Tableau::<S>::build(problem).run(problem, &options, false, &mut NoopObserver);
+        let mut tableau = Tableau::<S>::build(problem);
+        if !basis.fits(tableau.num_rows(), tableau.num_cols(), tableau.n_structural)
+            || !tableau.install_basis(&basis.cols)
+        {
+            return Ok((cold()?, DualOutcome::FellBack));
+        }
+        tableau.drive_out_artificials();
+        let positive_artificial = (0..tableau.num_rows()).any(|i| {
+            tableau.kinds[tableau.basis[i]] == ColKind::Artificial && tableau.rhs[i].is_positive()
+        });
+        if positive_artificial {
+            return Ok((tableau.run(problem, &options, true, obs)?, DualOutcome::FellBack));
+        }
+
+        let primal_feasible = tableau.rhs.iter().all(|b| !b.is_negative());
+        let allowed: Vec<bool> = tableau.kinds.iter().map(|k| *k != ColKind::Artificial).collect();
+        let costs = tableau.costs.clone();
+        let mut reduced = tableau.reduced_cost_row(&costs);
+        let dual_feasible = tableau.choose_entering(&reduced, &allowed, false).is_none();
+        let mut iterations = 0usize;
+        let phase2 = SolvePhase::Phase2;
+        let outcome = match (primal_feasible, dual_feasible) {
+            (true, true) => DualOutcome::StillOptimal,
+            (true, false) => {
+                tableau.optimize(&costs, &allowed, &options, &mut iterations, phase2, obs)?;
+                DualOutcome::PrimalReoptimized { pivots: iterations }
+            }
+            (false, true) => {
+                match tableau.dual_optimize(
+                    &allowed,
+                    &mut reduced,
+                    &options,
+                    &mut iterations,
+                    obs,
+                )? {
+                    DualRun::Restored => {
+                        let pivots = iterations;
+                        tableau.optimize(
+                            &costs,
+                            &allowed,
+                            &options,
+                            &mut iterations,
+                            phase2,
+                            obs,
+                        )?;
+                        DualOutcome::DualRepaired { pivots }
+                    }
+                    DualRun::RatioTestFailed => return Ok((cold()?, DualOutcome::FellBack)),
+                }
+            }
+            (false, false) => return Ok((cold()?, DualOutcome::FellBack)),
+        };
+        Ok((tableau.finish(problem, iterations, 0, true), outcome))
+    }
+
+    /// Dense standard-form tableau.
+    struct Tableau<S> {
+        /// `rows[i]` holds the coefficients of row `i` over all columns.
+        rows: Vec<Vec<S>>,
+        /// Right-hand side per row (kept separately; always `>= 0` in exact
+        /// arithmetic, up to tolerance in `f64`).
+        rhs: Vec<S>,
+        /// Index of the basic column of each row.
+        basis: Vec<usize>,
+        /// Kind of every column.
+        kinds: Vec<ColKind>,
+        /// Phase-2 objective coefficient per column (maximization form).
+        costs: Vec<S>,
+        /// Column that formed the initial identity of each row (used to read the duals).
+        init_col: Vec<usize>,
+        /// Whether the original constraint was negated during rhs normalization.
+        negated: Vec<bool>,
+        /// Number of structural columns.
+        n_structural: usize,
+    }
+
+    impl<S: Scalar> Tableau<S> {
+        fn build(problem: &LpProblem) -> Self {
+            let n = problem.num_vars();
+            let m = problem.num_constraints();
+
+            // Count extra columns.
+            let mut n_slack = 0;
+            let mut n_art = 0;
+            for c in problem.constraints() {
+                let rhs_neg = c.rhs.is_negative();
+                let sense = effective_sense(c.sense, rhs_neg);
+                match sense {
+                    Sense::Le => n_slack += 1,
+                    Sense::Ge => {
+                        n_slack += 1;
+                        n_art += 1;
+                    }
+                    Sense::Eq => n_art += 1,
+                }
+            }
+
+            let total_cols = n + n_slack + n_art;
+            let mut kinds = vec![ColKind::Structural; n];
+            kinds.extend(std::iter::repeat_n(ColKind::Slack, n_slack));
+            kinds.extend(std::iter::repeat_n(ColKind::Artificial, n_art));
+
+            // Phase-2 costs: maximization form.
+            let flip = matches!(problem.direction(), Objective::Minimize);
+            let mut costs = vec![S::zero(); total_cols];
+            for (j, c) in problem.objective_vector().iter().enumerate() {
+                let v = S::from_ratio(c);
+                costs[j] = if flip { v.neg() } else { v };
+            }
+
+            let mut rows = Vec::with_capacity(m);
+            let mut rhs = Vec::with_capacity(m);
+            let mut basis = Vec::with_capacity(m);
+            let mut init_col = Vec::with_capacity(m);
+            let mut negated = Vec::with_capacity(m);
+
+            let mut next_slack = n;
+            let mut next_art = n + n_slack;
+
+            for c in problem.constraints() {
+                let rhs_neg = c.rhs.is_negative();
+                let sense = effective_sense(c.sense, rhs_neg);
+                let mut row = vec![S::zero(); total_cols];
+                for (v, coeff) in c.expr.terms() {
+                    let val = S::from_ratio(coeff);
+                    row[v.index()] = if rhs_neg { val.neg() } else { val };
+                }
+                let b = {
+                    let val = S::from_ratio(&c.rhs);
+                    if rhs_neg {
+                        val.neg()
+                    } else {
+                        val
+                    }
+                };
+                match sense {
+                    Sense::Le => {
+                        row[next_slack] = S::one();
+                        basis.push(next_slack);
+                        init_col.push(next_slack);
+                        next_slack += 1;
+                    }
+                    Sense::Ge => {
+                        row[next_slack] = S::one().neg();
+                        next_slack += 1;
+                        row[next_art] = S::one();
+                        basis.push(next_art);
+                        init_col.push(next_art);
+                        next_art += 1;
+                    }
+                    Sense::Eq => {
+                        row[next_art] = S::one();
+                        basis.push(next_art);
+                        init_col.push(next_art);
+                        next_art += 1;
+                    }
+                }
+                rows.push(row);
+                rhs.push(b);
+                negated.push(rhs_neg);
+            }
+
+            Tableau { rows, rhs, basis, kinds, costs, init_col, negated, n_structural: n }
+        }
+
+        fn num_rows(&self) -> usize {
+            self.rows.len()
+        }
+
+        fn num_cols(&self) -> usize {
+            self.kinds.len()
+        }
+
+        /// Performs a pivot on (`row`, `col`).
+        fn pivot(&mut self, row: usize, col: usize) {
+            let pivot_val = self.rows[row][col].clone();
+            debug_assert!(!pivot_val.is_zero(), "pivot on a zero entry");
+            // Normalize the pivot row.
+            for v in self.rows[row].iter_mut() {
+                if !v.is_zero() {
+                    *v = v.div(&pivot_val);
+                }
+            }
+            self.rhs[row] = self.rhs[row].div(&pivot_val);
+            self.rows[row][col] = S::one();
+
+            // Eliminate the pivot column from all other rows.
+            for i in 0..self.num_rows() {
+                if i == row {
+                    continue;
+                }
+                let factor = self.rows[i][col].clone();
+                if factor.is_zero() {
+                    continue;
+                }
+                let (pivot_row, other_row) = if i < row {
+                    let (a, b) = self.rows.split_at_mut(row);
+                    (&b[0], &mut a[i])
+                } else {
+                    let (a, b) = self.rows.split_at_mut(i);
+                    (&a[row], &mut b[0])
+                };
+                for (dst, src) in other_row.iter_mut().zip(pivot_row.iter()) {
+                    if !src.is_zero() {
+                        *dst = dst.sub(&factor.mul(src));
+                    }
+                }
+                other_row[col] = S::zero();
+                self.rhs[i] = self.rhs[i].sub(&factor.mul(&self.rhs[row]));
+            }
+            self.basis[row] = col;
+        }
+
+        /// Reduced cost of column `j` w.r.t. the cost vector `costs`:
+        /// `r_j = c_j - sum_i c_{basis[i]} * T[i][j]`.
+        fn reduced_cost(&self, costs: &[S], j: usize) -> S {
+            let mut acc = costs[j].clone();
+            for i in 0..self.num_rows() {
+                let cb = &costs[self.basis[i]];
+                if cb.is_zero() {
+                    continue;
+                }
+                let t = &self.rows[i][j];
+                if t.is_zero() {
+                    continue;
+                }
+                acc = acc.sub(&cb.mul(t));
+            }
+            acc
+        }
+
+        /// Full vector of reduced costs (computed from scratch, `O(m n)`).  Used
+        /// once per phase; afterwards the vector is updated incrementally at each
+        /// pivot so that the entering-column choice costs `O(n)`.
+        fn reduced_cost_row(&self, costs: &[S]) -> Vec<S> {
+            (0..self.num_cols()).map(|j| self.reduced_cost(costs, j)).collect()
+        }
+
+        /// Chooses the entering column: Dantzig (largest reduced cost) or Bland
+        /// (smallest index with positive reduced cost).  Columns for which
+        /// `allowed` is false never enter.
+        fn choose_entering(&self, reduced: &[S], allowed: &[bool], bland: bool) -> Option<usize> {
+            let mut best: Option<(usize, &S)> = None;
+            for (j, r) in reduced.iter().enumerate() {
+                if !allowed[j] {
+                    continue;
+                }
+                if r.is_positive() {
+                    if bland {
+                        return Some(j);
+                    }
+                    match &best {
+                        None => best = Some((j, r)),
+                        Some((_, rb)) if rb.lt(r) => best = Some((j, r)),
+                        _ => {}
+                    }
+                }
+            }
+            best.map(|(j, _)| j)
+        }
+
+        /// Ratio test: returns the leaving row, or `None` if the column is
+        /// unbounded.  Ties are broken by the smallest basic variable index
+        /// (lexicographic protection together with Bland's entering rule).
+        fn choose_leaving(&self, col: usize) -> Option<usize> {
+            let mut best: Option<(usize, S)> = None;
+            for i in 0..self.num_rows() {
+                let a = &self.rows[i][col];
+                if !a.is_positive() {
+                    continue;
+                }
+                let ratio = self.rhs[i].div(a);
+                match &best {
+                    None => best = Some((i, ratio)),
+                    Some((bi, br)) => {
+                        if ratio.lt(br) || (!br.lt(&ratio) && self.basis[i] < self.basis[*bi]) {
+                            best = Some((i, ratio));
+                        }
+                    }
+                }
+            }
+            best.map(|(i, _)| i)
+        }
+
+        /// Runs simplex iterations with the given cost vector until optimality.
+        ///
+        /// The reduced-cost row is computed once and updated incrementally at each
+        /// pivot, so that an iteration costs `O(m n)` for the pivot itself plus
+        /// `O(n)` for pricing (instead of `O(m n)` pricing per iteration).
+        fn optimize<O: SolveObserver>(
+            &mut self,
+            costs: &[S],
+            allowed: &[bool],
+            options: &SimplexOptions,
+            iterations: &mut usize,
+            phase: SolvePhase,
+            obs: &mut O,
+        ) -> Result<(), SimplexError> {
+            let default_cap = 50 * (self.num_rows() + self.num_cols()) + 10_000;
+            let cap = options.max_iterations.unwrap_or(default_cap);
+            let mut reduced = self.reduced_cost_row(costs);
+            loop {
+                if *iterations > cap {
+                    return Err(SimplexError::IterationLimit { iterations: *iterations });
+                }
+                let bland = *iterations >= options.bland_after;
+                let Some(col) = self.choose_entering(&reduced, allowed, bland) else {
+                    return Ok(());
+                };
+                let Some(row) = self.choose_leaving(col) else {
+                    return Err(SimplexError::Unbounded);
+                };
+                if O::ENABLED {
+                    obs.on_event(SolveEvent::Pivot {
+                        phase,
+                        kind: PivotKind::Primal,
+                        rule: if bland { PivotRule::Bland } else { PivotRule::Dantzig },
+                        entering: col,
+                        leaving: self.basis[row],
+                        degenerate: self.rhs[row].is_zero(),
+                    });
+                }
+                let entering_cost = reduced[col].clone();
+                self.pivot(row, col);
+                // r <- r - r[col] * (normalized pivot row).
+                for (r, t) in reduced.iter_mut().zip(self.rows[row].iter()) {
+                    if !t.is_zero() {
+                        *r = r.sub(&entering_cost.mul(t));
+                    }
+                }
+                reduced[col] = S::zero();
+                *iterations += 1;
+            }
+        }
+
+        /// Attempts to pivot the tableau onto the supplied basis, ending with
+        /// column `cols[i]` basic in row `i`.  Targets whose pivot entry is currently zero are
+        /// retried after other installs create fill-in; if a full pass makes no
+        /// progress the basis is singular for this problem's data and `false` is
+        /// returned (the tableau is then partially pivoted and must be discarded).
+        /// A successful install says nothing about primal feasibility: the
+        /// induced vertex may have negative basic values, which the *primal*
+        /// simplex cannot start from (its ratio test assumes `rhs >= 0`) but the
+        /// *dual* simplex repairs — callers check `rhs` themselves.
+        fn install_basis(&mut self, cols: &[usize]) -> bool {
+            let m = self.num_rows();
+            let target: std::collections::HashSet<usize> = cols.iter().copied().collect();
+            // A basis is a *set* of columns; which row each one ends up basic in
+            // is irrelevant (the tableau is the same up to row order), and fixing
+            // the row assignment up front would wrongly fail on bases that
+            // permute the current one.  Rows already holding a target column are
+            // claimed; every other target is pivoted into some unclaimed row.
+            let mut claimed: Vec<bool> = (0..m).map(|i| target.contains(&self.basis[i])).collect();
+            let mut pending: Vec<usize> = {
+                let basic: std::collections::HashSet<usize> = self.basis.iter().copied().collect();
+                cols.iter().copied().filter(|c| !basic.contains(c)).collect()
+            };
+            // Multi-pass: a pivot creates fill-in that can unlock a target column
+            // whose entries in the unclaimed rows were all zero so far.
+            while !pending.is_empty() {
+                let before = pending.len();
+                pending.retain(|&c| {
+                    // Pick the unclaimed row with the largest pivot magnitude —
+                    // in exact arithmetic any non-zero works, in f64 it keeps the
+                    // reconstruction well-conditioned.
+                    let row = (0..m).filter(|&r| !claimed[r] && !self.rows[r][c].is_zero()).max_by(
+                        |&a, &b| {
+                            let (va, vb) =
+                                (self.rows[a][c].to_f64().abs(), self.rows[b][c].to_f64().abs());
+                            va.partial_cmp(&vb).unwrap_or(std::cmp::Ordering::Equal)
+                        },
+                    );
+                    match row {
+                        Some(r) => {
+                            self.pivot(r, c);
+                            claimed[r] = true;
+                            false
+                        }
+                        None => true,
+                    }
+                });
+                if pending.len() == before {
+                    return false;
+                }
+            }
+            // Reorder the rows so that row `i` holds `cols[i]`, as the
+            // revised solver's basis position `i` does: the system is the
+            // same, and the row-order tie-breaks then agree with it.
+            let mut row_of = vec![0; self.num_cols()];
+            for (r, &c) in self.basis.iter().enumerate() {
+                row_of[c] = r;
+            }
+            let mut rows = std::mem::take(&mut self.rows);
+            self.rows = cols.iter().map(|&c| std::mem::take(&mut rows[row_of[c]])).collect();
+            self.rhs = cols.iter().map(|&c| self.rhs[row_of[c]].clone()).collect();
+            self.basis = cols.to_vec();
+            true
+        }
+
+        /// Drives artificial variables out of the basis where possible so later
+        /// pivots only touch real columns.  Rows where no real column has a
+        /// non-zero entry are redundant: their artificial stays basic and —
+        /// because every entry an allowed entering column could contribute is
+        /// zero there — its value can never change again.  Shared by the
+        /// two-phase path (between phases) and the warm dual path (right after
+        /// a basis install, where skipping it would let later pivots push a
+        /// basic artificial positive and corrupt the reported optimum).
+        fn drive_out_artificials(&mut self) {
+            for i in 0..self.num_rows() {
+                if self.kinds[self.basis[i]] != ColKind::Artificial {
+                    continue;
+                }
+                let replacement = (0..self.num_cols())
+                    .find(|&j| self.kinds[j] != ColKind::Artificial && !self.rows[i][j].is_zero());
+                if let Some(j) = replacement {
+                    self.pivot(i, j);
+                }
+            }
+        }
+
+        /// Runs **dual simplex** iterations until primal feasibility is restored
+        /// (`rhs >= 0`), assuming the current basis is dual feasible (all allowed
+        /// reduced costs `<= 0`).  Each iteration picks a leaving row with a
+        /// negative basic value (most negative first, smallest basic index under
+        /// the anti-cycling rule) and an entering column by the dual ratio test —
+        /// the allowed column with a negative entry in that row minimizing
+        /// `reduced / entry`, which keeps every reduced cost non-positive — so
+        /// the first primal-feasible basis reached is optimal.
+        ///
+        /// Returns [`DualRun::RatioTestFailed`] when a leaving row has no
+        /// negative entry in any allowed column: the dual is unbounded, i.e. the
+        /// primal is infeasible (callers re-verify that verdict from scratch).
+        ///
+        /// `reduced` is the caller's already-computed reduced-cost row for the
+        /// phase-2 objective (the dual-feasibility probe needs it anyway); it is
+        /// updated incrementally at each pivot, so no `O(m n)` re-pricing
+        /// happens here.
+        ///
+        /// Pivot events are buffered and flushed only on [`DualRun::Restored`]:
+        /// pivots of a run that ends in [`DualRun::RatioTestFailed`] are thrown
+        /// away together with the tableau (the caller re-solves cold and reports
+        /// the fresh run's counts), so emitting them would break the
+        /// events-equal-iterations conservation contract.
+        fn dual_optimize<O: SolveObserver>(
+            &mut self,
+            allowed: &[bool],
+            reduced: &mut [S],
+            options: &SimplexOptions,
+            iterations: &mut usize,
+            obs: &mut O,
+        ) -> Result<DualRun, SimplexError> {
+            let default_cap = 50 * (self.num_rows() + self.num_cols()) + 10_000;
+            let cap = options.max_iterations.unwrap_or(default_cap);
+            let mut pending: Vec<SolveEvent> = Vec::new();
+            loop {
+                if *iterations > cap {
+                    return Err(SimplexError::IterationLimit { iterations: *iterations });
+                }
+                let bland = *iterations >= options.bland_after;
+                let mut row: Option<usize> = None;
+                for i in 0..self.num_rows() {
+                    if !self.rhs[i].is_negative() {
+                        continue;
+                    }
+                    row = Some(match row {
+                        None => i,
+                        Some(r) if bland => {
+                            if self.basis[i] < self.basis[r] {
+                                i
+                            } else {
+                                r
+                            }
+                        }
+                        Some(r) => {
+                            if self.rhs[i].lt(&self.rhs[r]) {
+                                i
+                            } else {
+                                r
+                            }
+                        }
+                    });
+                }
+                let Some(row) = row else {
+                    if O::ENABLED {
+                        for event in pending.drain(..) {
+                            obs.on_event(event);
+                        }
+                    }
+                    return Ok(DualRun::Restored);
+                };
+                // Dual ratio test; iterating in ascending column order keeps the
+                // smallest index on ties, which is Bland-compatible.
+                let mut entering: Option<(usize, S)> = None;
+                for j in 0..self.num_cols() {
+                    if !allowed[j] {
+                        continue;
+                    }
+                    let a = &self.rows[row][j];
+                    if !a.is_negative() {
+                        continue;
+                    }
+                    let ratio = reduced[j].div(a);
+                    match &entering {
+                        None => entering = Some((j, ratio)),
+                        Some((_, best)) if ratio.lt(best) => entering = Some((j, ratio)),
+                        _ => {}
+                    }
+                }
+                let Some((col, _)) = entering else {
+                    return Ok(DualRun::RatioTestFailed);
+                };
+                if O::ENABLED {
+                    pending.push(SolveEvent::Pivot {
+                        phase: SolvePhase::DualRepair,
+                        kind: PivotKind::Dual,
+                        rule: if bland { PivotRule::Bland } else { PivotRule::Dantzig },
+                        entering: col,
+                        leaving: self.basis[row],
+                        degenerate: reduced[col].is_zero(),
+                    });
+                }
+                let entering_cost = reduced[col].clone();
+                self.pivot(row, col);
+                for (r, t) in reduced.iter_mut().zip(self.rows[row].iter()) {
+                    if !t.is_zero() {
+                        *r = r.sub(&entering_cost.mul(t));
+                    }
+                }
+                reduced[col] = S::zero();
+                *iterations += 1;
+            }
+        }
+
+        fn run<O: SolveObserver>(
+            mut self,
+            problem: &LpProblem,
+            options: &SimplexOptions,
+            warm_started: bool,
+            obs: &mut O,
+        ) -> Result<Solution<S>, SimplexError> {
+            let mut iterations = 0usize;
+
+            // ---- Phase 1: minimize the sum of artificial variables. ----
+            //
+            // Cold, phase 1 runs whenever artificials exist: even when they all
+            // start at zero (all-zero-rhs equality rows, common in the flow LPs),
+            // its pivots select a *well-conditioned* feasible basis, and skipping
+            // it leaves phase 2 to fight the degeneracy from an arbitrary one —
+            // observed as a >100x pivot blow-up on the steady-state reduce LPs.
+            // Warm, the installed basis was optimal for a sibling problem, so
+            // phase 1 is only needed if it leaves an artificial basic at a
+            // strictly positive value (i.e. the basis is infeasible here).
+            let needs_phase1 = if warm_started {
+                (0..self.num_rows()).any(|i| {
+                    self.kinds[self.basis[i]] == ColKind::Artificial && self.rhs[i].is_positive()
+                })
+            } else {
+                self.kinds.contains(&ColKind::Artificial)
+            };
+            if needs_phase1 {
+                if O::ENABLED {
+                    obs.on_event(SolveEvent::PhaseStarted { phase: SolvePhase::Phase1 });
+                }
+                let phase1_costs: Vec<S> = self
+                    .kinds
+                    .iter()
+                    .map(|k| if *k == ColKind::Artificial { S::one().neg() } else { S::zero() })
+                    .collect();
+                let allowed: Vec<bool> = vec![true; self.num_cols()];
+                self.optimize(
+                    &phase1_costs,
+                    &allowed,
+                    options,
+                    &mut iterations,
+                    SolvePhase::Phase1,
+                    obs,
+                )?;
+
+                // Feasible iff all artificials are zero, i.e. phase-1 objective is 0.
+                let mut infeasibility = S::zero();
+                for i in 0..self.num_rows() {
+                    if self.kinds[self.basis[i]] == ColKind::Artificial {
+                        infeasibility = infeasibility.add(&self.rhs[i]);
+                    }
+                }
+                if infeasibility.is_positive() {
+                    return Err(SimplexError::Infeasible);
+                }
+            }
+            let phase1_iterations = iterations;
+
+            self.drive_out_artificials();
+
+            // ---- Phase 2: optimize the real objective, artificials locked out. ----
+            if O::ENABLED {
+                obs.on_event(SolveEvent::PhaseStarted { phase: SolvePhase::Phase2 });
+            }
+            let allowed: Vec<bool> = self.kinds.iter().map(|k| *k != ColKind::Artificial).collect();
+            let costs = self.costs.clone();
+            self.optimize(&costs, &allowed, options, &mut iterations, SolvePhase::Phase2, obs)?;
+
+            Ok(self.finish(problem, iterations, phase1_iterations, warm_started))
+        }
+
+        /// Reads the primal solution, objective, duals and final basis out of an
+        /// optimized tableau.  Shared by the two-phase [`Tableau::run`] and the
+        /// dual-simplex path, which reach optimality by different pivot
+        /// sequences but extract the result identically.
+        fn finish(
+            self,
+            problem: &LpProblem,
+            iterations: usize,
+            phase1_iterations: usize,
+            warm_started: bool,
+        ) -> Solution<S> {
+            let costs = self.costs.clone();
+
+            // ---- Extract the primal solution. ----
+            let mut values = vec![S::zero(); self.n_structural];
+            for i in 0..self.num_rows() {
+                let j = self.basis[i];
+                if j < self.n_structural {
+                    values[j] = clamp_nonneg(self.rhs[i].clone());
+                }
+            }
+
+            // Objective in maximization form, then flip back for minimization problems.
+            let mut objective = S::zero();
+            for (j, c) in costs.iter().enumerate().take(self.n_structural) {
+                if !c.is_zero() && !values[j].is_zero() {
+                    objective = objective.add(&c.mul(&values[j]));
+                }
+            }
+            let minimize = matches!(problem.direction(), Objective::Minimize);
+            if minimize {
+                objective = objective.neg();
+            }
+
+            // ---- Extract the duals: y_i = c_B^T B^{-1} e_i, read from the column
+            // that formed the initial identity of row i.  `costs` are in
+            // maximization form, so a minimization's duals flip back with its
+            // objective: they are reported in the problem's own sense. ----
+            let mut duals = Vec::with_capacity(self.num_rows());
+            for i in 0..self.num_rows() {
+                let col = self.init_col[i];
+                let mut y = S::zero();
+                for r in 0..self.num_rows() {
+                    let cb = &costs[self.basis[r]];
+                    if cb.is_zero() {
+                        continue;
+                    }
+                    let t = &self.rows[r][col];
+                    if t.is_zero() {
+                        continue;
+                    }
+                    y = y.add(&cb.mul(t));
+                }
+                if self.negated[i] != minimize {
+                    y = y.neg();
+                }
+                duals.push(y);
+            }
+
+            let basis = SolvedBasis {
+                cols: self.basis.clone(),
+                num_cols: self.num_cols(),
+                n_structural: self.n_structural,
+            };
+            Solution {
+                values,
+                objective,
+                duals,
+                iterations,
+                phase1_iterations,
+                warm_started,
+                basis,
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::dense::*;
+    use super::*;
+    use crate::instrument::{
+        NoopObserver, RecordingObserver, SolveEvent, SolvePhase, SolveRecording,
+    };
     use crate::model::{LinearExpr, LpProblem};
+    use crate::revised::{self, RevisedOptions};
+    use proptest::prelude::*;
     use steady_rational::{rat, Ratio};
 
     fn expr(terms: &[(crate::model::VarId, Ratio)]) -> LinearExpr {
@@ -1394,7 +1297,7 @@ mod tests {
     fn dual_solver_reprices_the_unchanged_problem_with_zero_pivots() {
         let lp = sample_lp();
         let cold = solve_exact(&lp).unwrap();
-        let (sol, outcome) = solve_dual_with_basis::<Ratio>(&lp, &cold.basis).unwrap();
+        let (sol, outcome) = dual_both(&lp, &cold.basis).unwrap();
         assert_eq!(outcome, DualOutcome::StillOptimal);
         assert_eq!(sol.iterations, 0);
         assert!(sol.warm_started);
@@ -1420,7 +1323,7 @@ mod tests {
         tight.add_constraint("c1", expr(&[(x, rat(1, 1)), (y, rat(1, 1))]), Sense::Le, rat(4, 1));
         tight.add_constraint("c2", expr(&[(x, rat(1, 1)), (y, rat(3, 1))]), Sense::Le, rat(2, 1));
         let cold = solve_exact(&tight).unwrap();
-        let (warm, outcome) = solve_dual_with_basis::<Ratio>(&tight, &old.basis).unwrap();
+        let (warm, outcome) = dual_both(&tight, &old.basis).unwrap();
         assert_eq!(warm.objective, cold.objective);
         assert_eq!(warm.objective, rat(6, 1));
         assert_eq!(warm.values, cold.values);
@@ -1451,11 +1354,17 @@ mod tests {
         shrunk.add_constraint("a", expr(&[(x, rat(1, 1)), (y, rat(2, 1))]), Sense::Le, rat(2, 1));
         shrunk.add_constraint("b", expr(&[(x, rat(3, 1)), (y, rat(1, 1))]), Sense::Le, rat(9, 1));
         let cold = solve_exact(&shrunk).unwrap();
-        let (warm, outcome) = solve_dual_with_basis::<Ratio>(&shrunk, &basis).unwrap();
+        let (warm, outcome) = dual_both(&shrunk, &basis).unwrap();
         assert_eq!(warm.objective, cold.objective);
         assert_eq!(warm.values, cold.values);
         assert!(matches!(outcome, DualOutcome::StillOptimal | DualOutcome::DualRepaired { .. }));
-        let (warm_f64, _) = solve_dual_with_basis::<f64>(&shrunk, &basis).unwrap();
+        let (warm_f64, _, _) = revised::solve_revised_dual_report_observed::<f64, _>(
+            &shrunk,
+            &basis,
+            &RevisedOptions::default(),
+            &mut NoopObserver,
+        )
+        .unwrap();
         assert!((warm_f64.objective - cold.objective.to_f64()).abs() < 1e-9);
     }
 
@@ -1476,10 +1385,7 @@ mod tests {
         infeasible.set_objective(x, rat(1, 1));
         infeasible.add_constraint("lo", expr(&[(x, rat(1, 1))]), Sense::Ge, rat(5, 1));
         infeasible.add_constraint("hi", expr(&[(x, rat(1, 1))]), Sense::Le, rat(3, 1));
-        assert_eq!(
-            solve_dual_with_basis::<Ratio>(&infeasible, &basis).unwrap_err(),
-            SimplexError::Infeasible
-        );
+        assert_eq!(dual_both(&infeasible, &basis).unwrap_err(), SimplexError::Infeasible);
     }
 
     #[test]
@@ -1510,7 +1416,7 @@ mod tests {
         let stale = SolvedBasis { cols: vec![0, 2, 4], num_cols: 5, n_structural: 2 };
         let cold = solve_exact(&drifted).unwrap();
         assert_eq!(cold.values, vec![rat(2, 1), rat(0, 1)]);
-        let (warm, _) = solve_dual_with_basis::<Ratio>(&drifted, &stale).unwrap();
+        let (warm, _) = dual_both(&drifted, &stale).unwrap();
         assert!(
             drifted.check_feasible(&warm.values).is_ok(),
             "dual reuse returned an infeasible point: {:?}",
@@ -1524,7 +1430,7 @@ mod tests {
     fn dual_solver_falls_back_on_foreign_or_singular_bases() {
         let lp = sample_lp();
         let foreign = SolvedBasis { cols: vec![0, 1, 2], num_cols: 9, n_structural: 3 };
-        let (sol, outcome) = solve_dual_with_basis::<Ratio>(&lp, &foreign).unwrap();
+        let (sol, outcome) = dual_both(&lp, &foreign).unwrap();
         assert_eq!(outcome, DualOutcome::FellBack);
         assert!(!sol.warm_started);
         assert_eq!(sol.objective, rat(12, 1));
@@ -1537,7 +1443,7 @@ mod tests {
         // take the primal phase-2 path from the installed vertex.
         let lp = sample_lp();
         let slack_basis = SolvedBasis { cols: vec![2, 3], num_cols: 4, n_structural: 2 };
-        let (sol, outcome) = solve_dual_with_basis::<Ratio>(&lp, &slack_basis).unwrap();
+        let (sol, outcome) = dual_both(&lp, &slack_basis).unwrap();
         assert!(matches!(outcome, DualOutcome::PrimalReoptimized { pivots } if pivots >= 1));
         assert!(sol.warm_started);
         assert_eq!(sol.objective, rat(12, 1));
@@ -1561,14 +1467,14 @@ mod tests {
 
         // Inside: b1 = 5 re-prices StillOptimal, and the objective moves by
         // the row's dual price.
-        let (warm, outcome) = solve_dual_with_basis::<Ratio>(&with_b1(5), &cold.basis).unwrap();
+        let (warm, outcome) = dual_both(&with_b1(5), &cold.basis).unwrap();
         assert_eq!(outcome, DualOutcome::StillOptimal);
         assert_eq!(warm.iterations, 0);
         assert_eq!(warm.objective, &cold.objective + &cold.duals[0]);
 
         // Outside: b1 = 7 drives s2 negative, which only a dual pivot repairs.
         let outside = with_b1(7);
-        let (repaired, outcome) = solve_dual_with_basis::<Ratio>(&outside, &cold.basis).unwrap();
+        let (repaired, outcome) = dual_both(&outside, &cold.basis).unwrap();
         assert!(matches!(outcome, DualOutcome::DualRepaired { pivots } if pivots >= 1));
         assert_eq!(repaired.objective, solve_exact(&outside).unwrap().objective);
     }
@@ -1620,6 +1526,350 @@ mod tests {
             );
             // The exact solution must be feasible for the original problem.
             assert!(lp.check_feasible(&exact.values).is_ok());
+        }
+    }
+
+    // ---- The revised solver against this oracle ----
+
+    /// Asserts that `revised` is `dense` bit for bit: values, objective,
+    /// duals, basis, and the pivots of both phases.
+    fn assert_bit_identical(revised: &Solution<Ratio>, dense: &Solution<Ratio>) {
+        assert_eq!(revised.values, dense.values);
+        assert_eq!(revised.objective, dense.objective);
+        assert_eq!(revised.duals, dense.duals);
+        assert_eq!(revised.basis, dense.basis);
+        assert_eq!(revised.iterations, dense.iterations);
+        assert_eq!(revised.phase1_iterations, dense.phase1_iterations);
+        assert_eq!(revised.warm_started, dense.warm_started);
+    }
+
+    fn revised_dual(
+        lp: &LpProblem,
+        basis: &SolvedBasis,
+    ) -> Result<(Solution<Ratio>, DualOutcome), SimplexError> {
+        let options = RevisedOptions::default();
+        revised::solve_revised_dual_report_observed(lp, basis, &options, &mut NoopObserver)
+            .map(|(sol, outcome, _)| (sol, outcome))
+    }
+
+    /// The revised dual over `Ratio`, held rung for rung and bit for bit to
+    /// the oracle's on LPs whose crash is the identity start.
+    fn dual_both(
+        lp: &LpProblem,
+        basis: &SolvedBasis,
+    ) -> Result<(Solution<Ratio>, DualOutcome), SimplexError> {
+        let revised = revised_dual(lp, basis);
+        match (&revised, solve_dual_with_basis::<Ratio>(lp, basis)) {
+            (Ok((sol, outcome)), Ok((dense, dense_outcome))) => {
+                assert_eq!(*outcome, dense_outcome);
+                assert_bit_identical(sol, &dense);
+            }
+            (revised, dense) => assert_eq!(revised.as_ref().err(), dense.err().as_ref()),
+        }
+        revised
+    }
+
+    #[derive(Debug, Clone)]
+    struct RandomLp {
+        num_vars: usize,
+        objective: Vec<(i64, i64)>,
+        /// Each constraint: coefficients (numer, denom) per variable plus a rhs.
+        constraints: Vec<(Vec<(i64, i64)>, i64)>,
+    }
+
+    fn random_lp_strategy() -> impl Strategy<Value = RandomLp> {
+        (2usize..5, 1usize..5).prop_flat_map(|(nv, nc)| {
+            let coeff = (0i64..6, 1i64..4);
+            let objective = proptest::collection::vec((1i64..8, 1i64..3), nv);
+            let constraint = (proptest::collection::vec(coeff, nv), 1i64..25);
+            let constraints = proptest::collection::vec(constraint, nc);
+            (objective, constraints).prop_map(move |(objective, constraints)| RandomLp {
+                num_vars: nv,
+                objective,
+                constraints,
+            })
+        })
+    }
+
+    /// Builds the LP; every variable also gets an individual upper bound so
+    /// the problem is always bounded and feasible (origin is feasible).
+    fn build(lp_desc: &RandomLp) -> LpProblem {
+        let mut lp = LpProblem::maximize();
+        let vars: Vec<_> = (0..lp_desc.num_vars).map(|i| lp.add_var(format!("x{i}"))).collect();
+        for (v, (n, d)) in vars.iter().zip(&lp_desc.objective) {
+            lp.set_objective(*v, rat(*n, *d));
+        }
+        for (ci, (coeffs, rhs)) in lp_desc.constraints.iter().enumerate() {
+            let mut e = LinearExpr::new();
+            for (v, (n, d)) in vars.iter().zip(coeffs) {
+                e.add_term(*v, rat(*n, *d));
+            }
+            if !e.is_empty() {
+                lp.add_constraint(format!("c{ci}"), e, Sense::Le, rat(*rhs, 1));
+            }
+        }
+        for (i, v) in vars.iter().enumerate() {
+            lp.add_constraint(format!("ub{i}"), LinearExpr::var(*v), Sense::Le, rat(50, 1));
+        }
+        lp
+    }
+
+    /// Adds the row shapes the steady-state LPs live in: an equality tying a
+    /// mirror variable to `x0` and a redundant `>=` floor, both with rhs 0 —
+    /// the artificial-column regime.
+    fn augment_with_eq_and_ge(lp: &mut LpProblem) {
+        let vars: Vec<_> = lp.vars().collect();
+        let mirror = lp.add_var("mirror");
+        lp.add_constraint(
+            "tie",
+            expr(&[(vars[0], rat(1, 1)), (mirror, rat(-1, 1))]),
+            Sense::Eq,
+            rat(0, 1),
+        );
+        lp.add_constraint(
+            "floor",
+            expr(&[(vars[0], rat(1, 1)), (mirror, rat(1, 1))]),
+            Sense::Ge,
+            rat(0, 1),
+        );
+    }
+
+    /// Rows with a nonzero rhs beside the zero-rhs ones: an equality pinning
+    /// a fresh variable to `x1`'s complement and a `>=` floor on `x0`.  Their
+    /// artificials start at a positive level, so phase 1 runs from the crash.
+    fn augment_with_nonzero_eq_and_ge(lp: &mut LpProblem, floor: &Ratio) {
+        let vars: Vec<_> = lp.vars().collect();
+        let pinned = lp.add_var("pinned");
+        lp.add_constraint(
+            "pin",
+            expr(&[(vars[1], rat(1, 1)), (pinned, rat(1, 1))]),
+            Sense::Eq,
+            rat(7, 2),
+        );
+        lp.add_constraint("floor0", LinearExpr::var(vars[0]), Sense::Ge, floor.clone());
+    }
+
+    /// `lp` with every objective coefficient and every rhs multiplied by a
+    /// positive rational factor, cycling through the given `(n, d)` pairs.
+    fn scale(lp: &LpProblem, cost_scales: &[(i64, i64)], rhs_scales: &[(i64, i64)]) -> LpProblem {
+        let mut out = LpProblem::maximize();
+        let vars: Vec<_> = lp.vars().map(|v| out.add_var(lp.var_name(v))).collect();
+        for (j, v) in lp.vars().enumerate() {
+            let (n, d) = cost_scales[j % cost_scales.len()];
+            out.set_objective(vars[j], lp.objective_coeff(v) * &rat(n, d));
+        }
+        for (i, c) in lp.constraints().iter().enumerate() {
+            let mut e = LinearExpr::new();
+            for (v, coeff) in c.expr.terms() {
+                e.add_term(vars[v.index()], coeff.clone());
+            }
+            let (n, d) = rhs_scales[i % rhs_scales.len()];
+            out.add_constraint(c.name.clone(), e, c.sense, &c.rhs * &rat(n, d));
+        }
+        out
+    }
+
+    /// What the cold crash start found, and whether phase 1 ran after it.
+    fn crash_report(lp: &LpProblem) -> (usize, usize, bool) {
+        let mut rec = RecordingObserver::unbounded();
+        let options = RevisedOptions::default();
+        let _ = revised::solve_revised_report_observed::<Ratio, _>(lp, None, &options, &mut rec);
+        let events = rec.finish().events;
+        let crash = events.iter().find_map(|e| match e.event {
+            SolveEvent::CrashStart { open_rows, covered } => Some((open_rows, covered)),
+            _ => None,
+        });
+        let (open_rows, covered) = crash.expect("a cold revised solve reports its crash");
+        let phase1 = events
+            .iter()
+            .any(|e| e.event == SolveEvent::PhaseStarted { phase: SolvePhase::Phase1 });
+        (open_rows, covered, phase1)
+    }
+
+    fn revised_warm(lp: &LpProblem, basis: &SolvedBasis) -> Solution<Ratio> {
+        let options = RevisedOptions::default();
+        revised::solve_revised_report_observed(lp, Some(basis), &options, &mut NoopObserver)
+            .unwrap()
+            .0
+    }
+
+    fn pivot_counts(rec: &SolveRecording) -> (usize, usize) {
+        let pivots = rec.events.iter().filter_map(|e| match e.event {
+            SolveEvent::Pivot { phase, .. } => Some(phase),
+            _ => None,
+        });
+        pivots.fold((0, 0), |(all, p1), phase| {
+            (all + 1, p1 + usize::from(phase == SolvePhase::Phase1))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn revised_matches_dense_bit_for_bit(desc in random_lp_strategy()) {
+            // No row is open, so the crash is the identity start: cold runs
+            // assign rows identically, and even the basis *ordering* and the
+            // pivot counts coincide.
+            let lp = build(&desc);
+            prop_assert_eq!(crash_report(&lp), (0, 0, false));
+            assert_bit_identical(&revised::solve_exact(&lp).unwrap(), &solve_exact(&lp).unwrap());
+        }
+
+        #[test]
+        fn revised_matches_dense_on_eq_and_ge_rows(
+            desc in random_lp_strategy(),
+            floor in (0i64..4, 1i64..12),
+        ) {
+            let mut lp = build(&desc);
+            augment_with_eq_and_ge(&mut lp);
+            let dense = solve_exact(&lp).unwrap();
+            let revised = revised::solve_exact(&lp).unwrap();
+            prop_assert_eq!(&revised.objective, &dense.objective);
+            // Exactly: `lp.check_feasible(values)`, dual feasibility, zero gap.
+            prop_assert_eq!(
+                crate::exact::check_optimal(&lp, &revised.values, &revised.duals),
+                Ok(dense.objective.clone())
+            );
+            // Both zero-rhs rows are crashed, so nothing is left for phase 1.
+            prop_assert_eq!(crash_report(&lp), (2, 2, false));
+            prop_assert_eq!(revised.phase1_iterations, 0);
+
+            // With nonzero-rhs `=` / `>=` rows mixed in the crash takes the
+            // same two rows, phase 1 handles the rest (unless the floor is 0
+            // and its row open too), and the verdict is still the dense one.
+            augment_with_nonzero_eq_and_ge(&mut lp, &rat(floor.0, floor.1));
+            let (open_rows, covered, phase1) = crash_report(&lp);
+            prop_assert_eq!(open_rows, covered);
+            prop_assert_eq!(open_rows, if floor.0 == 0 { 3 } else { 2 });
+            prop_assert!(phase1);
+            match (solve_exact(&lp), revised::solve_exact(&lp)) {
+                (Ok(dense), Ok(revised)) => {
+                    prop_assert_eq!(&revised.objective, &dense.objective);
+                    prop_assert_eq!(
+                        crate::exact::check_optimal(&lp, &revised.values, &revised.duals),
+                        Ok(dense.objective)
+                    );
+                }
+                (dense, revised) => prop_assert_eq!(revised.err(), dense.err()),
+            }
+        }
+
+        #[test]
+        fn bases_cross_install_between_the_solvers(desc in random_lp_strategy()) {
+            let mut lp = build(&desc);
+            augment_with_eq_and_ge(&mut lp);
+            let dense = solve_exact(&lp).unwrap();
+            let revised = revised::solve_exact(&lp).unwrap();
+
+            // The revised solver's basis is a valid SolvedBasis for the
+            // dense tableau: it installs (warm) and re-proves the optimum
+            // with zero pivots — possibly at another optimal vertex than the
+            // dense cold solve's, since the revised one was reached from the
+            // crash.
+            let dense_warm = solve_with_basis::<Ratio>(&lp, &revised.basis).unwrap();
+            prop_assert!(dense_warm.warm_started);
+            prop_assert_eq!(dense_warm.iterations, 0);
+            prop_assert_eq!(&dense_warm.objective, &dense.objective);
+            prop_assert_eq!(
+                crate::exact::check_optimal(&lp, &dense_warm.values, &dense_warm.duals),
+                Ok(dense.objective.clone())
+            );
+
+            // Symmetrically the dense basis on the revised solver — a warm
+            // start from the same basis, so bit for bit the dense solution.
+            let revised_warm = revised_warm(&lp, &dense.basis);
+            prop_assert!(revised_warm.warm_started);
+            prop_assert_eq!(revised_warm.iterations, 0);
+            prop_assert_eq!(&revised_warm.values, &dense.values);
+            prop_assert_eq!(&revised_warm.objective, &dense.objective);
+            prop_assert_eq!(&revised_warm.duals, &dense.duals);
+        }
+
+        #[test]
+        fn warm_starts_from_a_stale_basis_still_agree(
+            desc in random_lp_strategy(),
+            cost_scales in proptest::collection::vec((1i64..6, 1i64..6), 8),
+        ) {
+            // Perturb the costs after solving, then resume both solvers from
+            // the now-stale basis: warm and cold, dense and revised must all
+            // land on the same exact optimum (the vertex they re-optimize
+            // from differs from the cold start, so only the *answer* is
+            // asserted, not the pivot count).
+            let mut lp = build(&desc);
+            augment_with_eq_and_ge(&mut lp);
+            let basis = solve_exact(&lp).unwrap().basis;
+            let lp = scale(&lp, &cost_scales, &[(1, 1)]);
+
+            let cold = solve_exact(&lp).unwrap();
+            let dense_warm = solve_with_basis::<Ratio>(&lp, &basis).unwrap();
+            let revised_warm = revised_warm(&lp, &basis);
+            prop_assert_eq!(&dense_warm.objective, &cold.objective);
+            prop_assert_eq!(&revised_warm.objective, &cold.objective);
+            prop_assert_eq!(&revised_warm.values, &dense_warm.values);
+            prop_assert_eq!(&revised_warm.duals, &dense_warm.duals);
+            prop_assert_eq!(revised_warm.warm_started, dense_warm.warm_started);
+            prop_assert!(lp.check_feasible(&revised_warm.values).is_ok());
+        }
+
+        #[test]
+        fn dense_solve_is_unchanged_and_conserving_under_observation(desc in random_lp_strategy()) {
+            let mut lp = build(&desc);
+            augment_with_eq_and_ge(&mut lp);
+            let plain = solve_exact(&lp).unwrap();
+
+            let mut rec = RecordingObserver::unbounded();
+            let observed = solve_with_options_observed::<Ratio, _>(
+                &lp, &SimplexOptions::default(), &mut rec,
+            ).unwrap();
+            let recording = rec.finish();
+
+            prop_assert_eq!(&observed.values, &plain.values);
+            prop_assert_eq!(&observed.objective, &plain.objective);
+            prop_assert_eq!(&observed.duals, &plain.duals);
+            prop_assert_eq!(&observed.basis.cols, &plain.basis.cols);
+            prop_assert_eq!(observed.iterations, plain.iterations);
+            prop_assert_eq!(observed.phase1_iterations, plain.phase1_iterations);
+
+            let (pivots, phase1) = pivot_counts(&recording);
+            prop_assert_eq!(pivots, plain.iterations);
+            prop_assert_eq!(phase1, plain.phase1_iterations);
+            prop_assert_eq!(recording.health.pivots, plain.iterations);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn revised_dual_takes_the_dense_oracles_pivots(
+            desc in random_lp_strategy(),
+            cost_scales in proptest::collection::vec((1i64..6, 1i64..6), 8),
+            rhs_scales in proptest::collection::vec((1i64..6, 1i64..6), 8),
+        ) {
+            // Solve, keep the optimal basis, perturb every cost and every
+            // rhs, and resume both duals from the stale basis: same rung,
+            // same pivots, the same answer bit for bit — on a `Le`-only LP
+            // and on its Eq/Ge-augmented twin.
+            let le_only = build(&desc);
+            let mut augmented = le_only.clone();
+            augment_with_eq_and_ge(&mut augmented);
+            for base in [le_only, augmented] {
+                let basis = solve_exact(&base).unwrap().basis;
+                let drifted = scale(&base, &cost_scales, &rhs_scales);
+                let (sol, outcome) = revised_dual(&drifted, &basis).unwrap();
+                let (dense, dense_outcome) = solve_dual_with_basis::<Ratio>(&drifted, &basis).unwrap();
+                prop_assert_eq!(outcome, dense_outcome);
+                if outcome == DualOutcome::FellBack && sol.basis != dense.basis {
+                    // A cold restart starts from the crash, not the identity
+                    // (they differ only on the augmented LP): it is the
+                    // revised cold solve, at the oracle's optimum.
+                    assert_bit_identical(&sol, &revised::solve_exact(&drifted).unwrap());
+                    prop_assert_eq!(&sol.objective, &dense.objective);
+                } else {
+                    assert_bit_identical(&sol, &dense);
+                }
+            }
         }
     }
 }

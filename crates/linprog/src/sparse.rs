@@ -3,9 +3,9 @@
 //!
 //! The steady-state collective LPs are overwhelmingly sparse — each
 //! constraint row touches one node's in/out edges, so a column carries a
-//! handful of nonzeros regardless of platform size.  The dense tableau
-//! ([`crate::simplex`]) stores and updates all `m · n` entries anyway; the
-//! revised simplex instead keeps the constraint matrix in the compressed
+//! handful of nonzeros regardless of platform size.  A dense tableau (the
+//! tests' oracle in [`crate::simplex`]) stores and updates all `m · n`
+//! entries anyway; the revised simplex instead keeps the constraint matrix in the compressed
 //! sparse column form defined here and only ever factorizes the `m × m`
 //! basis.
 //!
@@ -18,7 +18,7 @@
 //!   [`LpProblem`]
 //!   (structural columns, then slacks, then artificials) built with
 //!   **exactly** the same column ordering, right-hand-side normalization
-//!   and cost conventions as the dense `Tableau::build`, so a
+//!   and cost conventions as the dense oracle's tableau build, so a
 //!   [`SolvedBasis`](crate::simplex::SolvedBasis) produced by either solver
 //!   installs on the other — and `StandardForm::crash_basis`, the
 //!   triangular basis the revised solver starts cold from.
@@ -115,7 +115,7 @@ impl<S: Scalar> CscMatrix<S> {
 
 /// The equality standard form of an [`LpProblem`], in sparse storage.
 ///
-/// Mirrors the dense `Tableau::build` bit for bit: same column order
+/// Mirrors the dense oracle's tableau build bit for bit: same column order
 /// (structural, slacks in constraint order, artificials in constraint
 /// order), same negation of rows with a negative right-hand side, same
 /// maximization-form costs.  `init_basis[i]` is the slack or artificial

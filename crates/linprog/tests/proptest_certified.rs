@@ -5,7 +5,7 @@
 //! degenerate optima, minimizations, and infeasible and unbounded programs.
 //! Each goes through [`solve_exact_auto`] cold, and through
 //! [`solve_exact_dual_auto`] from the optimal basis of a perturbed copy.
-//! Both must return the dense exact simplex's verdict or objective, with a
+//! Both must return the exact simplex's verdict or objective, with a
 //! primal/dual pair that [`check_optimal`] accepts.
 
 use proptest::prelude::*;
@@ -69,7 +69,7 @@ fn build(desc: &RandomLp, cost_scale: &[(i64, i64)], rhs_shift: i64) -> LpProble
     lp
 }
 
-/// The certified answer agrees with the dense exact simplex: the same error
+/// The certified answer agrees with the exact simplex: the same error
 /// verdict, or the same objective proven by the answer's own primal/dual
 /// pair.
 fn agrees(

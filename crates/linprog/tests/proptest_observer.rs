@@ -2,8 +2,8 @@
 //!
 //! 1. **Observation never changes results** — a solve with any observer
 //!    attached returns bit-identical values, objective, duals, basis and
-//!    per-phase pivot counts to the unobserved solve, on the dense, revised
-//!    and dual-simplex paths.
+//!    per-phase pivot counts to the unobserved solve, on the revised primal
+//!    and dual-simplex paths and through the certified pipeline.
 //! 2. **Event-stream conservation** — `Pivot` events equal the reported
 //!    `iterations` (and phase-1 pivot events equal `phase1_iterations`):
 //!    uncounted pivots (basis installs, artificial drive-out) emit no
@@ -11,10 +11,10 @@
 
 use proptest::prelude::*;
 use steady_lp::{
-    solve_dual_with_basis, solve_dual_with_basis_options_observed, solve_exact, solve_exact_auto,
-    solve_exact_auto_observed, solve_revised, solve_revised_report_observed,
-    solve_with_options_observed, LinearExpr, LpProblem, RecordingObserver, RevisedOptions, Sense,
-    SimplexOptions, SolveEvent, SolvePhase, SolveRecording,
+    solve_exact, solve_exact_auto, solve_exact_auto_observed, solve_exact_dual_auto,
+    solve_exact_dual_auto_observed, solve_revised_dual_report_observed,
+    solve_revised_report_observed, LinearExpr, LpProblem, NoopObserver, RecordingObserver,
+    RevisedOptions, Sense, SolveEvent, SolvePhase, SolveRecording,
 };
 use steady_rational::{rat, Ratio};
 
@@ -92,35 +92,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn dense_solve_is_unchanged_and_conserving_under_observation(desc in random_lp_strategy()) {
-        let mut lp = build(&desc);
-        augment_with_eq_and_ge(&mut lp);
-        let plain = solve_exact(&lp).unwrap();
-
-        let mut rec = RecordingObserver::unbounded();
-        let observed = solve_with_options_observed::<Ratio, _>(
-            &lp, &SimplexOptions::default(), &mut rec,
-        ).unwrap();
-        let recording = rec.finish();
-
-        prop_assert_eq!(&observed.values, &plain.values);
-        prop_assert_eq!(&observed.objective, &plain.objective);
-        prop_assert_eq!(&observed.duals, &plain.duals);
-        prop_assert_eq!(&observed.basis.cols, &plain.basis.cols);
-        prop_assert_eq!(observed.iterations, plain.iterations);
-        prop_assert_eq!(observed.phase1_iterations, plain.phase1_iterations);
-
-        let (pivots, phase1) = pivot_counts(&recording);
-        prop_assert_eq!(pivots, plain.iterations);
-        prop_assert_eq!(phase1, plain.phase1_iterations);
-        prop_assert_eq!(recording.health.pivots, plain.iterations);
-    }
-
-    #[test]
     fn revised_solve_is_unchanged_and_conserving_under_observation(desc in random_lp_strategy()) {
         let mut lp = build(&desc);
         augment_with_eq_and_ge(&mut lp);
-        let plain = solve_revised::<Ratio>(&lp).unwrap();
+        let plain = solve_exact(&lp).unwrap();
 
         let mut rec = RecordingObserver::unbounded();
         let (observed, stats) = solve_revised_report_observed::<Ratio, _>(
@@ -160,11 +135,14 @@ proptest! {
             lp.set_objective(v, scaled);
         }
 
-        let (plain, plain_outcome) = solve_dual_with_basis::<Ratio>(&lp, &basis).unwrap();
+        let options = RevisedOptions::default();
+        let (plain, plain_outcome, plain_stats) = solve_revised_dual_report_observed::<Ratio, _>(
+            &lp, &basis, &options, &mut NoopObserver,
+        ).unwrap();
 
         let mut rec = RecordingObserver::unbounded();
-        let (observed, outcome) = solve_dual_with_basis_options_observed::<Ratio, _>(
-            &lp, &basis, &SimplexOptions::default(), &mut rec,
+        let (observed, outcome, stats) = solve_revised_dual_report_observed::<Ratio, _>(
+            &lp, &basis, &options, &mut rec,
         ).unwrap();
         let recording = rec.finish();
 
@@ -176,9 +154,13 @@ proptest! {
         prop_assert_eq!(observed.iterations, plain.iterations);
         prop_assert_eq!(observed.phase1_iterations, plain.phase1_iterations);
 
+        prop_assert_eq!(stats, plain_stats);
+
         let (pivots, phase1) = pivot_counts(&recording);
         prop_assert_eq!(pivots, plain.iterations);
         prop_assert_eq!(phase1, plain.phase1_iterations);
+        prop_assert_eq!(recording.health.refactorizations, stats.refactorizations);
+        prop_assert_eq!(recording.health.peak_eta, stats.peak_eta);
     }
 
     #[test]
@@ -206,6 +188,53 @@ proptest! {
                 prop_assert_eq!(pivots, plain.iterations);
             }
             _ => prop_assert!(pivots >= plain.iterations),
+        }
+    }
+
+    #[test]
+    fn certified_dual_route_reconciles_with_reported_counters(
+        desc in random_lp_strategy(),
+        cost_scales in proptest::collection::vec((1i64..6, 1i64..6), 8),
+    ) {
+        // The drift-triage route: a stale basis, resumed by the revised `f64`
+        // dual simplex, then certified.  Its refactorizations now come from
+        // the runs themselves, so the stream must reconcile with them too.
+        let mut lp = build(&desc);
+        augment_with_eq_and_ge(&mut lp);
+        let basis = solve_exact(&lp).unwrap().basis;
+        let vars: Vec<_> = lp.vars().collect();
+        for (j, v) in vars.into_iter().enumerate() {
+            let (n, d) = cost_scales[j % cost_scales.len()];
+            let scaled = lp.objective_coeff(v) * &rat(n, d);
+            lp.set_objective(v, scaled);
+        }
+        let (plain, plain_outcome) = solve_exact_dual_auto(&lp, &basis).unwrap();
+
+        let mut rec = RecordingObserver::unbounded();
+        let (observed, outcome) = solve_exact_dual_auto_observed(&lp, &basis, &mut rec).unwrap();
+        let recording = rec.finish();
+
+        prop_assert_eq!(outcome, plain_outcome);
+        prop_assert_eq!(&observed.values, &plain.values);
+        prop_assert_eq!(&observed.objective, &plain.objective);
+        prop_assert_eq!(&observed.duals, &plain.duals);
+        prop_assert_eq!(observed.iterations, plain.iterations);
+        prop_assert_eq!(observed.phase1_iterations, plain.phase1_iterations);
+        prop_assert_eq!(observed.refactorizations, plain.refactorizations);
+
+        // The same caveat as the primal route: only a run abandoned on an
+        // `f64` error leaves uncounted work in the stream.
+        let refactors = recording.health.refactorizations;
+        let (pivots, _) = pivot_counts(&recording);
+        match &recording.health.fallback {
+            None | Some(steady_lp::FallbackCause::CertificationFailed { .. }) => {
+                prop_assert_eq!(refactors, plain.refactorizations);
+                prop_assert_eq!(pivots, plain.iterations);
+            }
+            _ => {
+                prop_assert!(refactors >= plain.refactorizations);
+                prop_assert!(pivots >= plain.iterations);
+            }
         }
     }
 }

@@ -1,101 +1,20 @@
-//! Property-based parity tests between the revised sparse simplex and the
-//! dense tableau.
+//! Property tests of the revised sparse simplex on its own.
 //!
-//! The revised solver is a performance route, not a second algorithm: it
-//! runs the same pivot rules over an LU-factorized basis.  Where it starts
-//! from the same basis — warm, or cold on an LP with no zero-rhs artificial
-//! row (the Le-only LPs here) — it must return the *bit-identical* exact
-//! rational optimum: values, objective, duals, basis.  Cold on the
-//! Ge/Eq-augmented variants (the artificial-column regime the steady-state
-//! LPs live in) it starts from the triangular crash basis instead, and the
-//! contract is the optimum, not the vertex: the `Ratio`-equal objective, a
-//! primal/dual pair that proves it, and a [`SolvedBasis`](steady_lp::SolvedBasis)
-//! the dense solver installs with zero pivots (and vice versa).
-//!
-//! Below the solver, the sparse LU itself is held to exact `B·ftran(b) = b`
-//! and `Bᵀ·btran(c) = c` on bases that exercise both of its passes.
+//! Cold from the triangular crash basis, the flow LPs in the shape of the
+//! paper's `SSSP(G)` never reach phase 1, and the optimum they reach is
+//! proved exactly by its own primal/dual pair and re-proved with zero pivots
+//! from its own basis.  Below the solver, the sparse LU itself is held to
+//! exact `B·ftran(b) = b` and `Bᵀ·btran(c) = c` on bases that exercise both
+//! of its passes.  Parity with the dense tableau oracle is property-tested
+//! beside the oracle, in the crate's unit tests.
 
 use proptest::prelude::*;
 use steady_lp::{
-    check_optimal, solve_exact, solve_revised, solve_revised_report_observed,
-    solve_revised_with_basis, solve_with_basis, CscMatrix, LinearExpr, LpProblem,
-    RecordingObserver, RevisedOptions, Sense, SolveEvent, SolvePhase, SparseLu,
+    check_optimal, solve_exact, solve_exact_auto, solve_revised_report_observed, CscMatrix,
+    LinearExpr, LpProblem, NoopObserver, RecordingObserver, RevisedOptions, Sense, SolveEvent,
+    SolvePhase, SparseLu,
 };
 use steady_rational::{rat, Ratio};
-
-#[derive(Debug, Clone)]
-struct RandomLp {
-    num_vars: usize,
-    objective: Vec<(i64, i64)>,
-    /// Each constraint: coefficients (numer, denom) per variable plus a rhs.
-    constraints: Vec<(Vec<(i64, i64)>, i64)>,
-}
-
-fn random_lp_strategy() -> impl Strategy<Value = RandomLp> {
-    (2usize..5, 1usize..5).prop_flat_map(|(nv, nc)| {
-        let coeff = (0i64..6, 1i64..4);
-        let objective = proptest::collection::vec((1i64..8, 1i64..3), nv);
-        let constraint = (proptest::collection::vec(coeff, nv), 1i64..25);
-        let constraints = proptest::collection::vec(constraint, nc);
-        (objective, constraints).prop_map(move |(objective, constraints)| RandomLp {
-            num_vars: nv,
-            objective,
-            constraints,
-        })
-    })
-}
-
-/// Builds the LP; every variable also gets an individual upper bound so the
-/// problem is always bounded and feasible (origin is feasible).
-fn build(lp_desc: &RandomLp) -> LpProblem {
-    let mut lp = LpProblem::maximize();
-    let vars: Vec<_> = (0..lp_desc.num_vars).map(|i| lp.add_var(format!("x{i}"))).collect();
-    for (v, (n, d)) in vars.iter().zip(&lp_desc.objective) {
-        lp.set_objective(*v, rat(*n, *d));
-    }
-    for (ci, (coeffs, rhs)) in lp_desc.constraints.iter().enumerate() {
-        let mut e = LinearExpr::new();
-        for (v, (n, d)) in vars.iter().zip(coeffs) {
-            e.add_term(*v, rat(*n, *d));
-        }
-        if !e.is_empty() {
-            lp.add_constraint(format!("c{ci}"), e, Sense::Le, rat(*rhs, 1));
-        }
-    }
-    for (i, v) in vars.iter().enumerate() {
-        lp.add_constraint(format!("ub{i}"), LinearExpr::var(*v), Sense::Le, rat(50, 1));
-    }
-    lp
-}
-
-/// Adds the row shapes the steady-state LPs live in: an equality tying a
-/// mirror variable to `x0` and a redundant `>=` floor, both with rhs 0 —
-/// the artificial-column regime.
-fn augment_with_eq_and_ge(lp: &mut LpProblem) {
-    let vars: Vec<_> = lp.vars().collect();
-    let mirror = lp.add_var("mirror");
-    let mut tie = LinearExpr::new();
-    tie.add_term(vars[0], rat(1, 1));
-    tie.add_term(mirror, rat(-1, 1));
-    lp.add_constraint("tie", tie, Sense::Eq, rat(0, 1));
-    let mut floor = LinearExpr::new();
-    floor.add_term(vars[0], rat(1, 1));
-    floor.add_term(mirror, rat(1, 1));
-    lp.add_constraint("floor", floor, Sense::Ge, rat(0, 1));
-}
-
-/// Rows with a nonzero rhs beside the zero-rhs ones: an equality pinning a
-/// fresh variable to `x1`'s complement and a `>=` floor on `x0`.  Their
-/// artificials start at a positive level, so phase 1 runs from the crash.
-fn augment_with_nonzero_eq_and_ge(lp: &mut LpProblem, floor: &Ratio) {
-    let vars: Vec<_> = lp.vars().collect();
-    let pinned = lp.add_var("pinned");
-    let mut pin = LinearExpr::new();
-    pin.add_term(vars[1], rat(1, 1));
-    pin.add_term(pinned, rat(1, 1));
-    lp.add_constraint("pin", pin, Sense::Eq, rat(7, 2));
-    lp.add_constraint("floor0", LinearExpr::var(vars[0]), Sense::Ge, floor.clone());
-}
 
 /// What the cold crash start found, and whether phase 1 ran after it.
 fn crash_report(lp: &LpProblem) -> (usize, usize, bool) {
@@ -315,92 +234,6 @@ proptest! {
     }
 
     #[test]
-    fn revised_matches_dense_bit_for_bit(desc in random_lp_strategy()) {
-        let lp = build(&desc);
-        let dense = solve_exact(&lp).unwrap();
-        let revised = solve_revised::<Ratio>(&lp).unwrap();
-        prop_assert_eq!(&revised.values, &dense.values);
-        prop_assert_eq!(&revised.objective, &dense.objective);
-        prop_assert_eq!(&revised.duals, &dense.duals);
-        // No row is open, so the crash is the identity start: cold runs
-        // assign rows identically, and even the basis *ordering* and the
-        // pivot counts coincide.
-        prop_assert_eq!(crash_report(&lp), (0, 0, false));
-        prop_assert_eq!(&revised.basis.cols, &dense.basis.cols);
-        prop_assert_eq!(revised.iterations, dense.iterations);
-        prop_assert_eq!(revised.phase1_iterations, dense.phase1_iterations);
-    }
-
-    #[test]
-    fn revised_matches_dense_on_eq_and_ge_rows(
-        desc in random_lp_strategy(),
-        floor in (0i64..4, 1i64..12),
-    ) {
-        let mut lp = build(&desc);
-        augment_with_eq_and_ge(&mut lp);
-        let dense = solve_exact(&lp).unwrap();
-        let revised = solve_revised::<Ratio>(&lp).unwrap();
-        prop_assert_eq!(&revised.objective, &dense.objective);
-        // Exactly: `lp.check_feasible(values)`, dual feasibility, zero gap.
-        prop_assert_eq!(
-            check_optimal(&lp, &revised.values, &revised.duals),
-            Ok(dense.objective.clone())
-        );
-        // Both zero-rhs rows are crashed, so nothing is left for phase 1.
-        prop_assert_eq!(crash_report(&lp), (2, 2, false));
-        prop_assert_eq!(revised.phase1_iterations, 0);
-
-        // With nonzero-rhs `=` / `>=` rows mixed in the crash takes the same
-        // two rows, phase 1 handles the rest (unless the floor is 0 and its
-        // row open too), and the verdict is still the dense one.
-        augment_with_nonzero_eq_and_ge(&mut lp, &rat(floor.0, floor.1));
-        let (open_rows, covered, phase1) = crash_report(&lp);
-        prop_assert_eq!(open_rows, covered);
-        prop_assert_eq!(open_rows, if floor.0 == 0 { 3 } else { 2 });
-        prop_assert!(phase1);
-        match (solve_exact(&lp), solve_revised::<Ratio>(&lp)) {
-            (Ok(dense), Ok(revised)) => {
-                prop_assert_eq!(&revised.objective, &dense.objective);
-                prop_assert_eq!(
-                    check_optimal(&lp, &revised.values, &revised.duals),
-                    Ok(dense.objective)
-                );
-            }
-            (dense, revised) => prop_assert_eq!(revised.err(), dense.err()),
-        }
-    }
-
-    #[test]
-    fn bases_cross_install_between_the_solvers(desc in random_lp_strategy()) {
-        let mut lp = build(&desc);
-        augment_with_eq_and_ge(&mut lp);
-        let dense = solve_exact(&lp).unwrap();
-        let revised = solve_revised::<Ratio>(&lp).unwrap();
-
-        // The revised solver's basis is a valid SolvedBasis for the dense
-        // tableau: it installs (warm) and re-proves the optimum with zero
-        // pivots — possibly at another optimal vertex than the dense cold
-        // solve's, since the revised one was reached from the crash.
-        let dense_warm = solve_with_basis::<Ratio>(&lp, &revised.basis).unwrap();
-        prop_assert!(dense_warm.warm_started);
-        prop_assert_eq!(dense_warm.iterations, 0);
-        prop_assert_eq!(&dense_warm.objective, &dense.objective);
-        prop_assert_eq!(
-            check_optimal(&lp, &dense_warm.values, &dense_warm.duals),
-            Ok(dense.objective.clone())
-        );
-
-        // Symmetrically the dense basis on the revised solver — a warm start
-        // from the same basis, so bit for bit the dense solution.
-        let revised_warm = solve_revised_with_basis::<Ratio>(&lp, &dense.basis).unwrap();
-        prop_assert!(revised_warm.warm_started);
-        prop_assert_eq!(revised_warm.iterations, 0);
-        prop_assert_eq!(&revised_warm.values, &dense.values);
-        prop_assert_eq!(&revised_warm.objective, &dense.objective);
-        prop_assert_eq!(&revised_warm.duals, &dense.duals);
-    }
-
-    #[test]
     fn crash_covers_every_conservation_row_of_a_flow_lp(desc in flow_lp_strategy()) {
         // The digraph is weakly connected and node 0 has no row, so the
         // cascade that starts at node 0's edges reaches every node of every
@@ -411,49 +244,24 @@ proptest! {
         prop_assert_eq!(covered, open_rows);
         prop_assert!(!phase1);
 
-        let dense = solve_exact(&lp).unwrap();
-        let revised = solve_revised::<Ratio>(&lp).unwrap();
+        // The `f64` route's certified optimum is the reference.
+        let reference = solve_exact_auto(&lp).unwrap().objective;
+        let revised = solve_exact(&lp).unwrap();
         prop_assert_eq!(revised.phase1_iterations, 0);
-        prop_assert_eq!(&revised.objective, &dense.objective);
+        prop_assert_eq!(&revised.objective, &reference);
         prop_assert_eq!(
             check_optimal(&lp, &revised.values, &revised.duals),
-            Ok(dense.objective.clone())
+            Ok(reference.clone())
         );
-        let dense_warm = solve_with_basis::<Ratio>(&lp, &revised.basis).unwrap();
-        prop_assert!(dense_warm.warm_started);
-        prop_assert_eq!(dense_warm.iterations, 0);
-        prop_assert_eq!(&dense_warm.objective, &dense.objective);
-    }
-
-    #[test]
-    fn warm_starts_from_a_stale_basis_still_agree(
-        desc in random_lp_strategy(),
-        cost_scales in proptest::collection::vec((1i64..6, 1i64..6), 8),
-    ) {
-        // Perturb the costs after solving, then resume both solvers from
-        // the now-stale basis: warm and cold, dense and revised must all
-        // land on the same exact optimum (the vertex they re-optimize from
-        // differs from the cold start, so only the *answer* is asserted,
-        // not the pivot count).
-        let mut lp = build(&desc);
-        augment_with_eq_and_ge(&mut lp);
-        let basis = solve_exact(&lp).unwrap().basis;
-
-        let vars: Vec<_> = lp.vars().collect();
-        for (j, v) in vars.into_iter().enumerate() {
-            let (n, d) = cost_scales[j % cost_scales.len()];
-            let scaled = lp.objective_coeff(v) * &rat(n, d);
-            lp.set_objective(v, scaled);
-        }
-
-        let cold = solve_exact(&lp).unwrap();
-        let dense_warm = solve_with_basis::<Ratio>(&lp, &basis).unwrap();
-        let revised_warm = solve_revised_with_basis::<Ratio>(&lp, &basis).unwrap();
-        prop_assert_eq!(&dense_warm.objective, &cold.objective);
-        prop_assert_eq!(&revised_warm.objective, &cold.objective);
-        prop_assert_eq!(&revised_warm.values, &dense_warm.values);
-        prop_assert_eq!(&revised_warm.duals, &dense_warm.duals);
-        prop_assert_eq!(revised_warm.warm_started, dense_warm.warm_started);
-        prop_assert!(lp.check_feasible(&revised_warm.values).is_ok());
+        let (warm, _) = solve_revised_report_observed::<Ratio, _>(
+            &lp,
+            Some(&revised.basis),
+            &RevisedOptions::default(),
+            &mut NoopObserver,
+        )
+        .unwrap();
+        prop_assert!(warm.warm_started);
+        prop_assert_eq!(warm.iterations, 0);
+        prop_assert_eq!(&warm.objective, &reference);
     }
 }

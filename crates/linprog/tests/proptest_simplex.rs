@@ -1,20 +1,42 @@
 //! Property-based tests for the simplex solvers.
 //!
-//! Random bounded feasible LPs are generated and the two backends (f64 and
-//! exact rational) plus the certified pipeline are cross-checked:
+//! Random bounded feasible LPs are generated and the revised simplex's two
+//! backends (f64 and exact rational) plus the certified pipeline are
+//! cross-checked:
 //! * the exact solution is feasible,
 //! * the exact and floating objectives agree up to tolerance,
 //! * the certified solution equals the exact-simplex solution's objective,
 //! * the exact solution is at least as good as a sample of feasible points;
+//! * the dual simplex resumed from a stale basis returns the cold optimum;
 //! * perturbations the zero-pivot survival probe accepts keep the basis
 //!   optimal, and the ones it rejects cost repair pivots.
 
 use proptest::prelude::*;
 use steady_lp::{
-    basis_still_optimal, solve_dual_with_basis, solve_exact, solve_exact_auto, solve_f64,
-    solve_revised_with_basis, DualOutcome, LinearExpr, LpProblem, Sense, SimplexError,
+    basis_still_optimal, solve_exact, solve_exact_auto, solve_revised_dual_report_observed,
+    solve_revised_report_observed, DualOutcome, LinearExpr, LpProblem, NoopObserver,
+    RevisedOptions, Sense, SimplexError, Solution, SolvedBasis,
 };
 use steady_rational::{rat, Ratio};
+
+/// The revised dual simplex over `Ratio`, resumed from `basis`.
+fn solve_dual(
+    lp: &LpProblem,
+    basis: &SolvedBasis,
+) -> Result<(Solution<Ratio>, DualOutcome), SimplexError> {
+    let options = RevisedOptions::default();
+    solve_revised_dual_report_observed(lp, basis, &options, &mut NoopObserver)
+        .map(|(sol, outcome, _)| (sol, outcome))
+}
+
+/// The revised primal simplex, cold or resumed from `warm`.
+fn solve_primal<S: steady_lp::Scalar>(
+    lp: &LpProblem,
+    warm: Option<&SolvedBasis>,
+) -> Result<Solution<S>, SimplexError> {
+    let options = RevisedOptions::default();
+    solve_revised_report_observed(lp, warm, &options, &mut NoopObserver).map(|(sol, _)| sol)
+}
 
 #[derive(Debug, Clone)]
 struct RandomLp {
@@ -147,7 +169,7 @@ proptest! {
         let lp = build(&desc);
         let exact = solve_exact(&lp).unwrap();
         prop_assert!(lp.check_feasible(&exact.values).is_ok());
-        let float = solve_f64(&lp).unwrap();
+        let float = solve_primal::<f64>(&lp, None).unwrap();
         let diff = (exact.objective.to_f64() - float.objective).abs();
         prop_assert!(diff <= 1e-6 * exact.objective.to_f64().abs().max(1.0),
             "exact {} vs f64 {}", exact.objective, float.objective);
@@ -206,7 +228,7 @@ proptest! {
         let rebuilt = scale(&base, &cost_scales, &rhs_scales);
 
         let cold = solve_exact(&rebuilt).unwrap();
-        let (warm, outcome) = solve_dual_with_basis::<Ratio>(&rebuilt, &basis).unwrap();
+        let (warm, outcome) = solve_dual(&rebuilt, &basis).unwrap();
         prop_assert_eq!(&warm.objective, &cold.objective);
         prop_assert!(rebuilt.check_feasible(&warm.values).is_ok());
         prop_assert_eq!(rebuilt.objective_value(&warm.values), cold.objective);
@@ -255,7 +277,7 @@ proptest! {
             .collect();
         let rebuilt = rebuild_with_rhs(&base, &rescaled);
         let cold = solve_exact(&rebuilt).unwrap();
-        let (warm, _) = solve_dual_with_basis::<Ratio>(&rebuilt, &basis).unwrap();
+        let (warm, _) = solve_dual(&rebuilt, &basis).unwrap();
         prop_assert_eq!(&warm.objective, &cold.objective);
         prop_assert!(
             rebuilt.check_feasible(&warm.values).is_ok(),
@@ -308,7 +330,7 @@ proptest! {
             if !basis_still_optimal(&rebuilt, &cold.basis) {
                 continue;
             }
-            let (warm, outcome) = solve_dual_with_basis::<Ratio>(&rebuilt, &cold.basis).unwrap();
+            let (warm, outcome) = solve_dual(&rebuilt, &cold.basis).unwrap();
             prop_assert!(
                 matches!(outcome, DualOutcome::StillOptimal),
                 "a probed rhs nudge was not re-priced in place: {outcome:?}"
@@ -336,7 +358,7 @@ proptest! {
             if basis_still_optimal(&rebuilt, &cold.basis) {
                 continue;
             }
-            match solve_dual_with_basis::<Ratio>(&rebuilt, &cold.basis) {
+            match solve_dual(&rebuilt, &cold.basis) {
                 Ok((warm, outcome)) => {
                     prop_assert!(
                         !matches!(outcome, DualOutcome::StillOptimal),
@@ -367,16 +389,16 @@ proptest! {
         cost_scales in proptest::collection::vec((1i64..6, 1i64..6), 8),
         rhs_scales in proptest::collection::vec((1i64..6, 1i64..6), 8),
     ) {
-        // On `Le`-only LPs the probe is exactly the dense dual warm start's
+        // On `Le`-only LPs the probe is exactly the dual warm start's
         // zero-pivot verdict.
         let base = build(&desc);
         let basis = solve_exact(&base).unwrap().basis;
         let drifted = scale(&base, &cost_scales, &rhs_scales);
-        let (_, outcome) = solve_dual_with_basis::<Ratio>(&drifted, &basis).unwrap();
+        let (_, outcome) = solve_dual(&drifted, &basis).unwrap();
         prop_assert_eq!(
             basis_still_optimal(&drifted, &basis),
             outcome == DualOutcome::StillOptimal,
-            "probe and dense re-price disagree ({:?})",
+            "probe and dual re-price disagree ({:?})",
             outcome
         );
 
@@ -387,7 +409,7 @@ proptest! {
         let basis = solve_exact(&base).unwrap().basis;
         let drifted = scale(&base, &cost_scales, &rhs_scales);
         if basis_still_optimal(&drifted, &basis) {
-            let warm = solve_revised_with_basis::<Ratio>(&drifted, &basis).unwrap();
+            let warm = solve_primal::<Ratio>(&drifted, Some(&basis)).unwrap();
             prop_assert_eq!(warm.iterations, 0);
             prop_assert_eq!(warm.objective, solve_exact(&drifted).unwrap().objective);
         }

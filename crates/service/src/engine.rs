@@ -563,8 +563,8 @@ struct StageMetrics {
     /// Pivots taken under Bland's anti-cycling rule per successful solve
     /// (non-zero samples mean pricing degraded off Dantzig's rule).
     solver_bland_pivots: Arc<Histogram>,
-    /// Peak eta-file length per successful solve (0 when only the dense
-    /// `f64` dual simplex ran).
+    /// Peak eta-file length per successful solve (0 when the solve pivoted
+    /// nothing, e.g. an in-range drift re-price).
     solver_peak_eta: Arc<Histogram>,
     /// Basis refactorizations per successful solve.
     solver_refactorizations: Arc<Histogram>,

@@ -85,9 +85,7 @@ pub mod prelude {
     pub use steady_forecast::{
         ClassFate, ForecastConfig, Forecaster, PlannedSolve, PredictedTriage, PresolvePlan,
     };
-    pub use steady_lp::{
-        basis_still_optimal, solve_dual_with_basis, solve_with_basis, DualOutcome, SolvedBasis,
-    };
+    pub use steady_lp::{basis_still_optimal, solve_exact_dual_auto, DualOutcome, SolvedBasis};
     pub use steady_platform::generators::{
         figure2, figure5, figure6, figure9, tiers_reduce_instance, tiers_scatter_instance,
         RandomConfig, TiersConfig,

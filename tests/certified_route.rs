@@ -3,7 +3,7 @@
 //! no phase 1, and a certificate rather than an exact re-solve.
 
 use steady_collectives::prelude::*;
-use steady_lp::{Certificate, CertifyOptions, RecordingObserver, SolveEvent, SolvePath};
+use steady_lp::{Certificate, CertifyOptions, RecordingObserver, SolveEvent};
 use steady_platform::generators::{clustered_scatter_instance, ClusteredConfig};
 use steady_rational::Ratio;
 
@@ -24,14 +24,8 @@ fn figure2_and_figure6_take_one_revised_run_and_certify() {
         let sol = steady_lp::solve_exact_auto_observed(&lp, None, &mut rec).unwrap();
         let events = rec.finish().events;
 
-        let runs: Vec<SolvePath> = events
-            .iter()
-            .filter_map(|e| match e.event {
-                SolveEvent::RunStarted { path } => Some(path),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(runs, [SolvePath::Revised], "{name}: one revised run, no dense run");
+        let runs = events.iter().filter(|e| e.event == SolveEvent::RunStarted).count();
+        assert_eq!(runs, 1, "{name}: one run, no fallback");
         assert_eq!(sol.certificate, Certificate::Optimal, "{name}");
         assert_eq!(sol.phase1_iterations, 0, "{name}");
         assert_eq!(sol.objective, throughput, "{name}");
