@@ -30,10 +30,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use steady_core::gather::GatherProblem;
-use steady_core::gossip::GossipProblem;
 use steady_core::reduce::ReduceProblem;
-use steady_core::scatter::ScatterProblem;
+use steady_core::{GatherProblem, GossipProblem, ScatterProblem};
 use steady_platform::{NodeId, Platform};
 use steady_rational::Ratio;
 use steady_sim::{simulate, Dag, OpId, SimError};
@@ -368,8 +366,7 @@ pub fn direct_gossip(problem: &GossipProblem, operations: usize) -> Dag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use steady_core::gather::GatherProblem;
-    use steady_core::gossip::GossipProblem;
+    use steady_core::{GatherProblem, GossipProblem};
     use steady_platform::generators::{self, figure2, figure6};
     use steady_rational::rat;
 

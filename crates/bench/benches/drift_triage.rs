@@ -10,7 +10,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use steady_bench::print_header;
-use steady_core::scatter::ScatterProblem;
+use steady_core::ScatterProblem;
 use steady_drift::{solve_steady_triaged, DriftConfig, DriftModel, DriftStats};
 use steady_platform::generators::heterogeneous_star;
 use steady_platform::Platform;

@@ -12,7 +12,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use steady_bench::print_header;
 use steady_core::problem::SteadyProblem;
-use steady_core::scatter::ScatterProblem;
+use steady_core::ScatterProblem;
 use steady_drift::{solve_steady_triaged, DriftConfig, DriftModel};
 use steady_forecast::{ForecastConfig, Forecaster};
 use steady_lp::basis_still_optimal;

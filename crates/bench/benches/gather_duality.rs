@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use steady_baselines::{direct_gather, measure_pipelined_throughput};
 use steady_bench::{fmt_ratio, print_header};
-use steady_core::gather::GatherProblem;
+use steady_core::GatherProblem;
 use steady_platform::generators;
 use steady_platform::topologies::dumbbell_gather_instance;
 use steady_rational::rat;

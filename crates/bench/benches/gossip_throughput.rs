@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use steady_bench::{fmt_ratio, print_header};
-use steady_core::gossip::GossipProblem;
+use steady_core::GossipProblem;
 use steady_platform::generators;
 use steady_rational::rat;
 

@@ -9,7 +9,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use steady_bench::print_header;
 use steady_core::problem::solve_steady_warm;
-use steady_core::scatter::ScatterProblem;
+use steady_core::ScatterProblem;
 use steady_platform::generators::{figure2, heterogeneous_star};
 use steady_rational::rat;
 use steady_service::{

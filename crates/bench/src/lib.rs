@@ -11,7 +11,7 @@
 #![forbid(unsafe_code)]
 
 use steady_core::reduce::ReduceProblem;
-use steady_core::scatter::ScatterProblem;
+use steady_core::ScatterProblem;
 use steady_platform::generators::{self, TiersConfig};
 use steady_platform::NodeId;
 use steady_rational::Ratio;

@@ -6,7 +6,7 @@ use steady_baselines::{
     binomial_reduce, direct_scatter, flat_tree_reduce, measure_pipelined_throughput,
 };
 use steady_core::reduce::ReduceProblem;
-use steady_core::scatter::ScatterProblem;
+use steady_core::ScatterProblem;
 use steady_platform::generators::{figure2, figure6, figure9};
 use steady_runtime::{run_reduce, run_scatter, RunConfig};
 

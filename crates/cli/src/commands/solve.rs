@@ -2,12 +2,10 @@
 
 use std::io::Write;
 
-use steady_core::gather::GatherProblem;
-use steady_core::gossip::GossipProblem;
 use steady_core::prefix::PrefixProblem;
 use steady_core::reduce::ReduceProblem;
-use steady_core::scatter::ScatterProblem;
 use steady_core::schedule::PeriodicSchedule;
+use steady_core::{GatherProblem, GossipProblem, ScatterProblem};
 use steady_platform::Platform;
 use steady_rational::rat;
 

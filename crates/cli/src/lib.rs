@@ -79,8 +79,7 @@ USAGE:
                   dumbbell, random, geometric, tiers}
   steady serve-bench    [--queries N] [--clients N] [--distinct N] [--workers N]
                         [--cache-capacity N] [--shards N] [--seed N] [--out FILE] [--schedules]
-                        [--baseline FILE] [--snapshot FILE] [--preload FILE]
-                        [--max-inflight-cold N] [--cold-queue N] [--trace FILE]
+                        [--baseline FILE] [--snapshot FILE] [--preload FILE] [--trace FILE]
   steady trace          [--queries N] [--clients N] [--distinct N] [--workers N] [--seed N]
                         [--out FILE] [--metrics] [--prometheus]
   steady obs-overhead   [--queries N] [--clients N] [--distinct N] [--workers N] [--seed N]

@@ -14,9 +14,8 @@ use std::collections::BTreeMap;
 use steady_platform::{NodeId, Platform};
 use steady_rational::Ratio;
 
-use crate::gather::{GatherProblem, GatherSolution};
+use crate::flow::{FlowKind, FlowProblem, FlowSolution};
 use crate::reduce::{ReduceProblem, ReduceSolution};
-use crate::scatter::{ScatterProblem, ScatterSolution};
 
 /// The kind of resource a steady-state occupation refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -93,23 +92,11 @@ impl OccupationReport {
     }
 }
 
-/// Occupation report of a scatter solution.
-pub fn analyze_scatter(problem: &ScatterProblem, solution: &ScatterSolution) -> OccupationReport {
-    let platform = problem.platform();
-    let mut report = OccupationReport::default();
-    for node in platform.node_ids() {
-        let out: Ratio =
-            platform.out_edges(node).iter().map(|&e| solution.edge_occupation(problem, e)).sum();
-        report.insert_if_positive(Resource::OutPort(node), out);
-        let inc: Ratio =
-            platform.in_edges(node).iter().map(|&e| solution.edge_occupation(problem, e)).sum();
-        report.insert_if_positive(Resource::InPort(node), inc);
-    }
-    report
-}
-
-/// Occupation report of a gather solution.
-pub fn analyze_gather(problem: &GatherProblem, solution: &GatherSolution) -> OccupationReport {
+/// Occupation report of a scatter, gather or gossip solution.
+pub fn analyze_flow<K: FlowKind>(
+    problem: &FlowProblem<K>,
+    solution: &FlowSolution<K>,
+) -> OccupationReport {
     let platform = problem.platform();
     let mut report = OccupationReport::default();
     for node in platform.node_ids() {
@@ -141,6 +128,7 @@ pub fn analyze_reduce(problem: &ReduceProblem, solution: &ReduceSolution) -> Occ
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GatherProblem, ScatterProblem};
     use steady_platform::generators::{self, figure2, figure6};
     use steady_rational::rat;
 
@@ -148,7 +136,7 @@ mod tests {
     fn figure2_bottleneck_is_the_source_out_port() {
         let problem = ScatterProblem::from_instance(figure2()).unwrap();
         let solution = problem.solve().unwrap();
-        let report = analyze_scatter(&problem, &solution);
+        let report = analyze_flow(&problem, &solution);
         let saturated = report.saturated();
         assert!(
             saturated.contains(&Resource::OutPort(problem.source())),
@@ -167,7 +155,7 @@ mod tests {
         let (p, center, leaves) = generators::star(3, rat(1, 1));
         let problem = GatherProblem::new(p, leaves, center).unwrap();
         let solution = problem.solve().unwrap();
-        let report = analyze_gather(&problem, &solution);
+        let report = analyze_flow(&problem, &solution);
         assert!(report.saturated().contains(&Resource::InPort(center)));
         // Every leaf only emits 1/3 of the time.
         for &leaf in problem.sources() {
@@ -195,7 +183,7 @@ mod tests {
     fn unused_resources_read_as_zero() {
         let problem = ScatterProblem::from_instance(figure2()).unwrap();
         let solution = problem.solve().unwrap();
-        let report = analyze_scatter(&problem, &solution);
+        let report = analyze_flow(&problem, &solution);
         // The targets never emit anything.
         for &t in problem.targets() {
             assert_eq!(report.occupation(Resource::OutPort(t)), rat(0, 1));

@@ -13,9 +13,9 @@ use std::collections::BTreeMap;
 use steady_rational::{BigInt, Ratio};
 
 use crate::error::CoreError;
+use crate::flow::{ScatterProblem, ScatterSolution};
 use crate::paths::WeightedPath;
 use crate::reduce::{ReduceProblem, ReduceSolution};
-use crate::scatter::{ScatterProblem, ScatterSolution};
 use crate::schedule::PeriodicSchedule;
 use crate::trees::WeightedTree;
 
@@ -230,7 +230,7 @@ mod tests {
     #[test]
     fn scatter_fixed_period_loss_is_bounded() {
         use crate::paths::extract_paths;
-        use crate::scatter::ScatterProblem;
+        use crate::ScatterProblem;
         use steady_platform::generators::figure2;
 
         let problem = ScatterProblem::from_instance(figure2()).unwrap();
@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn scatter_fixed_period_schedule_is_feasible() {
         use crate::paths::extract_paths;
-        use crate::scatter::ScatterProblem;
+        use crate::ScatterProblem;
         use steady_platform::generators::figure2;
 
         let problem = ScatterProblem::from_instance(figure2()).unwrap();

@@ -14,9 +14,7 @@
 //!
 //! | Module | Paper section | Content |
 //! |---|---|---|
-//! | [`scatter`] | §3 | LP `SSSP(G)`, exact throughput, periodic schedule |
-//! | [`gather`] | §3 (dual) | LP `SSG(G)`: many sources, one sink; transpose duality |
-//! | [`gossip`] | §3.5 | LP `SSPA2A(G)` for personalized all-to-all series |
+//! | [`flow`] | §3, §3.5 | One flow LP for scatter `SSSP(G)`, gather (its transpose dual) and gossip `SSPA2A(G)`; exact throughput, periodic schedule |
 //! | [`reduce`] | §4 | LP `SSR(G)` mixing transfers and computations |
 //! | [`prefix`] | §6 (extension) | parallel-prefix series: per-rank reduce flows on shared ports |
 //! | [`trees`] | §4.3–4.4 | Reduction-tree extraction (Lemma 2 / Theorem 1) |
@@ -29,7 +27,7 @@
 //! # Quick start
 //!
 //! ```
-//! use steady_core::scatter::ScatterProblem;
+//! use steady_core::ScatterProblem;
 //! use steady_platform::generators::figure2;
 //! use steady_rational::rat;
 //!
@@ -68,17 +66,15 @@ pub mod approx;
 pub mod bounds;
 pub mod coloring;
 pub mod error;
-pub mod gather;
-pub mod gossip;
+pub mod flow;
 pub mod paths;
 pub mod prefix;
 pub mod problem;
 pub mod reduce;
-pub mod scatter;
 pub mod schedule;
 pub mod trees;
 
-pub use analysis::{analyze_gather, analyze_reduce, analyze_scatter, OccupationReport, Resource};
+pub use analysis::{analyze_flow, analyze_reduce, OccupationReport, Resource};
 pub use approx::{
     approximate_for_period, approximate_scatter_for_period, build_fixed_period_scatter_schedule,
     build_fixed_period_schedule, FixedPeriodPlan, FixedPeriodScatterPlan,
@@ -86,8 +82,10 @@ pub use approx::{
 pub use bounds::SteadyStateBounds;
 pub use coloring::{BipartiteLoad, ColoringError, LoadEdge, MatchingStep};
 pub use error::CoreError;
-pub use gather::{GatherProblem, GatherSolution};
-pub use gossip::{GossipProblem, GossipSolution};
+pub use flow::{
+    FlowKind, FlowProblem, FlowSolution, FlowVars, GatherProblem, GatherSolution, GossipProblem,
+    GossipSolution, ScatterProblem, ScatterSolution,
+};
 pub use paths::{extract_paths, verify_path_set, WeightedPath};
 pub use prefix::{PrefixProblem, PrefixSolution};
 pub use problem::{
@@ -95,6 +93,16 @@ pub use problem::{
     SolveReport, SteadyProblem,
 };
 pub use reduce::{Interval, ReduceProblem, ReduceSolution, Task};
-pub use scatter::{ScatterProblem, ScatterSolution};
 pub use schedule::{CommSlot, ComputeOp, Payload, PeriodicSchedule, Transfer};
 pub use trees::{ReductionTree, TreeOp, WeightedTree};
+
+// Unit tests of the flow LP, one module per collective kind.
+#[cfg(test)]
+#[path = "flow_tests/gather.rs"]
+mod gather;
+#[cfg(test)]
+#[path = "flow_tests/gossip.rs"]
+mod gossip;
+#[cfg(test)]
+#[path = "flow_tests/scatter.rs"]
+mod scatter;

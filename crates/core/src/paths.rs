@@ -15,7 +15,7 @@ use steady_platform::{EdgeId, NodeId};
 use steady_rational::Ratio;
 
 use crate::error::CoreError;
-use crate::scatter::{ScatterProblem, ScatterSolution};
+use crate::flow::{ScatterProblem, ScatterSolution};
 
 /// One routing path of a scatter solution, carrying `weight` messages of the
 /// commodity of `targets[target_index]` per time-unit.

@@ -33,11 +33,10 @@ use steady_lp::{LinearExpr, LpProblem, Sense, VarId};
 use steady_platform::{EdgeId, NodeId, Platform, PrefixInstance};
 use steady_rational::{lcm_of_denominators, BigInt, Ratio};
 
-use crate::coloring::{decompose, BipartiteLoad};
 use crate::error::CoreError;
 use crate::reduce::{Interval, ReduceProblem, ReduceSolution, Task};
-use crate::schedule::{CommSlot, ComputeOp, Payload, PayloadQueue, PeriodicSchedule, Transfer};
-use crate::trees::{TreeOp, WeightedTree};
+use crate::schedule::{pack_trees, PeriodicSchedule};
+use crate::trees::WeightedTree;
 
 /// A pipelined parallel-prefix problem.
 #[derive(Debug, Clone)]
@@ -491,104 +490,20 @@ impl PrefixSolution {
     /// solution's throughput, by aggregating the reduction trees of every
     /// destination rank into a single weighted-matching decomposition.
     pub fn build_schedule(&self, problem: &PrefixProblem) -> Result<PeriodicSchedule, CoreError> {
-        let platform = problem.platform();
         let per_rank_trees = self.extract_trees(problem)?;
-
-        let weights: Vec<Ratio> = per_rank_trees
-            .values()
-            .flat_map(|trees| trees.iter().map(|t| t.weight.clone()))
-            .collect();
-        let period_int = lcm_of_denominators(&weights);
-        let period = Ratio::from(period_int);
-
-        let mut load = BipartiteLoad::new();
-        let mut queues: BTreeMap<(usize, usize), PayloadQueue> = BTreeMap::new();
-        let mut compute: BTreeMap<(NodeId, Task), Ratio> = BTreeMap::new();
-
-        for trees in per_rank_trees.values() {
-            for wt in trees {
-                let count = &wt.weight * &period;
-                for op in &wt.tree.ops {
-                    match op {
-                        TreeOp::Transfer { from, to, edge, interval } => {
-                            let cost = &platform.edge(*edge).cost;
-                            let duration = &count * problem.message_size() * cost;
-                            if !duration.is_positive() {
-                                continue;
-                            }
-                            let key = (from.index(), to.index());
-                            load.add(key.0, key.1, duration.clone());
-                            queues.entry(key).or_default().push((
-                                Payload::Partial { lo: interval.0, hi: interval.1 },
-                                count.clone(),
-                                duration,
-                            ));
-                        }
-                        TreeOp::Compute { node, task } => {
-                            *compute.entry((*node, *task)).or_insert_with(Ratio::zero) += &count;
-                        }
-                    }
-                }
-            }
-        }
-
-        let steps = decompose(&load)?;
-        let mut slots = Vec::with_capacity(steps.len());
-        for step in &steps {
-            let mut transfers = Vec::new();
-            for &edge_idx in &step.edges {
-                let le = &load.edges[edge_idx];
-                let key = (le.sender, le.receiver);
-                let queue = queues.get_mut(&key).expect("load edge without queue");
-                let mut remaining = step.duration.clone();
-                while remaining.is_positive() {
-                    let Some((payload, count, duration)) = queue.first_mut() else {
-                        break;
-                    };
-                    let from = NodeId(key.0);
-                    let to = NodeId(key.1);
-                    if *duration <= remaining {
-                        transfers.push(Transfer {
-                            from,
-                            to,
-                            payload: payload.clone(),
-                            count: count.clone(),
-                            duration: duration.clone(),
-                        });
-                        remaining = &remaining - &*duration;
-                        queue.remove(0);
-                    } else {
-                        let fraction = &remaining / &*duration;
-                        let part_count = count.clone() * fraction;
-                        transfers.push(Transfer {
-                            from,
-                            to,
-                            payload: payload.clone(),
-                            count: part_count.clone(),
-                            duration: remaining.clone(),
-                        });
-                        *count = &*count - &part_count;
-                        *duration = &*duration - &remaining;
-                        remaining = Ratio::zero();
-                    }
-                }
-            }
-            slots.push(CommSlot { duration: step.duration.clone(), transfers });
-        }
-
-        let computations = compute
-            .into_iter()
-            .map(|((node, task), count)| {
-                let task_time =
-                    problem.task_time(node).expect("tree assigns computation to a compute node");
-                let duration = &count * &task_time;
-                ComputeOp { node, task, count, duration }
-            })
-            .collect();
-
+        let weights: Vec<Ratio> =
+            per_rank_trees.values().flatten().map(|t| t.weight.clone()).collect();
+        let period = Ratio::from(lcm_of_denominators(&weights));
+        let (slots, computations) = pack_trees(
+            problem.platform(),
+            per_rank_trees.values().flatten(),
+            &period,
+            |_| problem.message_size().clone(),
+            |node| problem.task_time(node),
+        )?;
         Ok(PeriodicSchedule {
-            period: period.clone(),
             operations_per_period: &self.throughput * &period,
+            period,
             slots,
             computations,
         })

@@ -1,7 +1,7 @@
 //! The collective-generic steady-state pipeline: build → solve → interpret.
 //!
-//! Every collective in this crate ([`crate::scatter`], [`crate::gather`],
-//! [`crate::gossip`], [`crate::reduce`], [`crate::prefix`]) follows the same
+//! Every collective in this crate ([`crate::flow`]'s scatter, gather and
+//! gossip, [`crate::reduce`], [`crate::prefix`]) follows the same
 //! three-step flow: formulate the steady-state LP, solve it exactly, and read
 //! the optimal variable values back into domain quantities (flows, task
 //! rates, throughput).  [`SteadyProblem`] captures the two collective-specific
@@ -147,7 +147,7 @@ pub(crate) fn positive_values<K: Ord + Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scatter::ScatterProblem;
+    use crate::ScatterProblem;
     use steady_platform::generators::figure2;
     use steady_rational::rat;
 

@@ -17,6 +17,11 @@ use std::fmt;
 use steady_platform::{NodeId, Platform};
 use steady_rational::Ratio;
 
+use crate::coloring::{decompose, BipartiteLoad};
+use crate::error::CoreError;
+use crate::reduce::{Interval, Task};
+use crate::trees::{TreeOp, WeightedTree};
+
 /// What a transfer carries.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Payload {
@@ -45,11 +50,6 @@ pub enum Payload {
         hi: usize,
     },
 }
-
-/// FIFO of `(payload, count, duration)` items queued on a `(sender, receiver)`
-/// pair while a period's transfers are distributed over the matchings of the
-/// weighted-edge-coloring decomposition (§3.3).
-pub type PayloadQueue = Vec<(Payload, Ratio, Ratio)>;
 
 impl fmt::Display for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -296,6 +296,116 @@ impl PeriodicSchedule {
         }
         out
     }
+}
+
+/// FIFO of the transfers queued on one `(sender, receiver)` pair while a
+/// period's transfers are distributed over the matchings of the
+/// weighted-edge-coloring decomposition (§3.3).
+type PayloadQueue = Vec<Transfer>;
+
+/// Packs one period's transfers into communication slots (§3.3): aggregate
+/// them into the per-link load, decompose that load into matchings, and
+/// split each link's queue of transfers across the matchings that involve
+/// the link.  Transfers of zero duration are dropped.
+pub(crate) fn pack_transfers(
+    transfers: impl IntoIterator<Item = Transfer>,
+) -> Result<Vec<CommSlot>, CoreError> {
+    let mut load = BipartiteLoad::new();
+    let mut queues: BTreeMap<(usize, usize), PayloadQueue> = BTreeMap::new();
+    for transfer in transfers {
+        if !transfer.duration.is_positive() {
+            continue;
+        }
+        let key = (transfer.from.index(), transfer.to.index());
+        load.add(key.0, key.1, transfer.duration.clone());
+        queues.entry(key).or_default().push(transfer);
+    }
+    pack(&load, queues)
+}
+
+fn pack(
+    load: &BipartiteLoad,
+    mut queues: BTreeMap<(usize, usize), PayloadQueue>,
+) -> Result<Vec<CommSlot>, CoreError> {
+    let steps = decompose(load)?;
+    let mut slots = Vec::with_capacity(steps.len());
+    for step in &steps {
+        let mut transfers = Vec::new();
+        for &edge_idx in &step.edges {
+            let le = &load.edges[edge_idx];
+            let queue = queues.get_mut(&(le.sender, le.receiver)).expect("load edge without queue");
+            // Fill `step.duration` time with transfers from the queue,
+            // splitting the last one if needed (Figure 4(a) allows split
+            // messages; callers can re-scale the period to avoid splits).
+            let mut remaining = step.duration.clone();
+            while remaining.is_positive() {
+                let Some(head) = queue.first_mut() else {
+                    break;
+                };
+                if head.duration <= remaining {
+                    remaining = &remaining - &head.duration;
+                    transfers.push(queue.remove(0));
+                } else {
+                    // Split: send the fraction that fits.
+                    let part = &head.count * &(&remaining / &head.duration);
+                    head.count = &head.count - &part;
+                    head.duration = &head.duration - &remaining;
+                    transfers.push(Transfer {
+                        from: head.from,
+                        to: head.to,
+                        payload: head.payload.clone(),
+                        count: part,
+                        duration: remaining,
+                    });
+                    break;
+                }
+            }
+        }
+        slots.push(CommSlot { duration: step.duration.clone(), transfers });
+    }
+    Ok(slots)
+}
+
+/// Packs weighted reduction trees into one period (reduce and prefix): each
+/// tree runs `weight × period` times, its transfers of `v[interval]` take
+/// `size(interval) × c(e)` each and are packed by [`pack_transfers`], and its
+/// tasks are summed per node into overlapped computations timed by
+/// `task_time`.
+pub(crate) fn pack_trees<'a>(
+    platform: &Platform,
+    trees: impl IntoIterator<Item = &'a WeightedTree>,
+    period: &Ratio,
+    size: impl Fn(Interval) -> Ratio,
+    task_time: impl Fn(NodeId) -> Option<Ratio>,
+) -> Result<(Vec<CommSlot>, Vec<ComputeOp>), CoreError> {
+    let mut transfers = Vec::new();
+    let mut compute: BTreeMap<(NodeId, Task), Ratio> = BTreeMap::new();
+    for wt in trees {
+        let count = &wt.weight * period;
+        for op in &wt.tree.ops {
+            match op {
+                TreeOp::Transfer { from, to, edge, interval } => transfers.push(Transfer {
+                    from: *from,
+                    to: *to,
+                    payload: Payload::Partial { lo: interval.0, hi: interval.1 },
+                    duration: &count * &size(*interval) * &platform.edge(*edge).cost,
+                    count: count.clone(),
+                }),
+                TreeOp::Compute { node, task } => {
+                    *compute.entry((*node, *task)).or_insert_with(Ratio::zero) += &count;
+                }
+            }
+        }
+    }
+    let computations = compute
+        .into_iter()
+        .map(|((node, task), count)| {
+            let task_time = task_time(node).expect("tree assigns computation to a compute node");
+            let duration = &count * &task_time;
+            ComputeOp { node, task, count, duration }
+        })
+        .collect();
+    Ok((pack_transfers(transfers)?, computations))
 }
 
 #[cfg(test)]

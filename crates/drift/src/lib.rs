@@ -27,7 +27,7 @@
 //!
 //! ```
 //! use steady_drift::{solve_steady_triaged, DriftConfig, DriftModel, Triage};
-//! use steady_core::scatter::ScatterProblem;
+//! use steady_core::ScatterProblem;
 //! use steady_platform::generators::heterogeneous_star;
 //! use steady_platform::NodeId;
 //! use steady_rational::rat;

@@ -198,7 +198,7 @@ pub fn solve_steady_triaged_observed<P: SteadyProblem, O: SolveObserver>(
 mod tests {
     use super::*;
     use crate::model::{DriftConfig, DriftModel};
-    use steady_core::scatter::ScatterProblem;
+    use steady_core::ScatterProblem;
     use steady_platform::generators::heterogeneous_star;
     use steady_platform::Platform;
     use steady_rational::rat;

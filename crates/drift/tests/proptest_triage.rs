@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use steady_core::scatter::ScatterProblem;
+use steady_core::ScatterProblem;
 use steady_drift::{solve_steady_triaged, DriftConfig, DriftModel, DriftStats, Triage};
 use steady_platform::generators::{random_connected, RandomConfig};
 use steady_platform::{NodeId, Platform};

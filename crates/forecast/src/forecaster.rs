@@ -371,7 +371,7 @@ impl Ord for HeapState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use steady_core::scatter::ScatterProblem;
+    use steady_core::ScatterProblem;
     use steady_drift::{solve_steady_triaged, DriftConfig, DriftModel, Triage};
     use steady_platform::generators::heterogeneous_star;
     use steady_platform::{NodeId, Platform};

@@ -34,7 +34,7 @@
 //! ```
 //! use steady_forecast::{ClassFate, ForecastConfig, Forecaster};
 //! use steady_core::problem::SteadyProblem;
-//! use steady_core::scatter::ScatterProblem;
+//! use steady_core::ScatterProblem;
 //! use steady_drift::{DriftConfig, DriftModel};
 //! use steady_platform::generators::heterogeneous_star;
 //! use steady_rational::rat;

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use steady_core::problem::SteadyProblem;
-use steady_core::scatter::ScatterProblem;
+use steady_core::ScatterProblem;
 use steady_drift::{solve_steady_triaged, DriftConfig, DriftModel, Triage};
 use steady_forecast::{ClassFate, ForecastConfig, Forecaster, PredictedTriage};
 use steady_lp::basis_still_optimal;

@@ -20,11 +20,10 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::sync::Barrier;
 
-use steady_core::gather::GatherProblem;
 use steady_core::reduce::{Interval, ReduceProblem};
-use steady_core::scatter::ScatterProblem;
 use steady_core::schedule::PeriodicSchedule;
 use steady_core::trees::WeightedTree;
+use steady_core::{GatherProblem, ScatterProblem};
 use steady_platform::NodeId;
 
 use crate::plan::{GatherPlan, ReducePlan, ScatterPlan};
@@ -124,7 +123,7 @@ fn mailboxes(n: usize) -> Mailboxes {
 /// Executes a scatter schedule with real threads and messages.
 ///
 /// The schedule must have been built on the LP's integer period (the default
-/// of [`steady_core::scatter::ScatterSolution::build_schedule`]).
+/// of [`steady_core::ScatterSolution::build_schedule`]).
 pub fn run_scatter(
     problem: &ScatterProblem,
     schedule: &PeriodicSchedule,
@@ -631,7 +630,7 @@ mod tests {
 
     #[test]
     fn gather_run_on_star_is_exact() {
-        use steady_core::gather::GatherProblem;
+        use steady_core::GatherProblem;
         let (p, center, leaves) = generators::star(3, rat(1, 1));
         let problem = GatherProblem::new(p, leaves, center).unwrap();
         let solution = problem.solve().unwrap();
@@ -648,7 +647,7 @@ mod tests {
 
     #[test]
     fn gather_run_with_relaying_on_reversed_figure2() {
-        use steady_core::gather::GatherProblem;
+        use steady_core::GatherProblem;
         let inst = figure2();
         let problem =
             GatherProblem::new(inst.platform.transpose(), inst.targets, inst.source).unwrap();

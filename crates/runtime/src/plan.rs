@@ -17,11 +17,10 @@
 
 use std::collections::BTreeMap;
 
-use steady_core::gather::GatherProblem;
 use steady_core::reduce::{Interval, ReduceProblem, Task};
-use steady_core::scatter::ScatterProblem;
 use steady_core::schedule::{Payload, PeriodicSchedule};
 use steady_core::trees::{TreeOp, WeightedTree};
+use steady_core::{GatherProblem, ScatterProblem};
 use steady_platform::NodeId;
 use steady_rational::{lcm_of_denominators, Ratio};
 
@@ -262,7 +261,7 @@ mod tests {
 
     #[test]
     fn gather_plan_from_star() {
-        use steady_core::gather::GatherProblem;
+        use steady_core::GatherProblem;
         use steady_platform::generators;
         use steady_rational::rat;
         let (p, center, leaves) = generators::star(3, rat(1, 1));

@@ -17,9 +17,8 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use steady_core::error::CoreError;
-use steady_core::gather::GatherProblem;
 use steady_core::problem::SolvedBasis;
-use steady_core::scatter::ScatterProblem;
+use steady_core::{GatherProblem, ScatterProblem};
 use steady_drift::{DriftConfig, DriftModel};
 use steady_forecast::{ClassFate, ForecastConfig, Forecaster, PredictedTriage, PresolvePlan};
 use steady_platform::generators::{

@@ -1,12 +1,10 @@
 //! Queries served by the engine and the cold-solve path answering them.
 
-use steady_core::gather::GatherProblem;
-use steady_core::gossip::GossipProblem;
 use steady_core::prefix::PrefixProblem;
 use steady_core::problem::SolvedBasis;
 use steady_core::reduce::ReduceProblem;
-use steady_core::scatter::ScatterProblem;
 use steady_core::schedule::PeriodicSchedule;
+use steady_core::{GatherProblem, GossipProblem, ScatterProblem};
 use steady_drift::{solve_steady_triaged_observed, TriageReport};
 use steady_platform::{NodeId, Platform};
 use steady_rational::Ratio;

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use steady_core::problem::solve_steady_warm;
-use steady_core::scatter::ScatterProblem;
+use steady_core::ScatterProblem;
 use steady_platform::generators::{random_connected, RandomConfig};
 use steady_platform::{NodeId, Platform};
 use steady_rational::rat;

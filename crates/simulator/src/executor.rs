@@ -15,8 +15,8 @@
 use std::collections::BTreeMap;
 
 use steady_core::reduce::{Interval, ReduceProblem};
-use steady_core::scatter::ScatterProblem;
 use steady_core::schedule::{Payload, PeriodicSchedule};
+use steady_core::ScatterProblem;
 use steady_platform::NodeId;
 use steady_rational::{BigInt, Ratio};
 
@@ -210,7 +210,7 @@ fn big_to_u64(b: &BigInt) -> u64 {
 mod tests {
     use super::*;
     use steady_core::reduce::ReduceProblem;
-    use steady_core::scatter::ScatterProblem;
+    use steady_core::ScatterProblem;
     use steady_platform::generators::{figure2, figure6};
     use steady_rational::rat;
 

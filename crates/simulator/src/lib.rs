@@ -18,7 +18,7 @@
 //! # Example
 //!
 //! ```
-//! use steady_core::scatter::ScatterProblem;
+//! use steady_core::ScatterProblem;
 //! use steady_platform::generators::figure2;
 //! use steady_rational::rat;
 //! use steady_sim::executor::execute_scatter_schedule;

@@ -66,19 +66,17 @@ pub mod prelude {
         binomial_reduce, binomial_scatter, chain_reduce, direct_gather, direct_gossip,
         direct_scatter, flat_tree_reduce, measure_pipelined_throughput,
     };
-    pub use steady_core::analysis::{
-        analyze_gather, analyze_reduce, analyze_scatter, OccupationReport, Resource,
-    };
+    pub use steady_core::analysis::{analyze_flow, analyze_reduce, OccupationReport, Resource};
     pub use steady_core::approx::{approximate_for_period, build_fixed_period_schedule};
     pub use steady_core::bounds::SteadyStateBounds;
-    pub use steady_core::gather::GatherProblem;
-    pub use steady_core::gossip::GossipProblem;
     pub use steady_core::prefix::PrefixProblem;
     pub use steady_core::problem::{solve_steady, solve_steady_warm, SolveReport, SteadyProblem};
     pub use steady_core::reduce::ReduceProblem;
-    pub use steady_core::scatter::ScatterProblem;
     pub use steady_core::schedule::PeriodicSchedule;
     pub use steady_core::CoreError;
+    pub use steady_core::GatherProblem;
+    pub use steady_core::GossipProblem;
+    pub use steady_core::ScatterProblem;
     pub use steady_drift::{
         solve_steady_triaged, DriftConfig, DriftModel, DriftStats, Triage, TriageReport,
     };

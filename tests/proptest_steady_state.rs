@@ -51,6 +51,48 @@ proptest! {
             "efficiency {} too low (seed {seed})", report.efficiency());
     }
 
+    /// Gossip: the solution verifies, the schedule is one-port feasible and
+    /// achieves TP, and the LP agrees with the scatter for one source and
+    /// with the gather for one target.
+    #[test]
+    fn gossip_pipeline_invariants(
+        seed in 0u64..5000,
+        nodes in 3usize..7,
+        num_sources in 1usize..4,
+        num_targets in 1usize..4,
+        source_offset in 0usize..6,
+        target_offset in 0usize..6,
+    ) {
+        let platform = random_platform(seed, nodes, 0.3);
+        let all: Vec<NodeId> = platform.node_ids().collect();
+        let pick = |offset: usize, count: usize| -> Vec<NodeId> {
+            (0..count).map(|i| all[(offset + i) % nodes]).collect()
+        };
+        let sources = pick(source_offset, num_sources);
+        let targets = pick(target_offset, num_targets);
+        prop_assume!(sources.iter().any(|s| targets.iter().any(|t| s != t)));
+
+        let problem = GossipProblem::new(platform.clone(), sources.clone(), targets.clone()).unwrap();
+        let solution = problem.solve().unwrap();
+        prop_assert!(solution.throughput().is_positive());
+        solution.verify(&problem).unwrap();
+
+        let schedule = solution.build_schedule(&problem).unwrap();
+        schedule.validate(problem.platform()).unwrap();
+        prop_assert_eq!(schedule.throughput(), solution.throughput().clone());
+
+        if let [source] = sources[..] {
+            let scatter_targets = targets.iter().copied().filter(|&t| t != source).collect();
+            let scatter = ScatterProblem::new(platform.clone(), source, scatter_targets).unwrap();
+            prop_assert_eq!(scatter.solve().unwrap().throughput(), solution.throughput());
+        }
+        if let [sink] = targets[..] {
+            let gather_sources = sources.iter().copied().filter(|&s| s != sink).collect();
+            let gather = GatherProblem::new(platform, gather_sources, sink).unwrap();
+            prop_assert_eq!(gather.solve().unwrap().throughput(), solution.throughput());
+        }
+    }
+
     /// Reduce: solution verifies, trees decompose exactly TP, schedules are
     /// feasible, and the simulation respects the upper bound.
     #[test]
